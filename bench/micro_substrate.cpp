@@ -8,6 +8,8 @@
 
 #include "bench/BenchUtil.h"
 #include "sat/MinimalModels.h"
+#include "sat/ModelEnumeration.h"
+#include "sat/Solver.h"
 #include "spec/Checkers.h"
 #include "spec/Specs.h"
 #include "support/Rng.h"
@@ -116,7 +118,9 @@ void BM_SatSolveRandom(benchmark::State &State) {
 }
 BENCHMARK(BM_SatSolveRandom);
 
-void BM_MinimalModelEnumeration(benchmark::State &State) {
+/// One random monotone Φ for the repair-selection pair below: the exact
+/// selector synthesis uses, and the enumeration oracle it replaced.
+sat::MonotoneCnf selectionFormula() {
   sat::MonotoneCnf F;
   F.NumVars = 16;
   Rng R(7);
@@ -126,13 +130,29 @@ void BM_MinimalModelEnumeration(benchmark::State &State) {
       Clause.push_back(static_cast<sat::Var>(R.nextBelow(16)));
     F.Clauses.push_back(Clause);
   }
+  return F;
+}
+
+void BM_MinimumModelExact(benchmark::State &State) {
+  sat::MonotoneCnf F = selectionFormula();
   for (auto _ : State) {
     bool Unsat = false;
-    auto Models = sat::enumerateMinimalModels(F, 512, Unsat);
-    benchmark::DoNotOptimize(Models.size());
+    auto Model = sat::minimumModel(F, Unsat);
+    benchmark::DoNotOptimize(Model.size());
   }
 }
-BENCHMARK(BM_MinimalModelEnumeration);
+BENCHMARK(BM_MinimumModelExact);
+
+void BM_MinimumModelByEnumeration(benchmark::State &State) {
+  sat::MonotoneCnf F = selectionFormula();
+  for (auto _ : State) {
+    bool Unsat = false;
+    auto Model =
+        sat::smallestModel(sat::enumerateMinimalModels(F, 4096, Unsat));
+    benchmark::DoNotOptimize(Model.size());
+  }
+}
+BENCHMARK(BM_MinimumModelByEnumeration);
 
 void BM_FullSynthesisChaseLevTso(benchmark::State &State) {
   const auto &B = programs::benchmarkByName("Chase-Lev WSQ");

@@ -130,6 +130,7 @@ Json harness::faultPlanToJson(const vm::FaultPlan &F) {
   J.set("allocFailAfter", Json::number(F.AllocFailAfter));
   J.set("bufferCapacity",
         Json::number(static_cast<uint64_t>(F.BufferCapacity)));
+  J.set("stallMs", Json::number(static_cast<uint64_t>(F.StallMs)));
   return J;
 }
 
@@ -147,6 +148,8 @@ vm::FaultPlan harness::faultPlanFromJson(const Json &J) {
     F.AllocFailAfter = N->asU64();
   if (const Json *N = J.find("bufferCapacity"))
     F.BufferCapacity = static_cast<size_t>(N->asU64());
+  if (const Json *N = J.find("stallMs"))
+    F.StallMs = static_cast<uint32_t>(N->asU64());
   return F;
 }
 

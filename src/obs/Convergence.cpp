@@ -24,9 +24,8 @@ Json obs::roundRecordJson(const RoundRecord &R) {
   Json Sat = Json::object();
   Sat.set("clauses", Json::number(R.SatClauses));
   Sat.set("models", Json::number(R.SatModels));
-  Sat.set("conflicts", Json::number(R.SatConflicts));
-  Sat.set("decisions", Json::number(R.SatDecisions));
-  Sat.set("propagations", Json::number(R.SatPropagations));
+  Sat.set("nodes", Json::number(R.SatNodes));
+  Sat.set("truncated", Json::boolean(R.SatTruncated));
   Sat.set("solveUs", Json::number(R.SatSolveUs));
   O.set("sat", std::move(Sat));
   O.set("roundWallUs", Json::number(R.RoundWallUs));

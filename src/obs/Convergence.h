@@ -51,9 +51,8 @@ struct RoundRecord {
   // SAT effort of this round's solve (zero when no solve happened).
   uint64_t SatClauses = 0;
   uint64_t SatModels = 0;
-  uint64_t SatConflicts = 0;
-  uint64_t SatDecisions = 0;
-  uint64_t SatPropagations = 0;
+  uint64_t SatNodes = 0;
+  bool SatTruncated = false; ///< Search budget hit (greedy fallback).
 
   // Wall-clock (machine-dependent; excluded from canonical results).
   uint64_t RoundWallUs = 0;

@@ -1,23 +1,26 @@
-//===- MinimalModels.h - Minimal models of monotone CNF ---------*- C++ -*-===//
+//===- MinimalModels.h - Minimum models of monotone CNF ---------*- C++ -*-===//
 //
 // The repair formula Φ is monotone: a conjunction of disjunctions of
 // positive literals (one per ordering predicate). Its minimal satisfying
 // assignments are exactly the inclusion-minimal hitting sets of the clause
-// family. Following the paper, we enumerate models with the SAT solver
-// (minimize each greedily, block it, repeat) and then select the smallest;
-// a direct branch-and-bound hitting-set solver doubles as an independent
-// cross-check (used in tests and the ablation bench).
+// family. The synthesizer enforces one of minimum cardinality, chosen
+// deterministically: minimumModel returns the lexicographically smallest
+// minimum-cardinality hitting set, found by an exact iterative-deepening
+// search (see MinimalModels.cpp). The paper's route — enumerate minimal
+// models with a SAT solver, keep the smallest — survives as the test and
+// bench oracle in sat/ModelEnumeration.h.
 //
 //===----------------------------------------------------------------------===//
 
 #ifndef DFENCE_SAT_MINIMALMODELS_H
 #define DFENCE_SAT_MINIMALMODELS_H
 
-#include "sat/Solver.h"
-
+#include <cstdint>
 #include <vector>
 
 namespace dfence::sat {
+
+using Var = uint32_t;
 
 /// A monotone CNF formula over variables 0..NumVars-1: each clause is a
 /// disjunction of positive literals.
@@ -28,40 +31,37 @@ struct MonotoneCnf {
   bool isSatisfiedBy(const std::vector<bool> &Assign) const;
 };
 
-/// Solver-effort telemetry for one enumerate/minimum call, filled from the
-/// Solver's own statistics accessors. Purely observational — the results
-/// of the solve do not depend on it.
+/// Search nodes one minimumModel call may expand before it stops being
+/// exact. Every Φ of the Table-3 suite, the litmus shapes and the fuzz
+/// corpus needs a few hundred at most; a solve that runs out falls back
+/// to a greedy, inclusion-minimal hitting set and says so
+/// (SolveStats::Truncated).
+inline constexpr uint64_t MinimumModelNodeBudget = 1u << 18;
+
+/// Effort telemetry for one minimumModel call. Everything except SolveNs
+/// is a deterministic function of the formula.
 struct SolveStats {
-  uint64_t Vars = 0;         ///< Variables of the formula.
-  uint64_t Clauses = 0;      ///< Input clauses (blocking clauses excluded).
-  uint64_t Models = 0;       ///< Minimal models enumerated.
-  uint64_t Conflicts = 0;    ///< Solver conflicts across all solve() calls.
-  uint64_t Decisions = 0;    ///< Solver decisions across all solve() calls.
-  uint64_t Propagations = 0; ///< Solver propagations across all calls.
-  /// Wall-clock nanoseconds the enumeration took. Machine-dependent —
-  /// feeds the flight recorder's sat_solve phase histogram and the round
-  /// log, never a counter or a canonical result field (everything above
-  /// is deterministic given the formula; this is not).
+  uint64_t Vars = 0;    ///< Variables of the formula.
+  uint64_t Clauses = 0; ///< Input clauses, before normalisation.
+  /// Models returned: 1 for a satisfiable formula, 0 when unsat.
+  uint64_t Models = 0;
+  uint64_t Nodes = 0;     ///< Search nodes expanded.
+  bool Truncated = false; ///< Node budget hit: greedy fallback returned.
+  /// Wall-clock nanoseconds the solve took. Machine-dependent — feeds the
+  /// flight recorder's sat_solve phase histogram and the round log, never
+  /// a counter or a canonical result field.
   uint64_t SolveNs = 0;
 };
 
-/// Enumerates all inclusion-minimal models via SAT + blocking clauses
-/// (stops after \p MaxModels). Each model is the sorted set of true vars.
-/// An unsatisfiable formula (only possible with an empty clause) yields an
-/// empty result with \p Unsat set. When \p Stats is non-null it receives
-/// solver-effort telemetry for the call.
-std::vector<std::vector<Var>>
-enumerateMinimalModels(const MonotoneCnf &F, size_t MaxModels, bool &Unsat,
-                       SolveStats *Stats = nullptr);
-
-/// Among the minimal models, returns one of minimum cardinality
-/// (lexicographically smallest for determinism). Empty when unsat.
+/// Returns the lexicographically smallest of the minimum-cardinality
+/// models (sorted sets of true variables) — the model that enumerating
+/// every minimal model and ordering by (size, lexicographic) would keep.
+/// When the node budget runs out the result is still an inclusion-minimal
+/// model, but possibly not a minimum one, and \p Stats->Truncated is set.
+/// An unsatisfiable formula (only possible with an empty clause) yields
+/// an empty result with \p Unsat set.
 std::vector<Var> minimumModel(const MonotoneCnf &F, bool &Unsat,
                               SolveStats *Stats = nullptr);
-
-/// Independent exact minimum hitting set by branch and bound; used to
-/// cross-check the SAT-based path.
-std::vector<Var> minimumHittingSet(const MonotoneCnf &F, bool &Unsat);
 
 } // namespace dfence::sat
 

@@ -353,9 +353,8 @@ Json serve::resultToJson(const synth::SynthResult &R, bool IncludeModule) {
     Json Sat = Json::object();
     Sat.set("clauses", Json::number(S.SatClauses));
     Sat.set("models", Json::number(S.SatModels));
-    Sat.set("conflicts", Json::number(S.SatConflicts));
-    Sat.set("decisions", Json::number(S.SatDecisions));
-    Sat.set("propagations", Json::number(S.SatPropagations));
+    Sat.set("nodes", Json::number(S.SatNodes));
+    Sat.set("truncated", Json::boolean(S.SatTruncated));
     RJ.set("sat", std::move(Sat));
     Rounds.push(std::move(RJ));
   }

@@ -251,12 +251,9 @@ SynthResult synth::synthesize(const ir::Module &M,
   obs::Counter *SatClausesC =
       obs::counterOrNull(Cfg.Obs, "sat_clauses_total");
   obs::Counter *SatModelsC = obs::counterOrNull(Cfg.Obs, "sat_models_total");
-  obs::Counter *SatConflictsC =
-      obs::counterOrNull(Cfg.Obs, "sat_conflicts_total");
-  obs::Counter *SatDecisionsC =
-      obs::counterOrNull(Cfg.Obs, "sat_decisions_total");
-  obs::Counter *SatPropsC =
-      obs::counterOrNull(Cfg.Obs, "sat_propagations_total");
+  obs::Counter *SatNodesC = obs::counterOrNull(Cfg.Obs, "sat_nodes_total");
+  obs::Counter *SatTruncatedC =
+      obs::counterOrNull(Cfg.Obs, "sat_truncated_total");
   // Cache counters count merge-thread events only (see the fold loop), so
   // they are jobs-invariant like every other counter; per-worker shard
   // totals are inherently jobs-dependent and go to gauges at end of run.
@@ -445,9 +442,8 @@ SynthResult synth::synthesize(const ir::Module &M,
         RR.ExecCacheMisses = S.ExecCacheMisses;
         RR.SatClauses = S.SatClauses;
         RR.SatModels = S.SatModels;
-        RR.SatConflicts = S.SatConflicts;
-        RR.SatDecisions = S.SatDecisions;
-        RR.SatPropagations = S.SatPropagations;
+        RR.SatNodes = S.SatNodes;
+        RR.SatTruncated = S.SatTruncated;
         RR.RoundWallUs = S.RoundWallUs;
         RR.SatSolveUs = S.SatSolveUs;
         Cfg.RoundLog->write(RR);
@@ -697,20 +693,19 @@ SynthResult synth::synthesize(const ir::Module &M,
     SatSpan.arg("clauses", SS.Clauses);
     SatSpan.arg("vars", SS.Vars);
     SatSpan.arg("models", SS.Models);
-    SatSpan.arg("conflicts", SS.Conflicts);
+    SatSpan.arg("nodes", SS.Nodes);
     SatSpan.end();
     OBS_COUNT(SatSolvesC, 1);
     OBS_COUNT(SatClausesC, SS.Clauses);
     OBS_COUNT(SatModelsC, SS.Models);
-    OBS_COUNT(SatConflictsC, SS.Conflicts);
-    OBS_COUNT(SatDecisionsC, SS.Decisions);
-    OBS_COUNT(SatPropsC, SS.Propagations);
+    OBS_COUNT(SatNodesC, SS.Nodes);
+    OBS_COUNT(SatTruncatedC, SS.Truncated);
     Stats.SatClauses = SS.Clauses;
     Stats.SatModels = SS.Models;
-    Stats.SatConflicts = SS.Conflicts;
-    Stats.SatDecisions = SS.Decisions;
-    Stats.SatPropagations = SS.Propagations;
+    Stats.SatNodes = SS.Nodes;
+    Stats.SatTruncated = SS.Truncated;
     Stats.SatSolveUs = SS.SolveNs / 1000;
+    Result.SatTruncated += SS.Truncated;
     if (Prof)
       Prof->observePhaseNs(obs::Phase::SatSolve, SS.SolveNs);
     if (Unsat) {

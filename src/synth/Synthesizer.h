@@ -206,7 +206,7 @@ const char *synthStatusName(SynthStatus S);
 
 /// Per-round synthesis statistics (drives the Fig. 4 reproduction and
 /// the flight recorder's convergence telemetry). Fields up to and
-/// including SatPropagations are deterministic — byte-identical at any
+/// including SatTruncated are deterministic — byte-identical at any
 /// --jobs width and either dispatch mode, and (except the cache hit/miss
 /// split) across cache modes; the canonical result serialization
 /// (serve::resultToJson) carries only that deterministic, cache-invariant
@@ -234,9 +234,8 @@ struct RoundStats {
   /// SAT effort of this round's solve; all zero when no solve ran.
   uint64_t SatClauses = 0;
   uint64_t SatModels = 0;
-  uint64_t SatConflicts = 0;
-  uint64_t SatDecisions = 0;
-  uint64_t SatPropagations = 0;
+  uint64_t SatNodes = 0;
+  bool SatTruncated = false; ///< Search budget hit; see SynthResult.
 
   // Wall-clock (machine-dependent; round log + histograms only).
   uint64_t SatSolveUs = 0;
@@ -267,6 +266,10 @@ struct SynthResult {
   uint64_t TimedOutExecutions = 0;  ///< Watchdog-expired executions.
   uint64_t DistinctPredicates = 0;  ///< Size of the predicate universe.
   unsigned StaticFallbackFences = 0; ///< Fences added by degradation.
+  /// Repair solves that ran out of sat::MinimumModelNodeBudget. Each one
+  /// enforced an inclusion-minimal predicate set that may not be of
+  /// minimum size.
+  unsigned SatTruncated = 0;
   ir::Module FencedModule;
   std::string FirstViolation; ///< Diagnostics of the first violation.
   std::vector<RoundStats> RoundLog;

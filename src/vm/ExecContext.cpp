@@ -35,6 +35,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <thread>
 #include <type_traits>
 
 using namespace dfence;
@@ -933,6 +934,9 @@ void ExecContext::run(const PreparedProgram &Prog, size_t ClientIdx,
   if (Cfg.WallClockMs > 0)
     Deadline = std::chrono::steady_clock::now() +
                std::chrono::milliseconds(Cfg.WallClockMs);
+  if (Cfg.Faults && Cfg.Faults->StallMs > 0)
+    std::this_thread::sleep_for(
+        std::chrono::milliseconds(Cfg.Faults->StallMs));
   if (Cfg.Sched) {
     Sched = Cfg.Sched;
   } else {

@@ -3,9 +3,10 @@
 // A FaultPlan describes adversarial conditions the interpreter injects
 // into an execution: flush storms (a whole store buffer drained at once),
 // forced context switches away from chosen labels, simulated allocation
-// failure, and a bounded store-buffer capacity. The harness tests use
-// fault plans to prove the checkers and the synthesis loop degrade
-// gracefully instead of crashing or hanging under hostile conditions.
+// failure, a bounded store-buffer capacity, and a stalled core. The
+// harness tests use fault plans to prove the checkers and the synthesis
+// loop degrade gracefully instead of crashing or hanging under hostile
+// conditions.
 //
 // Fault decisions draw from a dedicated RNG stream (seeded from the
 // execution seed) that is consumed only at fault decision points, never by
@@ -51,9 +52,17 @@ struct FaultPlan {
   /// buffer). 0 = unbounded.
   size_t BufferCapacity = 0;
 
+  /// Sleep this many milliseconds before the first step of every
+  /// execution, counted against its wall-clock watchdog (a stalled or
+  /// descheduled core). Changes only timing: an execution that still
+  /// finishes within its budget is unchanged. Lets tests hold work in
+  /// flight until a deadline expires, however fast the machine is.
+  uint32_t StallMs = 0;
+
   bool enabled() const {
     return FlushStormProb > 0.0 || !SwitchBeforeLabels.empty() ||
-           AllocFailProb > 0.0 || AllocFailAfter > 0 || BufferCapacity > 0;
+           AllocFailProb > 0.0 || AllocFailAfter > 0 || BufferCapacity > 0 ||
+           StallMs > 0;
   }
 
   /// The scheduler-level faults, which a recorded trace already contains
@@ -62,13 +71,15 @@ struct FaultPlan {
     return FlushStormProb > 0.0 || !SwitchBeforeLabels.empty();
   }
 
-  /// Returns a copy with the scheduler-level faults removed, keeping the
-  /// engine-level ones (allocation failure, buffer capacity) that replay
-  /// deterministically from the fault RNG stream.
+  /// Returns a copy with the scheduler-level faults (and the timing-only
+  /// stall) removed, keeping the engine-level ones (allocation failure,
+  /// buffer capacity) that replay deterministically from the fault RNG
+  /// stream.
   FaultPlan replayView() const {
     FaultPlan P = *this;
     P.FlushStormProb = 0.0;
     P.SwitchBeforeLabels.clear();
+    P.StallMs = 0;
     return P;
   }
 };

@@ -97,9 +97,16 @@ TEST(FuzzCampaign, CanonicalJsonInvariantAcrossJobsAndCache) {
   for (Scenario &S : litmusScenarios(0xd06))
     Corpus.push_back(std::move(S));
 
+  obs::Registry Metrics;
+  obs::ObsContext Obs;
+  Obs.Metrics = &Metrics;
   CampaignConfig C1 = smallCfg();
   C1.Jobs = 1;
+  C1.Obs = &Obs;
   CampaignResult R1 = runCampaign(Corpus, C1);
+  // Every repair formula of the corpus is solved exactly.
+  EXPECT_GT(Metrics.counter("sat_solves_total").value(), 0u);
+  EXPECT_EQ(Metrics.counter("sat_truncated_total").value(), 0u);
 
   CampaignConfig C8 = smallCfg();
   C8.Jobs = 8;

@@ -18,6 +18,7 @@
 
 #include "fuzz/Campaign.h"
 #include "fuzz/LitmusCorpus.h"
+#include "obs/Obs.h"
 #include "support/StringUtils.h"
 
 #include "gtest/gtest.h"
@@ -40,8 +41,15 @@ CampaignConfig litmusCfg(const std::string &Model) {
 }
 
 std::map<std::string, ScenarioOutcome> runCorpus(const std::string &Model) {
-  CampaignResult R =
-      runCampaign(litmusScenarios(0x11717), litmusCfg(Model));
+  obs::Registry Metrics;
+  obs::ObsContext Obs;
+  Obs.Metrics = &Metrics;
+  CampaignConfig Cfg = litmusCfg(Model);
+  Cfg.Obs = &Obs;
+  CampaignResult R = runCampaign(litmusScenarios(0x11717), Cfg);
+  // Every repair formula of the corpus is solved exactly.
+  EXPECT_GT(Metrics.counter("sat_solves_total").value(), 0u);
+  EXPECT_EQ(Metrics.counter("sat_truncated_total").value(), 0u) << Model;
   std::map<std::string, ScenarioOutcome> ByName;
   for (const ScenarioOutcome &O : R.Outcomes)
     ByName[O.Name] = O;

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 using namespace dfence;
 using namespace dfence::frontend;
 
@@ -38,6 +40,13 @@ struct PrecedenceCase {
   const char *Expr;
   int64_t Expected;
 };
+
+// Print the expression, not the raw struct bytes: gtest's default dump of
+// the `const char *` member is an address that moves with ASLR, and the
+// printed value is part of the test name ctest discovers.
+void PrintTo(const PrecedenceCase &C, std::ostream *OS) {
+  *OS << '"' << C.Expr << '"';
+}
 
 class PrecedenceTest : public ::testing::TestWithParam<PrecedenceCase> {};
 

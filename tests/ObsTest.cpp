@@ -526,9 +526,8 @@ TEST(ConvergenceTest, RoundRecordJsonShapeIsPinned) {
   R.ExecCacheMisses = 130;
   R.SatClauses = 4;
   R.SatModels = 2;
-  R.SatConflicts = 1;
-  R.SatDecisions = 9;
-  R.SatPropagations = 33;
+  R.SatNodes = 9;
+  R.SatTruncated = true;
   R.SatSolveUs = 120;
   R.RoundWallUs = 4500;
   EXPECT_EQ(
@@ -538,8 +537,8 @@ TEST(ConvergenceTest, RoundRecordJsonShapeIsPinned) {
       "\"cleanStreak\":0,\"truncated\":false,"
       "\"cache\":{\"checkHits\":10,\"checkMisses\":140,"
       "\"execHits\":20,\"execMisses\":130},"
-      "\"sat\":{\"clauses\":4,\"models\":2,\"conflicts\":1,"
-      "\"decisions\":9,\"propagations\":33,\"solveUs\":120},"
+      "\"sat\":{\"clauses\":4,\"models\":2,\"nodes\":9,"
+      "\"truncated\":true,\"solveUs\":120},"
       "\"roundWallUs\":4500}");
 }
 
@@ -575,7 +574,9 @@ TEST(SolveStatsTest, MinimumModelFillsStats) {
   EXPECT_FALSE(Model.empty());
   EXPECT_EQ(SS.Vars, 4u);
   EXPECT_EQ(SS.Clauses, 3u);
-  EXPECT_GE(SS.Models, 1u);
+  EXPECT_EQ(SS.Models, 1u);
+  EXPECT_GE(SS.Nodes, 1u);
+  EXPECT_FALSE(SS.Truncated);
   // A null stats pointer keeps working (the default call shape).
   std::vector<sat::Var> Same = sat::minimumModel(F, Unsat);
   EXPECT_EQ(Model, Same);

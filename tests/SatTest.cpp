@@ -1,6 +1,7 @@
 //===- SatTest.cpp - CDCL solver and minimal-model tests ------------------===//
 
 #include "sat/MinimalModels.h"
+#include "sat/ModelEnumeration.h"
 #include "sat/Solver.h"
 #include "support/Rng.h"
 
@@ -227,37 +228,148 @@ TEST(MinimalModelsTest, EmptyClauseUnsat) {
   EXPECT_TRUE(Unsat);
 }
 
-// Property test: SAT-based minimum model cardinality matches the exact
-// branch-and-bound hitting-set solver on random monotone formulas.
+namespace {
+
+/// A random monotone formula; clauses may repeat variables and each
+/// other, as Φ's can before normalisation.
+MonotoneCnf randomMonotone(Rng &R, unsigned MaxVars, unsigned MaxClauses,
+                           unsigned MaxLen) {
+  MonotoneCnf F;
+  F.NumVars = 1 + static_cast<unsigned>(R.nextBelow(MaxVars));
+  unsigned NumClauses = 1 + static_cast<unsigned>(R.nextBelow(MaxClauses));
+  for (unsigned I = 0; I < NumClauses; ++I) {
+    std::vector<Var> C;
+    unsigned Len = 1 + static_cast<unsigned>(R.nextBelow(MaxLen));
+    for (unsigned K = 0; K < Len; ++K)
+      C.push_back(static_cast<Var>(R.nextBelow(F.NumVars)));
+    F.Clauses.push_back(std::move(C));
+  }
+  return F;
+}
+
+bool hitsEveryClause(const MonotoneCnf &F, const std::vector<Var> &Set) {
+  std::vector<bool> Assign(F.NumVars, false);
+  for (Var V : Set)
+    Assign[V] = true;
+  return F.isSatisfiedBy(Assign);
+}
+
+/// The lexicographically smallest minimum hitting set by exhaustive
+/// search over all 2^NumVars subsets (NumVars <= ~12).
+std::vector<Var> bruteForceMinimum(const MonotoneCnf &F) {
+  std::vector<Var> Best;
+  bool Found = false;
+  for (uint32_t Mask = 0; Mask < (1u << F.NumVars); ++Mask) {
+    std::vector<Var> Set;
+    for (Var V = 0; V != F.NumVars; ++V)
+      if (Mask >> V & 1)
+        Set.push_back(V);
+    if (!hitsEveryClause(F, Set))
+      continue;
+    if (!Found || Set.size() < Best.size() ||
+        (Set.size() == Best.size() && Set < Best))
+      Best = std::move(Set);
+    Found = true;
+  }
+  return Best;
+}
+
+} // namespace
+
+// Property test: minimumModel is the lexicographically smallest minimum
+// hitting set, checked against exhaustive search.
 class MinModelPropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(MinModelPropertyTest, MatchesExactHittingSet) {
   Rng R(static_cast<uint64_t>(GetParam()) * 104729 + 7);
-  MonotoneCnf F;
-  F.NumVars = 2 + static_cast<unsigned>(R.nextBelow(8));
-  unsigned NumClauses = 1 + R.nextBelow(10);
-  for (unsigned I = 0; I < NumClauses; ++I) {
-    std::vector<Var> C;
-    unsigned Len = 1 + R.nextBelow(4);
-    for (unsigned K = 0; K < Len; ++K)
-      C.push_back(static_cast<Var>(R.nextBelow(F.NumVars)));
-    std::sort(C.begin(), C.end());
-    C.erase(std::unique(C.begin(), C.end()), C.end());
-    F.Clauses.push_back(std::move(C));
-  }
-  bool UnsatA = false, UnsatB = false;
-  auto A = minimumModel(F, UnsatA);
-  auto B = minimumHittingSet(F, UnsatB);
-  EXPECT_EQ(UnsatA, UnsatB);
-  if (!UnsatA) {
-    EXPECT_EQ(A.size(), B.size())
-        << "SAT-based and exact minimum cardinalities must agree";
-    std::vector<bool> Assign(F.NumVars, false);
-    for (Var V : A)
-      Assign[V] = true;
-    EXPECT_TRUE(F.isSatisfiedBy(Assign));
-  }
+  MonotoneCnf F = randomMonotone(R, 10, 10, 4);
+  bool Unsat = true;
+  std::vector<Var> A = minimumModel(F, Unsat);
+  EXPECT_FALSE(Unsat);
+  EXPECT_EQ(A, bruteForceMinimum(F));
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomMonotone, MinModelPropertyTest,
                          ::testing::Range(0, 60));
+
+// Differential test against the paper's selector: enumerate the minimal
+// models with the CDCL solver and keep the smallest by (size,
+// lexicographic). Wherever that enumeration completes, the two must
+// return the same vector, not just the same cardinality.
+TEST(MinModelDifferentialTest, SameVectorAsEnumerationBelowCap) {
+  const size_t Cap = 4096;
+  Rng R(20120611);
+  unsigned Compared = 0, Unsats = 0;
+  for (int Case = 0; Case < 5000; ++Case) {
+    MonotoneCnf F = randomMonotone(R, 20, 32, 5);
+    if (Case % 97 == 0)
+      F.Clauses.push_back({}); // An empty clause now and then: unsat.
+    bool UnsatE = false, UnsatM = false;
+    auto Models = enumerateMinimalModels(F, Cap, UnsatE);
+    std::vector<Var> M = minimumModel(F, UnsatM);
+    ASSERT_EQ(UnsatM, UnsatE) << "case " << Case;
+    if (UnsatM) {
+      ++Unsats;
+      EXPECT_TRUE(M.empty());
+      continue;
+    }
+    if (Models.size() >= Cap)
+      continue;
+    ++Compared;
+    ASSERT_EQ(M, smallestModel(Models)) << "case " << Case;
+  }
+  EXPECT_GE(Compared + Unsats, 4990u) << "the cap must stay rare here";
+  EXPECT_GT(Unsats, 0u);
+}
+
+// Thirteen clauses {z, a_i, b_i}: {z} alone is the minimum, and the 2^13
+// choices of one a_i or b_i per clause are 8192 further minimal models.
+// With z as variable 0, the oracle's greedy shrinking drops z from every
+// model the solver returns while the a_i/b_i still cover, so all 4096
+// models it lists before the cap are of size 13. The exact search finds
+// {z}.
+TEST(MinModelDifferentialTest, BeatsCappedEnumeration) {
+  const unsigned Pairs = 13;
+  MonotoneCnf F;
+  F.NumVars = 2 * Pairs + 1;
+  for (Var I = 0; I != Pairs; ++I)
+    F.Clauses.push_back({0, 2 * I + 1, 2 * I + 2});
+  bool Unsat = false;
+  auto Capped = enumerateMinimalModels(F, 4096, Unsat);
+  ASSERT_EQ(Capped.size(), 4096u);
+  std::vector<Var> Enumerated = smallestModel(Capped);
+  SolveStats SS;
+  std::vector<Var> M = minimumModel(F, Unsat, &SS);
+  EXPECT_EQ(M, std::vector<Var>{0});
+  EXPECT_LT(M.size(), Enumerated.size());
+  EXPECT_FALSE(SS.Truncated);
+}
+
+// A seeded random 3-uniform Φ over 80 variables and 100 clauses has a
+// minimum hitting set of about 25 that the disjoint-clause bound cannot
+// prove (Φ from synthesis needs at most a few hundred nodes), so the
+// search runs out of nodes. The fallback still returns an
+// inclusion-minimal hitting set and says it was truncated.
+TEST(MinModelTest, NodeBudgetFallsBackToMinimalGreedySet) {
+  Rng R(80100);
+  MonotoneCnf F;
+  F.NumVars = 80;
+  for (int C = 0; C < 100; ++C)
+    F.Clauses.push_back({static_cast<Var>(R.nextBelow(80)),
+                         static_cast<Var>(R.nextBelow(80)),
+                         static_cast<Var>(R.nextBelow(80))});
+  bool Unsat = false;
+  SolveStats SS;
+  std::vector<Var> M = minimumModel(F, Unsat, &SS);
+  EXPECT_FALSE(Unsat);
+  EXPECT_TRUE(SS.Truncated);
+  EXPECT_EQ(SS.Nodes, MinimumModelNodeBudget + 1);
+  EXPECT_EQ(SS.Models, 1u);
+  ASSERT_TRUE(hitsEveryClause(F, M));
+  EXPECT_TRUE(std::is_sorted(M.begin(), M.end()));
+  for (size_t I = 0; I != M.size(); ++I) {
+    std::vector<Var> Less = M;
+    Less.erase(Less.begin() + static_cast<std::ptrdiff_t>(I));
+    EXPECT_FALSE(hitsEveryClause(F, Less)) << "member " << M[I];
+  }
+}

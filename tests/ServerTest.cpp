@@ -194,12 +194,14 @@ TEST(Server, DeadlineCancelsInFlightWork) {
   Server S(C);
   Collector Col;
 
-  // A run that would take several seconds (a real benchmark, large K,
-  // many rounds) against a 150ms deadline: the harness deadline cancels
-  // mid-round and the response reports a partial, timed-out result — it
-  // must not hang anywhere near the run's natural duration.
+  // Every execution stalls 5 ms (a fault plan), so the run's natural
+  // duration is at least 50 s on any machine against a 150ms deadline: the
+  // harness deadline cancels mid-round and the response reports a
+  // partial, timed-out result — it must not hang anywhere near the run's
+  // natural duration.
   S.submit("{\"op\":\"bench\",\"id\":\"dl\",\"bench\":\"MS2 Queue\","
-           "\"k\":20000,\"rounds\":16,\"deadlineMs\":150}",
+           "\"k\":20000,\"rounds\":16,\"deadlineMs\":150,"
+           "\"faults\":{\"stallMs\":5}}",
            Col.fn());
   ASSERT_TRUE(Col.waitFor(1, 15000)) << "request hung past its deadline";
   Json R = Col.byId("dl");

@@ -5,6 +5,7 @@
 // invariants hold on the measured data:
 //
 //   * every run converges (no benchmark is unfixable by fences),
+//   * every repair selection is exact (no solve hits the node budget),
 //   * PSO never needs fewer fences than TSO,
 //   * the repaired program passes an independently-seeded verification
 //     round,
@@ -70,6 +71,8 @@ TEST_P(SuiteSweepTest, ConvergesAndRespectsModelOrdering) {
   EXPECT_TRUE(Pso.Converged) << B.Name << " PSO: " << Pso.FirstViolation;
   EXPECT_FALSE(Tso.CannotFix) << B.Name;
   EXPECT_FALSE(Pso.CannotFix) << B.Name;
+  EXPECT_EQ(Tso.SatTruncated + Pso.SatTruncated, 0u)
+      << B.Name << ": repair selection ran out of search nodes";
   EXPECT_GE(Pso.Fences.size(), Tso.Fences.size())
       << B.Name << ": PSO relaxes strictly more than TSO\n"
       << "TSO: " << Tso.fenceSummary() << "\nPSO: "

@@ -595,6 +595,10 @@ int runSynthesis(const ir::Module &M,
                 static_cast<unsigned long long>(R.DiscardedExecutions),
                 static_cast<unsigned long long>(R.RetriedExecutions),
                 static_cast<unsigned long long>(R.TimedOutExecutions));
+  if (R.SatTruncated)
+    std::printf("sat: %u repair solve(s) hit the search budget; their "
+                "predicate sets are minimal, not necessarily minimum\n",
+                R.SatTruncated);
   if (R.CannotFix)
     std::printf("result: violations not caused by reordering — cannot "
                 "be fixed with fences\nfirst violation: %s\n",
