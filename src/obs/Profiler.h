@@ -58,7 +58,7 @@ namespace dfence::obs {
 /// on the merge thread; ExecOther and RoundOther are remainders that make
 /// the attribution total by construction.
 enum class Phase : uint8_t {
-  ViewRefresh = 0, ///< Rebuilding scheduler thread views each iteration.
+  ViewRefresh = 0, ///< Refreshing scheduler views (the acting thread's).
   SchedPick,       ///< Scheduler pick (incl. fault-forced switches).
   OpDispatch,      ///< Stepping a thread through one instruction.
   BufferFlush,     ///< Store-buffer flushes (picked, storm, final drain).

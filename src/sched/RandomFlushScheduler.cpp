@@ -19,36 +19,27 @@ void RandomFlushScheduler::reset() {
   LocalStreak = 0;
 }
 
-Action RandomFlushScheduler::pick(const std::vector<ThreadView> &Threads,
-                                  Rng &R) {
-  // Partial-order reduction: a thread executing purely local instructions
-  // cannot interact with other threads, so keep running it.
-  if (Cfg.PartialOrderReduction && LastTid != ~0u &&
-      LocalStreak < Cfg.MaxLocalStreak) {
-    for (const ThreadView &T : Threads) {
-      if (T.Tid != LastTid)
-        continue;
-      if (T.Runnable && !T.NextIsShared) {
-        ++LocalStreak;
-        return Action::step(T.Tid);
-      }
-      break;
-    }
-  }
+Action
+RandomFlushScheduler::pickRandom(const std::vector<ThreadView> &Threads,
+                                 Rng &R) {
   LocalStreak = 0;
 
   // Candidates: runnable threads plus threads with pending stores (a
-  // finished thread's buffer can still drain at any time).
-  Candidates.clear();
-  for (uint32_t I = 0, E = static_cast<uint32_t>(Threads.size()); I != E;
-       ++I)
-    if (Threads[I].Runnable || Threads[I].PendingStores > 0)
-      Candidates.push_back(I);
-  if (Candidates.empty())
+  // finished thread's buffer can still drain at any time). Draw the
+  // index among them, then walk to it.
+  auto Schedulable = [](const ThreadView &V) {
+    return V.Runnable || V.PendingStores > 0;
+  };
+  uint64_t NumCandidates = 0;
+  for (const ThreadView &V : Threads)
+    NumCandidates += Schedulable(V);
+  if (NumCandidates == 0)
     reportFatalError("scheduler invoked with no schedulable thread");
-
-  const ThreadView &T =
-      Threads[Candidates[R.nextBelow(Candidates.size())]];
+  uint64_t Skip = R.nextBelow(NumCandidates);
+  const ThreadView *Chosen = Threads.data();
+  while (!Schedulable(*Chosen) || Skip-- != 0)
+    ++Chosen;
+  const ThreadView &T = *Chosen;
   LastTid = T.Tid;
 
   if (T.PendingStores == 0)

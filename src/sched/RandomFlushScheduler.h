@@ -30,7 +30,7 @@ struct RandomFlushConfig {
   uint32_t MaxLocalStreak = 128;
 };
 
-class RandomFlushScheduler : public Scheduler {
+class RandomFlushScheduler final : public Scheduler {
 public:
   explicit RandomFlushScheduler(RandomFlushConfig Cfg = {});
   ~RandomFlushScheduler() override;
@@ -40,16 +40,30 @@ public:
   /// reset() afterwards, as before any execution.
   void configure(RandomFlushConfig NewCfg) { Cfg = NewCfg; }
 
-  Action pick(const std::vector<ThreadView> &Threads, Rng &R) override;
+  /// Inline so the engine's direct call to its own scheduler keeps the
+  /// common partial-order-reduction step out of any call.
+  Action pick(const std::vector<ThreadView> &Threads, Rng &R) override {
+    // Partial-order reduction: a thread executing purely local
+    // instructions cannot interact with other threads, so keep running it.
+    if (Cfg.PartialOrderReduction && LastTid < Threads.size() &&
+        LocalStreak < Cfg.MaxLocalStreak) {
+      const ThreadView &T = Threads[LastTid];
+      if (T.Runnable && !T.NextIsShared) {
+        ++LocalStreak;
+        return Action::step(LastTid);
+      }
+    }
+    return pickRandom(Threads, R);
+  }
   void reset() override;
 
 private:
+  /// A random schedulable thread, and whether it steps or flushes.
+  Action pickRandom(const std::vector<ThreadView> &Threads, Rng &R);
+
   RandomFlushConfig Cfg;
   uint32_t LastTid = ~0u;
   uint32_t LocalStreak = 0;
-  /// Indices of schedulable threads, rebuilt each pick; a member so the
-  /// per-step hot path reuses its capacity instead of reallocating.
-  std::vector<uint32_t> Candidates;
 };
 
 } // namespace dfence::sched

@@ -55,10 +55,11 @@ struct Action {
 
 /// Scheduler plug-in interface.
 ///
-/// pick() is called at every scheduling point with a view of all threads;
-/// at least one thread is runnable or has pending stores. The returned
-/// action must reference such a thread. Randomness must come from \p R so
-/// executions replay deterministically from a seed.
+/// pick() is called at every scheduling point with a view of all threads,
+/// indexed by thread id (Threads[I].Tid == I); at least one thread is
+/// runnable or has pending stores. The returned action must reference
+/// such a thread. Randomness must come from \p R so executions replay
+/// deterministically from a seed.
 class Scheduler {
 public:
   virtual ~Scheduler();

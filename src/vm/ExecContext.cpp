@@ -4,10 +4,12 @@
 // restructured so every piece of state is reset in place: frames live in a
 // flat stack indexing a shared per-thread register arena, threads are
 // pooled and revived, repairs collect into a flat vector deduped once at
-// the end, and the scheduler views are updated in place each step. The
-// semantics — including RNG stream consumption, action validation and
-// every diagnostic — are byte-for-byte those of the old engine, which is
-// what keeps recorded replay traces reproducing.
+// the end, and the scheduler views persist across steps: each iteration
+// re-reads only the view of the thread that acted, and all of them only
+// after an action that reached another thread. The semantics — including
+// RNG stream consumption, action validation and every diagnostic — are
+// byte-for-byte those of the old engine, which is what keeps recorded
+// replay traces reproducing.
 //
 // The interpreter loops are written once as templates over a memory-model
 // policy and instantiated four ways. The three specialized policies carry
@@ -79,8 +81,8 @@ using InitPolicy = std::conditional_t<MP::Specialized, ScPolicy, MP>;
 /// Per-opcode "next step is a scheduling point" table, indexed by the
 /// prepared OpIdx stream: Instr::isSharedAccess() plus the opcodes the
 /// main loop treats as visible (fences, call/ret boundaries, thread
-/// operations, allocation). Precomputed so the per-step scheduler-view
-/// update never loads the fat Instr record.
+/// operations, allocation). Precomputed so the scheduler-view refresh
+/// never loads the fat Instr record.
 constexpr bool SharedStep[] = {
     /*Const=*/false,      /*Move=*/false,  /*BinOp=*/false,
     /*Not=*/false,        /*Load=*/true,   /*Store=*/true,
@@ -357,6 +359,7 @@ template <class MP> bool ExecContext::maybeFlushStormT() {
     ++Steps;
   }
   NoProgress = 0;
+  ViewsStale = true; // Tid's buffer drained without Tid acting.
   return true;
 }
 
@@ -704,6 +707,7 @@ template <class MP> bool ExecContext::stepThreadT(Thread &T) {
     if (NewT.RegArena.size() > CStats.RegArenaHighWater)
       CStats.RegArenaHighWater = NewT.RegArena.size();
     T.reg(F, I.Dst) = NewTid;
+    ViewsStale = true; // A new thread needs a view.
     goto Advance;
   }
 
@@ -722,6 +726,7 @@ template <class MP> bool ExecContext::stepThreadT(Thread &T) {
       return false;
     if (!bufOf<MP>(U).empty()) {
       flushOneT<MP>(U, false, 0);
+      ViewsStale = true; // U's buffer shrank, not only T's state.
       return true;
     }
     goto Advance;
@@ -747,6 +752,30 @@ Advance:
   return true;
 }
 
+template <class MP> bool ExecContext::refreshViewT(size_t TI) {
+  Thread &T = *Threads[TI];
+  decltype(auto) B = bufOf<MP>(T);
+  sched::ThreadView &V = Views[TI];
+  V.Tid = T.Tid;
+  V.Runnable = T.hasWork();
+  V.PendingStores = B.size();
+  V.NextIsShared = false;
+  if (!V.Runnable && V.PendingStores == 0) {
+    V.BufferedVars.clear();
+    return false;
+  }
+  B.nonEmptyVars(V.BufferedVars);
+  if (V.Runnable) {
+    if (T.Frames.empty()) {
+      V.NextIsShared = true; // Next step records an invoke.
+    } else {
+      const Thread::Frame &F = T.Frames.back();
+      V.NextIsShared = SharedStep[P->func(F.F).OpIdx[F.Ip]];
+    }
+  }
+  return true;
+}
+
 template <class MP> void ExecContext::mainLoopT() {
   // Flight-recorder phase attribution. A null shard (the default) costs
   // exactly these pointer tests per iteration — zero clock reads; an
@@ -755,6 +784,13 @@ template <class MP> void ExecContext::mainLoopT() {
   using ProfClock = std::chrono::steady_clock;
   obs::ProfilerShard *PS = PShard;
   ProfClock::time_point PT0{}, PT1{}, PT2{};
+  // The internal scheduler is called directly (RandomFlushScheduler is
+  // final), an external one through the interface.
+  const bool OwnSched = Sched == &OwnedSched;
+  // Views may still describe the previous run's threads.
+  ViewsStale = true;
+  uint32_t Acted = 0;
+  size_t Schedulable = 0; // Views that are runnable or hold stores.
   while (!Halted) {
     if (Steps >= Cfg.MaxSteps) {
       violate(Outcome::StepLimit, "execution exceeded step limit");
@@ -765,39 +801,27 @@ template <class MP> void ExecContext::mainLoopT() {
     if (PS)
       PT0 = ProfClock::now();
 
-    // Views are updated in place (Views[Tid] describes thread Tid): the
-    // vector and its BufferedVars keep their capacities across steps.
-    Views.resize(LiveThreads);
-    bool AnyWork = false;
-    for (size_t TI = 0; TI != LiveThreads; ++TI) {
-      Thread &T = *Threads[TI];
-      decltype(auto) B = bufOf<MP>(T);
-      sched::ThreadView &V = Views[TI];
-      V.Tid = T.Tid;
-      V.Runnable = T.hasWork();
-      V.PendingStores = B.size();
-      V.NextIsShared = false;
-      if (V.Runnable || V.PendingStores > 0) {
-        AnyWork = true;
-        B.nonEmptyVars(V.BufferedVars);
-        if (V.Runnable) {
-          if (T.Frames.empty()) {
-            V.NextIsShared = true; // Next step records an invoke.
-          } else {
-            const Thread::Frame &F = T.Frames.back();
-            V.NextIsShared = SharedStep[P->func(F.F).OpIdx[F.Ip]];
-          }
-        }
-      } else {
-        V.BufferedVars.clear();
-      }
+    // Views[Tid] describes thread Tid and stays valid across iterations:
+    // an action changes only the state of the thread that took it, so
+    // only that view is re-read — unless the action reached another
+    // thread (Spawn, a Join drain, a flush storm) and marked them stale.
+    if (ViewsStale) {
+      Views.resize(LiveThreads);
+      Schedulable = 0;
+      for (size_t TI = 0; TI != LiveThreads; ++TI)
+        Schedulable += refreshViewT<MP>(TI);
+      ViewsStale = false;
+    } else {
+      const sched::ThreadView &V = Views[Acted];
+      Schedulable -= V.Runnable || V.PendingStores > 0;
+      Schedulable += refreshViewT<MP>(Acted);
     }
     if (PS) {
       PT1 = ProfClock::now();
       PS->addNs(obs::Phase::ViewRefresh,
                 obs::ProfilerShard::elapsedNs(PT0, PT1));
     }
-    if (!AnyWork)
+    if (Schedulable == 0)
       return; // Completed.
 
     if (maybeFlushStormT<MP>()) {
@@ -807,7 +831,8 @@ template <class MP> void ExecContext::mainLoopT() {
       continue;
     }
 
-    sched::Action A = Sched->pick(Views, R);
+    sched::Action A =
+        OwnSched ? OwnedSched.pick(Views, R) : Sched->pick(Views, R);
     if (Cfg.Faults)
       A = applyForcedSwitch(A);
     if (Cfg.RecordTrace)
@@ -827,6 +852,7 @@ template <class MP> void ExecContext::mainLoopT() {
       return;
     }
     Thread &T = *Threads[A.Tid];
+    Acted = A.Tid;
 
     bool Progress;
     if (A.Kind == sched::Action::Flush) {

@@ -88,6 +88,9 @@ private:
   template <class MP> void runInitT();
   void createClientThreads();
   template <class MP> void mainLoopT();
+  /// Re-reads Views[TI] from thread TI; true when the thread is
+  /// schedulable (runnable or holding buffered stores).
+  template <class MP> bool refreshViewT(size_t TI);
   template <class MP> void finalDrainT();
   void startNextCall(Thread &T);
   template <class MP> bool stepThreadT(Thread &T);
@@ -120,6 +123,9 @@ private:
   std::vector<ir::InstrId> LabelScratch;
   std::vector<Word> ArgScratch;
   std::vector<sched::ThreadView> Views;
+  /// Set at run start and by actions that change a thread other than the
+  /// one taking them; the next iteration then re-reads every view.
+  bool ViewsStale = true;
   std::vector<ir::InstrId> DeferredAt;
   sched::RandomFlushScheduler OwnedSched;
   ContextStats CStats;
