@@ -33,10 +33,11 @@
 # sanitizers alike (scenarios/s bars are full-run only).
 #
 # After the three workflows, the repair-selection differential tests
-# (Sat*, MinModel*) and the serve-daemon tests (Server*) run 20 more
-# times on the default build (`ctest --repeat until-fail:20`): the
-# differential is seeded and the deadline test stalls its executions
-# with a fault plan, so any failure there is a defect, not noise.
+# (Sat*, MinModel*), the serve-daemon tests (Server*) and the daemon
+# smoke tests (ServeSmoke*) run 20 more times on the default build
+# (`ctest --repeat until-fail:20`): the differential is seeded and both
+# deadline tests stall their executions with a fault plan, so any
+# failure there is a defect, not noise.
 
 foreach(preset IN ITEMS verify-default verify-sanitize verify-tsan)
   message(STATUS "==== workflow: ${preset} ====")
@@ -47,12 +48,12 @@ foreach(preset IN ITEMS verify-default verify-sanitize verify-tsan)
     message(FATAL_ERROR "workflow ${preset} failed (exit ${rc})")
   endif()
 endforeach()
-message(STATUS "==== repeat: Sat|MinModel|Server x20 (default build) ====")
+message(STATUS "==== repeat: Sat|MinModel|Server|ServeSmoke x20 (default build) ====")
 execute_process(
   COMMAND ${CMAKE_CTEST_COMMAND} --preset default
-          --repeat until-fail:20 -R "Sat|MinModel|Server"
+          --repeat until-fail:20 -R "Sat|MinModel|Server|ServeSmoke"
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "repeated Sat|MinModel|Server tests failed (exit ${rc})")
+  message(FATAL_ERROR "repeated Sat|MinModel|Server|ServeSmoke tests failed (exit ${rc})")
 endif()
 message(STATUS "verify-all: all three workflows and the repeats passed")

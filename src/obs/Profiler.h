@@ -60,7 +60,7 @@ namespace dfence::obs {
 enum class Phase : uint8_t {
   ViewRefresh = 0, ///< Refreshing scheduler views (the acting thread's).
   SchedPick,       ///< Scheduler pick (incl. fault-forced switches).
-  OpDispatch,      ///< Stepping a thread through one instruction.
+  OpDispatch,      ///< Stepping a thread: one instruction and its local run.
   BufferFlush,     ///< Store-buffer flushes (picked, storm, final drain).
   SpecCheck,       ///< Violation check of one execution (worker side).
   SatSolve,        ///< Minimal-model SAT solving (merge thread).

@@ -45,17 +45,27 @@ public:
   Action pick(const std::vector<ThreadView> &Threads, Rng &R) override {
     // Partial-order reduction: a thread executing purely local
     // instructions cannot interact with other threads, so keep running it.
-    if (Cfg.PartialOrderReduction && LastTid < Threads.size() &&
-        LocalStreak < Cfg.MaxLocalStreak) {
+    if (LastTid < Threads.size() && localGrant() > 0) {
       const ThreadView &T = Threads[LastTid];
       if (T.Runnable && !T.NextIsShared) {
-        ++LocalStreak;
+        tookLocal(1);
         return Action::step(LastTid);
       }
     }
     return pickRandom(Threads, R);
   }
   void reset() override;
+
+  /// How many more thread-local steps the partial-order reduction grants
+  /// the thread that stepped last before it forces a random pick: 0 with
+  /// the reduction off. This is the one POR rule — pick() follows it, and
+  /// the engine uses it to run a thread through its local steps without
+  /// calling pick() for each (every such step is one pick() would make).
+  uint32_t localGrant() const {
+    return Cfg.PartialOrderReduction ? Cfg.MaxLocalStreak - LocalStreak : 0;
+  }
+  /// Records \p N granted local steps of the last thread taken.
+  void tookLocal(uint32_t N) { LocalStreak += N; }
 
 private:
   /// A random schedulable thread, and whether it steps or flushes.

@@ -59,7 +59,9 @@ struct Action {
 /// indexed by thread id (Threads[I].Tid == I); at least one thread is
 /// runnable or has pending stores. The returned action must reference
 /// such a thread. Randomness must come from \p R so executions replay
-/// deterministically from a seed.
+/// deterministically from a seed. The engine may take the local steps its
+/// own RandomFlushScheduler grants (localGrant()) without calling pick();
+/// any other scheduler is asked at every scheduling point.
 class Scheduler {
 public:
   virtual ~Scheduler();

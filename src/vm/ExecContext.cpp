@@ -6,10 +6,14 @@
 // pooled and revived, repairs collect into a flat vector deduped once at
 // the end, and the scheduler views persist across steps: each iteration
 // re-reads only the view of the thread that acted, and all of them only
-// after an action that reached another thread. The semantics — including
-// RNG stream consumption, action validation and every diagnostic — are
-// byte-for-byte those of the old engine, which is what keeps recorded
-// replay traces reproducing.
+// after an action that reached another thread. Under the engine's own
+// scheduler a step is followed by a local run: the interpreter keeps
+// dispatching the thread's thread-local instructions, the steps the
+// partial-order reduction would grant it next, with no view refresh or
+// pick between them (up to the grant, MaxSteps and the next deadline
+// tick). The semantics — including RNG stream consumption, action
+// validation and every diagnostic — are byte-for-byte those of the old
+// engine, which is what keeps recorded replay traces reproducing.
 //
 // The interpreter loops are written once as templates over a memory-model
 // policy and instantiated four ways. The three specialized policies carry
@@ -426,7 +430,8 @@ void ExecContext::drainForAtomicT(Thread &T, Word Addr) {
   flushOneT<MP>(T, false, 0);
 }
 
-template <class MP> bool ExecContext::stepThreadT(Thread &T) {
+template <class MP>
+bool ExecContext::stepThreadT(Thread &T, uint32_t Grant) {
   if (T.Frames.empty()) {
     if (T.Script && T.ScriptPos < T.Script->Calls.size()) {
       startNextCall(T);
@@ -436,25 +441,21 @@ template <class MP> bool ExecContext::stepThreadT(Thread &T) {
     return false;
   }
 
+  // A local run never changes the frame: Call, Ret and every other
+  // frame-changing opcode is a scheduling point, so F, Fn and PF hold.
   Thread::Frame &F = T.Frames.back();
   const Module &M = P->module();
   const Function &Fn = M.Funcs[F.F];
-  assert(F.Ip < Fn.Body.size() && "instruction pointer out of range");
-  const Instr &I = Fn.Body[F.Ip];
   const PreparedFunc &PF = P->func(F.F);
   decltype(auto) B = bufOf<MP>(T);
-
-  // Flight recorder: per-opcode step counts come straight off the
-  // prepared dispatch stream — one array increment, both dispatch modes
-  // (they share this template). Null shard = no work at all.
-  if (PShard)
-    ++PShard->OpSteps[PF.OpIdx[F.Ip]];
+  obs::ProfilerShard *PS = PShard;
 
   // Dispatch off the prepared OpIdx stream (one dense byte per Body
   // position) instead of the fat Instr record. The jump-table order must
   // match ir::Opcode exactly; each case ends in `goto Advance` (the
-  // shared ++Ip) or returns with the Ip it set. DF_CASE expands to a
-  // label or a case depending on the dispatch flavor.
+  // shared ++Ip), `goto Continue` with the Ip it set, or returns.
+  // DF_CASE expands to a label or a case depending on the dispatch
+  // flavor.
 #if DFENCE_COMPUTED_GOTO
   static const void *const Table[] = {
       &&Op_Const, &&Op_Move,  &&Op_BinOp,  &&Op_Not,   &&Op_Load,
@@ -465,6 +466,17 @@ template <class MP> bool ExecContext::stepThreadT(Thread &T) {
   static_assert(sizeof(Table) / sizeof(Table[0]) ==
                     static_cast<size_t>(Opcode::Nop) + 1,
                 "jump table must cover every opcode");
+#endif
+
+Dispatch:
+  assert(F.Ip < Fn.Body.size() && "instruction pointer out of range");
+  const Instr &I = Fn.Body[F.Ip];
+  // Flight recorder: per-opcode step counts come straight off the
+  // prepared dispatch stream — one array increment, both dispatch modes
+  // (they share this template). Null shard = no work at all.
+  if (PS)
+    ++PS->OpSteps[PF.OpIdx[F.Ip]];
+#if DFENCE_COMPUTED_GOTO
   goto *Table[PF.OpIdx[F.Ip]];
 #define DF_CASE(Name) Op_##Name:
 #else
@@ -636,11 +648,11 @@ template <class MP> bool ExecContext::stepThreadT(Thread &T) {
 
   DF_CASE(Br) {
     F.Ip = PF.Jump0[F.Ip];
-    return true;
+    goto Continue;
   }
   DF_CASE(CondBr) {
     F.Ip = T.reg(F, I.Ops[0]) != 0 ? PF.Jump0[F.Ip] : PF.Jump1[F.Ip];
-    return true;
+    goto Continue;
   }
 
   DF_CASE(Call) {
@@ -749,7 +761,17 @@ template <class MP> bool ExecContext::stepThreadT(Thread &T) {
 
 Advance:
   ++F.Ip;
-  return true;
+Continue:
+  // Local run: while the grant lasts and the next instruction is
+  // thread-local, take it now — the step pick() would grant next. Each
+  // counts in Steps here; mainLoopT books the rest of its per-step
+  // accounting (trace, SchedSteps, the scheduler's streak) from that.
+  if (Grant == 0 || SharedStep[PF.OpIdx[F.Ip]])
+    return true;
+  assert(!Halted && "a halting step returns before its continuation");
+  --Grant;
+  ++Steps;
+  goto Dispatch;
 }
 
 template <class MP> bool ExecContext::refreshViewT(size_t TI) {
@@ -787,6 +809,13 @@ template <class MP> void ExecContext::mainLoopT() {
   // The internal scheduler is called directly (RandomFlushScheduler is
   // final), an external one through the interface.
   const bool OwnSched = Sched == &OwnedSched;
+  // Local runs take the steps the internal scheduler grants without a
+  // pick() each; only where nothing else draws between two picks — a
+  // flush storm or a forced switch would, so those plans step singly.
+  const FaultPlan *FP = Cfg.Faults;
+  const bool LocalRuns =
+      OwnSched && !(FP && (FP->FlushStormProb > 0.0 ||
+                           !FP->SwitchBeforeLabels.empty()));
   // Views may still describe the previous run's threads.
   ViewsStale = true;
   uint32_t Acted = 0;
@@ -876,8 +905,24 @@ template <class MP> void ExecContext::mainLoopT() {
         PS->addNs(obs::Phase::BufferFlush,
                   obs::ProfilerShard::elapsedNs(PT2, ProfClock::now()));
     } else {
-      Progress = stepThreadT<MP>(T);
-      ++Result->Stats.SchedSteps;
+      // The run ends where this loop would next stop on its own: at the
+      // step limit and at the 1024-step deadline tick.
+      uint32_t Grant = 0;
+      if (LocalRuns) {
+        size_t Next = Steps + 1;
+        Grant = static_cast<uint32_t>(
+            std::min<size_t>({OwnedSched.localGrant(), Cfg.MaxSteps - Next,
+                              1023 & (1024 - (Next & 1023))}));
+      }
+      size_t Before = Steps;
+      Progress = stepThreadT<MP>(T, Grant);
+      size_t Local = Steps - Before;
+      if (Local) {
+        OwnedSched.tookLocal(static_cast<uint32_t>(Local));
+        if (Cfg.RecordTrace)
+          Result->Trace.insert(Result->Trace.end(), Local, A);
+      }
+      Result->Stats.SchedSteps += 1 + Local;
       if (PS)
         PS->addNs(obs::Phase::OpDispatch,
                   obs::ProfilerShard::elapsedNs(PT2, ProfClock::now()));

@@ -93,7 +93,10 @@ private:
   template <class MP> bool refreshViewT(size_t TI);
   template <class MP> void finalDrainT();
   void startNextCall(Thread &T);
-  template <class MP> bool stepThreadT(Thread &T);
+  /// Steps \p T once, then takes up to \p Grant more of its steps while
+  /// its next instruction is thread-local (a local run); each counts in
+  /// Steps.
+  template <class MP> bool stepThreadT(Thread &T, uint32_t Grant = 0);
   template <class MP> void flushOneT(Thread &T, bool HasVar, Word Var);
   template <class MP> void drainForAtomicT(Thread &T, Word Addr);
   template <class MP>

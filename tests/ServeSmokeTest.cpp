@@ -170,11 +170,14 @@ TEST(ServeSmoke, FullLifecycleWithDeadlineAndGracefulDrain) {
   EXPECT_EQ(Hello.find("proto")->asString(), "dfence-serve-v1");
 
   // Three requests: a ping, a normal synthesis, and one whose deadline
-  // is so tight it must time out rather than complete (or hang).
+  // is so tight it must time out rather than complete (or hang). The
+  // stall fault sleeps 5 ms per execution, so the deadline fires however
+  // fast the machine runs the 20,000 executions.
   D.send("{\"op\":\"ping\",\"id\":\"p1\"}");
   D.send(synthRequest("work", ",\"k\":60,\"rounds\":3"));
-  D.send(synthRequest("hurry",
-                      ",\"k\":20000,\"rounds\":16,\"deadlineMs\":50"));
+  D.send(synthRequest("hurry", ",\"k\":20000,\"rounds\":16,"
+                               "\"deadlineMs\":50,"
+                               "\"faults\":{\"stallMs\":5}"));
 
   std::vector<Json> Resps;
   for (int I = 0; I != 3; ++I) {
