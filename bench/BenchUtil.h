@@ -51,7 +51,7 @@ inline synth::SynthResult runOne(const programs::Benchmark &B,
 /// Formats a synthesis result the way Table 3 reports a cell: "0" when no
 /// fences, "-" when the property cannot be satisfied, else the fence list.
 inline std::string cell(const synth::SynthResult &R) {
-  if (R.CannotFix || !R.Converged)
+  if (R.Status != synth::SynthStatus::Converged)
     return "-";
   if (R.Fences.empty())
     return "0";

@@ -42,7 +42,7 @@ void report(const char *Label, const synth::SynthResult &R) {
               Label, R.Fences.size(), R.Rounds,
               static_cast<unsigned long long>(R.TotalExecutions),
               static_cast<unsigned long long>(R.ViolatingExecutions),
-              R.Converged ? "yes" : "no");
+              R.Status == synth::SynthStatus::Converged ? "yes" : "no");
 }
 
 } // namespace

@@ -54,13 +54,14 @@ int main() {
       synth::SynthResult Dynamic = runOne(B, Model, Spec, 1000);
 
       std::string Factor = "-";
-      if (Dynamic.Converged && !Dynamic.Fences.empty()) {
+      bool Converged = Dynamic.Status == synth::SynthStatus::Converged;
+      if (Converged && !Dynamic.Fences.empty()) {
         double F = static_cast<double>(Static.FencesInserted) /
                    static_cast<double>(Dynamic.Fences.size());
         Factor = strformat("%.1fx", F);
         FactorSum += F;
         ++FactorCount;
-      } else if (Dynamic.Converged && Dynamic.Fences.empty() &&
+      } else if (Converged && Dynamic.Fences.empty() &&
                  Static.FencesInserted > 0) {
         Factor = "inf (0 needed)";
       }
@@ -70,7 +71,7 @@ int main() {
                   Static.FencesInserted,
                   StaticCheck.ViolatingExecutions == 0 ? "yes" : "NO",
                   Dynamic.Fences.size(),
-                  Dynamic.Converged ? "yes" : "NO", Factor.c_str());
+                  Converged ? "yes" : "NO", Factor.c_str());
     }
   }
   if (FactorCount)

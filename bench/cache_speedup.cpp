@@ -1,22 +1,14 @@
 //===- cache_speedup.cpp - Result-cache round-loop speedup ----------------===//
 //
-// Measures what the result caches (src/cache/) buy on linearizability
-// subjects whose histories duplicate heavily:
+// Measures what the execution cache (src/cache/) buys on cross-run
+// re-verification: verify a fenced linearizability subject through a
+// shared ExecCache twice. The cold pass populates the cache; the warm
+// pass — the "re-verify the same program with the same knobs" loop that
+// CI and the suite-sweep verification step run constantly — serves its
+// entire round loop from the cache, skipping interpretation and checking
+// both.
 //
-//   * in-round check memoization: the same synthesis run with --cache on
-//     vs off. The CheckCache's hit rate is very high on these subjects
-//     (most schedules collapse onto a few dozen distinct histories), but
-//     the absolute win is bounded by how much of a round the checker
-//     costs next to the interpreter — reported honestly per subject.
-//
-//   * cross-run re-verification (the headline): verify a fenced module
-//     through a shared ExecCache twice. The cold pass populates the
-//     cache; the warm pass — the "re-verify the same program with the
-//     same knobs" loop that CI and the suite-sweep verification step
-//     run constantly — serves its entire round loop from the cache,
-//     skipping interpretation and checking both.
-//
-// Emits BENCH_cache.json (schema "dfence-cache-speedup-v1"). Pass a
+// Emits BENCH_cache.json (schema "dfence-cache-speedup-v2"). Pass a
 // number to scale executions per round (default 2000); pass "--smoke"
 // for a tiny run that validates the pipeline — the binary re-reads the
 // JSON it wrote, checks its structure plus the deterministic invariants
@@ -43,12 +35,6 @@ using namespace dfence;
 using vm::MemModel;
 
 namespace {
-
-// Linearizability subjects with duplicate-heavy histories: short client
-// scripts whose schedules collapse onto few distinct histories (the MS2
-// locks serialize almost everything; the CAS structures still duplicate
-// most interleavings at these script lengths).
-const char *Subjects[] = {"MS2 Queue", "MSN Queue", "Treiber Stack"};
 
 synth::SynthConfig verifyConfig(const programs::Benchmark &B, unsigned K) {
   synth::SynthConfig Cfg =
@@ -85,57 +71,10 @@ int main(int Argc, char **Argv) {
   }
 
   Json Doc = Json::object();
-  Doc.set("schema", Json::string("dfence-cache-speedup-v1"));
-  Doc.set("schema_version", Json::number(uint64_t(1)));
+  Doc.set("schema", Json::string("dfence-cache-speedup-v2"));
+  Doc.set("schema_version", Json::number(uint64_t(2)));
   Doc.set("execs_per_round", Json::number(uint64_t(ExecsPer)));
 
-  // --- Scenario 1: in-round check memoization, cache on vs off --------
-  std::printf("In-round check memoization (%u execs/round, PSO, "
-              "linearizability)\n\n",
-              ExecsPer);
-  std::printf("%-14s %10s %10s %9s %9s %8s\n", "subject", "on(s)",
-              "off(s)", "hits", "misses", "speedup");
-  Json JMemo = Json::array();
-  for (const char *Name : Subjects) {
-    const programs::Benchmark &B = programs::benchmarkByName(Name);
-    auto CR = frontend::compileMiniC(B.Source);
-    if (!CR.Ok)
-      reportFatalError(B.Name + ": " + CR.Error);
-    synth::SynthConfig Cfg = verifyConfig(B, ExecsPer);
-
-    Cfg.CacheEnabled = true;
-    auto T0 = std::chrono::steady_clock::now();
-    synth::SynthResult On = synth::synthesize(CR.Module, B.Clients, Cfg);
-    auto T1 = std::chrono::steady_clock::now();
-    Cfg.CacheEnabled = false;
-    synth::SynthResult Off = synth::synthesize(CR.Module, B.Clients, Cfg);
-    auto T2 = std::chrono::steady_clock::now();
-
-    double SecOn = seconds(T0, T1), SecOff = seconds(T1, T2);
-    double Speedup = SecOn > 0 ? SecOff / SecOn : 0;
-    uint64_t Checked = On.CheckCacheHits + On.CheckCacheMisses;
-    std::printf("%-14s %10.3f %10.3f %9llu %9llu %7.2fx\n", Name, SecOn,
-                SecOff,
-                static_cast<unsigned long long>(On.CheckCacheHits),
-                static_cast<unsigned long long>(On.CheckCacheMisses),
-                Speedup);
-
-    Json JS = Json::object();
-    JS.set("subject", Json::string(Name));
-    JS.set("seconds_on", Json::number(SecOn));
-    JS.set("seconds_off", Json::number(SecOff));
-    JS.set("check_hits", Json::number(On.CheckCacheHits));
-    JS.set("check_misses", Json::number(On.CheckCacheMisses));
-    JS.set("hit_rate",
-           Json::number(Checked ? static_cast<double>(On.CheckCacheHits) /
-                                      static_cast<double>(Checked)
-                                : 0));
-    JS.set("speedup", Json::number(Speedup));
-    JMemo.push(std::move(JS));
-  }
-  Doc.set("memoization", std::move(JMemo));
-
-  // --- Scenario 2: shared-cache re-verification (headline) ------------
   // Synthesize fences once, then verify the fenced module twice through
   // one shared ExecCache: cold populates, warm replays the whole round
   // loop from the cache.
@@ -146,7 +85,7 @@ int main(int Argc, char **Argv) {
   synth::SynthResult Fenced =
       bench::runOne(B, MemModel::PSO, synth::SpecKind::Linearizability,
                     Smoke ? 100 : 400);
-  if (!Fenced.Converged)
+  if (Fenced.Status != synth::SynthStatus::Converged)
     reportFatalError(B.Name + " did not converge: " +
                      Fenced.FirstViolation);
 
@@ -163,7 +102,7 @@ int main(int Argc, char **Argv) {
 
   double SecCold = seconds(T0, T1), SecWarm = seconds(T1, T2);
   double Speedup = SecWarm > 0 ? SecCold / SecWarm : 0;
-  std::printf("\nShared-cache re-verification (%s, %llu executions)\n",
+  std::printf("Shared-cache re-verification (%s, %llu executions)\n",
               B.Name.c_str(),
               static_cast<unsigned long long>(Warm.TotalExecutions));
   std::printf("cold %.3fs -> warm %.3fs  round-loop speedup %.1fx "
@@ -200,20 +139,11 @@ int main(int Argc, char **Argv) {
     return 1;
   }
   const Json *Schema = Parsed->find("schema");
-  const Json *Memo = Parsed->find("memoization");
   const Json *Re = Parsed->find("reverification");
-  if (!Schema || Schema->asString() != "dfence-cache-speedup-v1" ||
-      !Memo || !Memo->isArray() || Memo->items().size() != 3 || !Re) {
+  if (!Schema || Schema->asString() != "dfence-cache-speedup-v2" || !Re) {
     std::fprintf(stderr, "BENCH_cache.json is malformed\n");
     return 1;
   }
-  for (const Json &JS : Memo->items())
-    if (!JS.find("speedup") || !JS.find("hit_rate") ||
-        JS.find("check_hits")->asU64() == 0) {
-      std::fprintf(stderr,
-                   "BENCH_cache.json has an inactive memoization entry\n");
-      return 1;
-    }
   // The warm pass must be served entirely from the shared cache; this is
   // deterministic, so it gates smoke runs too.
   if (Re->find("exec_hits")->asU64() != Re->find("executions")->asU64() ||

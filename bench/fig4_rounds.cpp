@@ -40,7 +40,7 @@ int main() {
     std::printf("%10u %8zu %8u %12llu %10s\n", K, R.Fences.size(),
                 R.Rounds,
                 static_cast<unsigned long long>(R.TotalExecutions),
-                R.Converged ? "yes" : "no");
+                R.Status == synth::SynthStatus::Converged ? "yes" : "no");
   }
 
   std::printf("\none-round strategy (single repair after K executions, "
@@ -56,7 +56,7 @@ int main() {
     synth::SynthResult R = synth::synthesize(CR.Module, B.Clients, Cfg);
     std::printf("%10u %8zu %12llu %10s\n", K, R.Fences.size(),
                 static_cast<unsigned long long>(R.TotalExecutions),
-                R.Converged ? "yes" : "no");
+                R.Status == synth::SynthStatus::Converged ? "yes" : "no");
   }
 
   std::printf("\nShape to compare with the paper: small per-round K with "

@@ -39,7 +39,8 @@ void sweep(const programs::Benchmark &B, MemModel Model, unsigned K) {
                 R.Fences.size(),
                 static_cast<unsigned long long>(R.ViolatingExecutions),
                 static_cast<unsigned long long>(R.DistinctPredicates),
-                R.Rounds, R.Converged ? "yes" : "no");
+                R.Rounds,
+                R.Status == synth::SynthStatus::Converged ? "yes" : "no");
   }
 }
 

@@ -111,8 +111,8 @@ int main() {
   std::printf("Observations (recomputed):\n");
   auto Fences = [&](const Row &R, SpecKind S, MemModel M) -> long {
     auto It = R.Cells.find(key(S, M));
-    if (It == R.Cells.end() || It->second.CannotFix ||
-        !It->second.Converged)
+    if (It == R.Cells.end() ||
+        It->second.Status != synth::SynthStatus::Converged)
       return -1;
     return static_cast<long>(It->second.Fences.size());
   };

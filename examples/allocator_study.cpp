@@ -39,7 +39,8 @@ void report(const char *Label, const synth::SynthResult &R) {
               "converged: %s\n",
               static_cast<unsigned long long>(R.TotalExecutions),
               static_cast<unsigned long long>(R.ViolatingExecutions),
-              R.Rounds, R.Converged ? "yes" : "no");
+              R.Rounds,
+              R.Status == synth::SynthStatus::Converged ? "yes" : "no");
   if (R.Fences.empty())
     std::printf("  fences: none\n");
   for (const synth::InsertedFence &F : R.Fences)

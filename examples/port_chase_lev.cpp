@@ -37,7 +37,7 @@ void port(const programs::Benchmark &B, vm::MemModel Model,
 
   std::printf("%-4s under %-22s: ", vm::memModelName(Model),
               synth::specKindName(Spec));
-  if (R.CannotFix || !R.Converged) {
+  if (R.Status != synth::SynthStatus::Converged) {
     std::printf("cannot be satisfied by fences alone\n");
     return;
   }

@@ -96,9 +96,10 @@ int main() {
   Cfg.ExecsPerRound = 300;
   Cfg.FlushProb = 0.3;
   synth::SynthResult R = synth::synthesize(CR.Module, {Client}, Cfg);
+  bool Converged = R.Status == synth::SynthStatus::Converged;
   std::printf("converged: %s after %u round(s), %llu executions "
               "(%llu violating)\n",
-              R.Converged ? "yes" : "no", R.Rounds,
+              Converged ? "yes" : "no", R.Rounds,
               static_cast<unsigned long long>(R.TotalExecutions),
               static_cast<unsigned long long>(R.ViolatingExecutions));
   for (const synth::InsertedFence &F : R.Fences)
@@ -108,5 +109,5 @@ int main() {
   std::printf("\n== repaired function ==\n%s",
               ir::printFunction(R.FencedModule.function(
                   *R.FencedModule.findFunction("publish"))).c_str());
-  return R.Converged ? 0 : 1;
+  return Converged ? 0 : 1;
 }

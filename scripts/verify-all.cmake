@@ -8,9 +8,9 @@
 # workflows (verify-default, verify-sanitize, verify-tsan) defined in
 # CMakePresets.json. Run from the repository root. Everything labelled
 # tier1 rides along automatically — including the result-cache suite
-# (history_hash_test, check_cache_property_test, cache_differential_test,
-# bench_cache_smoke), which the tsan leg exercises with the sharded
-# CheckCache under real pool concurrency, and the serve-daemon suite
+# (history_hash_test, cache_differential_test, bench_cache_smoke), which
+# the tsan leg exercises with pool workers reading the shared execution
+# cache concurrently, and the serve-daemon suite
 # (serve_protocol_test, server_test, serve_concurrency_test,
 # serve_smoke_test), whose smoke test the tsan leg runs against the real
 # `dfence serve` binary: submit / dispatcher-slot / transport threads
@@ -33,10 +33,13 @@
 # sanitizers alike (scenarios/s bars are full-run only).
 #
 # After the three workflows, the repair-selection differential tests
-# (Sat*, MinModel*), the serve-daemon tests (Server*) and the daemon
-# smoke tests (ServeSmoke*) run 20 more times on the default build
-# (`ctest --repeat until-fail:20`): the differential is seeded and both
-# deadline tests stall their executions with a fault plan, so any
+# (Sat*, MinModel*), the serve-daemon tests (Server*), the daemon smoke
+# tests (ServeSmoke*) and the bench smoke gates (bench_*_smoke) run 20
+# more times on the default build (`ctest --repeat until-fail:20`): the
+# differential is seeded, both deadline tests stall their executions
+# with a fault plan, and the bench smoke gates check deterministic
+# invariants (bench_exec_smoke's one timing bar, specialized vs generic
+# dispatch, is judged against a noise floor it measures itself), so any
 # failure there is a defect, not noise.
 
 foreach(preset IN ITEMS verify-default verify-sanitize verify-tsan)
@@ -48,12 +51,13 @@ foreach(preset IN ITEMS verify-default verify-sanitize verify-tsan)
     message(FATAL_ERROR "workflow ${preset} failed (exit ${rc})")
   endif()
 endforeach()
-message(STATUS "==== repeat: Sat|MinModel|Server|ServeSmoke x20 (default build) ====")
+set(repeat_re "Sat|MinModel|Server|ServeSmoke|bench_.*_smoke")
+message(STATUS "==== repeat: ${repeat_re} x20 (default build) ====")
 execute_process(
   COMMAND ${CMAKE_CTEST_COMMAND} --preset default
-          --repeat until-fail:20 -R "Sat|MinModel|Server|ServeSmoke"
+          --repeat until-fail:20 -R "${repeat_re}"
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "repeated Sat|MinModel|Server|ServeSmoke tests failed (exit ${rc})")
+  message(FATAL_ERROR "repeated ${repeat_re} tests failed (exit ${rc})")
 endif()
 message(STATUS "verify-all: all three workflows and the repeats passed")

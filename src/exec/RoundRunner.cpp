@@ -39,11 +39,10 @@ RoundResult exec::runRound(PoolSlice &Slice, const vm::PreparedProgram &P,
                            const ViolationCheck &Check,
                            const std::function<bool()> &Stop,
                            const obs::ObsContext *Obs,
-                           const RoundCaches &Caches,
+                           const cache::ExecCache *Exec,
                            const harness::Deadline &DL) {
   obs::TraceSink *Trace = obs::traceOrNull(Obs);
   obs::Profiler *Prof = obs::profilerOrNull(Obs);
-  assert(!Caches.Check || Caches.Check->numShards() >= Slice.jobs());
   RoundResult RR;
   RR.Slots.resize(Plan.Slots.size());
   RR.Ran = Slice.runOrdered(
@@ -55,15 +54,15 @@ RoundResult exec::runRound(PoolSlice &Slice, const vm::PreparedProgram &P,
         unsigned Worker = currentWorker();
         // Pool-global identity for anything shared across concurrently
         // running slices: profiler shards and trace tracks must not
-        // collide between slices, while counter shards and the check
-        // cache stay slice-relative.
+        // collide between slices, while counter shards and worker
+        // contexts stay slice-relative.
         unsigned GWorker = Slice.base() + Worker;
         OBS_SPAN(SlotSpan, Trace, "slot", "exec", GWorker);
         // Cross-round cache: a cacheable slot whose exact key was run
         // before (against this module generation) skips the execution
         // and the check both; the summary already embeds the verdict.
-        if (Caches.Exec && EP.Cacheable) {
-          if (const cache::ExecSummary *Sum = Caches.Exec->lookup(EP.Key)) {
+        if (Exec && EP.Cacheable) {
+          if (const cache::ExecSummary *Sum = Exec->lookup(EP.Key)) {
             applySummary(*Sum, S);
             if (Trace) {
               SlotSpan.arg("index", static_cast<uint64_t>(I));
@@ -99,26 +98,12 @@ RoundResult exec::runRound(PoolSlice &Slice, const vm::PreparedProgram &P,
                   : 0;
         // Discarded executions are counted, never judged; everything else
         // is judged here so the (possibly exponential) spec check also
-        // runs off the merge thread. The check cache memoizes verdicts of
-        // Completed histories within this worker's shard — a hit is
-        // trusted only after the full history compare inside lookup, so
-        // memoization can never alter a verdict, only skip recomputing it.
+        // runs off the merge thread.
         if (!S.SE.Discarded && Check) {
           std::chrono::steady_clock::time_point CheckT0{};
           if (Shard)
             CheckT0 = std::chrono::steady_clock::now();
-          const vm::ExecResult &R = S.SE.Result;
-          if (Caches.Check && R.Out == vm::Outcome::Completed) {
-            if (const std::string *V =
-                    Caches.Check->lookup(Worker, R.Hist)) {
-              S.Violation = *V;
-            } else {
-              S.Violation = Check(R);
-              Caches.Check->insert(Worker, R.Hist, S.Violation);
-            }
-          } else {
-            S.Violation = Check(R);
-          }
+          S.Violation = Check(S.SE.Result);
           if (Shard)
             Shard->addNs(obs::Phase::SpecCheck,
                          obs::ProfilerShard::elapsedNs(

@@ -21,7 +21,6 @@
 #ifndef DFENCE_EXEC_ROUNDRUNNER_H
 #define DFENCE_EXEC_ROUNDRUNNER_H
 
-#include "cache/CheckCache.h"
 #include "cache/ExecCache.h"
 #include "exec/ExecPool.h"
 #include "harness/Harness.h"
@@ -45,18 +44,6 @@ struct ExecPlan {
   /// wall-clock watchdog, fault plan or trace capture involved. Only such
   /// slots consult (or later populate) the execution cache.
   bool Cacheable = false;
-};
-
-/// The caches a round runs against; both optional and caller-owned.
-struct RoundCaches {
-  /// Round-scoped verdict memoization, sharded per slice worker (shard
-  /// index = currentWorker(), slice-relative; must have been built with
-  /// at least Slice.jobs() shards). Null disables check memoization.
-  cache::CheckCache *Check = nullptr;
-  /// Cross-round summaries. Frozen for the whole round — runRound only
-  /// reads it; the caller inserts new results between rounds. Null
-  /// disables execution skipping.
-  const cache::ExecCache *Exec = nullptr;
 };
 
 /// A whole round's worth of slots. Slot I of round R must be planned from
@@ -105,11 +92,11 @@ using ViolationCheck = std::function<std::string(const vm::ExecResult &)>;
 /// every slot emits a "slot" span on its worker's trace track
 /// (tid = Slice.base() + currentWorker(), globally unique across
 /// concurrently running slices) with the slot index, seed, outcome and
-/// retry count as args. \p Caches may carry a per-worker-sharded check
-/// cache (verdict memoization, shard index = slice-relative worker) and
-/// a frozen execution cache (cacheable slots with a stored key skip
-/// execution entirely); both default to off and neither changes any
-/// slot's observable result.
+/// retry count as args. \p Exec is an optional caller-owned cross-round
+/// execution cache, frozen for the whole round (runRound only reads it;
+/// the caller inserts new results between rounds): cacheable slots with
+/// a stored key skip execution entirely, without changing any slot's
+/// observable result. Null disables execution skipping.
 ///
 /// \p DL is the round's wall-clock deadline. Unlike \p Stop (which only
 /// cancels slots that have not started), an armed deadline is threaded
@@ -123,7 +110,7 @@ RoundResult runRound(PoolSlice &Slice, const vm::PreparedProgram &P,
                      const ViolationCheck &Check,
                      const std::function<bool()> &Stop = nullptr,
                      const obs::ObsContext *Obs = nullptr,
-                     const RoundCaches &Caches = {},
+                     const cache::ExecCache *Exec = nullptr,
                      const harness::Deadline &DL = {});
 
 } // namespace dfence::exec

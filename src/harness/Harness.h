@@ -195,7 +195,8 @@ public:
   /// Advisory cache configuration ("on"/"off") stamped into captured
   /// bundles, so a repro records whether the run it came from had the
   /// result caches enabled. (Capture itself disables the execution
-  /// cache, but the check cache still runs under --cache=on.)
+  /// cache, but the duplicate-history statistics are still counted under
+  /// --cache=on.)
   void setCacheInfo(std::string Mode) { CacheMode = std::move(Mode); }
 
   /// Advisory originating-request identifier stamped into captured

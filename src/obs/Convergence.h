@@ -42,7 +42,8 @@ struct RoundRecord {
   unsigned CleanStreak = 0;     ///< Consecutive clean rounds incl. this one.
   bool Truncated = false;       ///< Round cut short by a budget/deadline.
 
-  // Cache effectiveness (jobs-invariant; differ between cache modes).
+  // Cache statistics (jobs-invariant; differ between cache modes). The
+  // check pair counts duplicate Completed histories of the round.
   uint64_t CheckCacheHits = 0;
   uint64_t CheckCacheMisses = 0;
   uint64_t ExecCacheHits = 0;

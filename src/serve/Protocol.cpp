@@ -313,9 +313,11 @@ Json serve::makePongResponse(const std::string &Id) {
 Json serve::resultToJson(const synth::SynthResult &R, bool IncludeModule) {
   Json J = Json::object();
   J.set("status", Json::string(synth::synthStatusName(R.Status)));
-  J.set("converged", Json::boolean(R.Converged));
-  J.set("cannotFix", Json::boolean(R.CannotFix));
-  J.set("degraded", Json::boolean(R.Degraded));
+  J.set("converged",
+        Json::boolean(R.Status == synth::SynthStatus::Converged));
+  J.set("cannotFix",
+        Json::boolean(R.Status == synth::SynthStatus::CannotFix));
+  J.set("degraded", Json::boolean(R.Status == synth::SynthStatus::Degraded));
   J.set("timedOut", Json::boolean(R.TimedOut));
   if (!R.DegradeReason.empty())
     J.set("degradeReason", Json::string(R.DegradeReason));
@@ -376,7 +378,7 @@ Json serve::cacheStatsToJson(const synth::SynthResult &R) {
 const char *serve::statusOfResult(const synth::SynthResult &R) {
   if (R.TimedOut)
     return "timeout";
-  if (R.Degraded)
+  if (R.Status == synth::SynthStatus::Degraded)
     return "degraded";
   return "ok";
 }

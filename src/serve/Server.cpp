@@ -422,7 +422,7 @@ Json Server::runJob(Pending &P, unsigned Slot) {
   const char *Status = statusOfResult(R);
   if (R.TimedOut)
     TimeoutsC.add(1);
-  else if (R.Degraded)
+  else if (R.Status == synth::SynthStatus::Degraded)
     DegradedC.add(1);
   Json Resp = Json::object();
   Resp.set("id", Json::string(P.Req.Id));

@@ -2,7 +2,6 @@
 
 #include "synth/Synthesizer.h"
 
-#include "cache/CheckCache.h"
 #include "cache/ExecCache.h"
 #include "exec/ExecPool.h"
 #include "exec/RoundRunner.h"
@@ -255,8 +254,7 @@ SynthResult synth::synthesize(const ir::Module &M,
   obs::Counter *SatTruncatedC =
       obs::counterOrNull(Cfg.Obs, "sat_truncated_total");
   // Cache counters count merge-thread events only (see the fold loop), so
-  // they are jobs-invariant like every other counter; per-worker shard
-  // totals are inherently jobs-dependent and go to gauges at end of run.
+  // they are jobs-invariant like every other counter.
   obs::Counter *CacheCheckHitsC =
       obs::counterOrNull(Cfg.Obs, "cache_check_hits");
   obs::Counter *CacheCheckMissesC =
@@ -320,7 +318,7 @@ SynthResult synth::synthesize(const ir::Module &M,
     StaticBaselineResult SB = staticDelaySetFences(Cur, Cfg.Model, Only);
     Cur = std::move(SB.FencedModule);
     Result.StaticFallbackFences = SB.FencesInserted;
-    Result.Degraded = true;
+    Result.Status = SynthStatus::Degraded;
   };
 
   // Stable mapping predicate <-> SAT variable across the whole run
@@ -347,16 +345,17 @@ SynthResult synth::synthesize(const ir::Module &M,
   exec::PoolSlice &Slice = *SliceP;
   Slice.setObs(Cfg.Obs);
 
-  // Result caches (src/cache/). Verdict memoization only pays for specs
-  // with a non-trivial history check; the cross-round execution cache is
-  // only sound when a slot's result is a pure function of its key — no
-  // wall-clock watchdog (timeouts depend on machine load), no fault plan
-  // (the plan is keyed by pointer, not content), and no bundle capture
-  // (cached summaries carry no history or trace to capture from).
-  bool CheckCaching = Cfg.CacheEnabled &&
-                      (Cfg.Spec == SpecKind::NoGarbage ||
-                       Cfg.Spec == SpecKind::SequentialConsistency ||
-                       Cfg.Spec == SpecKind::Linearizability);
+  // Result caches (src/cache/). Duplicate Completed histories are only
+  // counted (cache_check_*) for specs with a non-trivial history check;
+  // the cross-round execution cache is only sound when a slot's result
+  // is a pure function of its key — no wall-clock watchdog (timeouts
+  // depend on machine load), no fault plan (the plan is keyed by
+  // pointer, not content), and no bundle capture (cached summaries carry
+  // no history or trace to capture from).
+  bool CountDupHists = Cfg.CacheEnabled &&
+                       (Cfg.Spec == SpecKind::NoGarbage ||
+                        Cfg.Spec == SpecKind::SequentialConsistency ||
+                        Cfg.Spec == SpecKind::Linearizability);
   bool ExecCaching = Cfg.CacheEnabled && !Cfg.CaptureBundles &&
                      !Cfg.Faults.enabled() && Cfg.Exec.ExecWallMs == 0;
   std::optional<cache::ExecCache> OwnedExecCache;
@@ -368,9 +367,6 @@ SynthResult synth::synthesize(const ir::Module &M,
       ExecC = &*OwnedExecCache;
     }
   }
-  std::optional<cache::CheckCache> CheckC;
-  if (CheckCaching)
-    CheckC.emplace(Slice.jobs());
 
   // Cross-round cache keys: fingerprints of everything a slot's result
   // depends on beyond its ExecConfig. The module fingerprint is
@@ -468,19 +464,14 @@ SynthResult synth::synthesize(const ir::Module &M,
         return TotalBudget.expired(Watch) ||
                RoundBudget.expired(RoundWatch);
       };
-    // The check cache is round-scoped (verdicts memoize per program
-    // generation; enforcement between rounds changes the program). The
-    // execution cache is frozen for the duration of the round — workers
-    // only read it; new summaries are inserted below on this thread, and
-    // the pool's dispatch/join barriers order those writes before the
-    // next round's reads.
-    if (CheckC)
-      CheckC->beginRound();
+    // The execution cache is frozen for the duration of the round —
+    // workers only read it; new summaries are inserted below on this
+    // thread, and the pool's dispatch/join barriers order those writes
+    // before the next round's reads.
     exec::RoundResult RR = exec::runRound(
         Slice, *Prepared, Plan, Cfg.Exec,
         [&Cfg](const vm::ExecResult &R) { return checkExecution(R, Cfg); },
-        StopFn, Cfg.Obs,
-        exec::RoundCaches{CheckC ? &*CheckC : nullptr, ExecC}, RoundDL);
+        StopFn, Cfg.Obs, ExecC, RoundDL);
     // Populate the execution cache from this round's fresh results before
     // the fold below moves repair disjunctions out of the slots. Index
     // order + the deterministic capacity cap keep the cache's contents —
@@ -505,12 +496,11 @@ SynthResult synth::synthesize(const ir::Module &M,
     // implicated functions, repair formula — comes out of this loop in
     // the same order the sequential engine produced it.
     std::vector<std::vector<OrderingPredicate>> ViolationRepairs;
-    // Jobs-invariant check-cache accounting: rather than summing the
-    // per-worker shard hits (which depend on how slots landed on
-    // workers), replay what a sequential single-shard cache would have
-    // served — the first slot carrying each distinct Completed history
-    // is a miss, every later duplicate a hit, collisions excluded by the
-    // same full-history compare the real cache performs.
+    // Duplicate-history accounting (the cache_check_* statistics): the
+    // first slot carrying each distinct Completed history this round is
+    // a miss, every later duplicate a hit. A hash match counts only after
+    // a full history compare, so a 64-bit collision is a miss. Folded in
+    // index order, so the counts are jobs-invariant.
     std::unordered_map<uint64_t, size_t> SeenHists;
     auto FoldT0 = std::chrono::steady_clock::now();
     OBS_SPAN(FoldSpan, Trace, "fold", "synth", 0);
@@ -544,7 +534,7 @@ SynthResult synth::synthesize(const ir::Module &M,
         ++Stats.ExecCacheMisses;
         OBS_COUNT(CacheExecMissesC, 1);
       }
-      if (CheckC && !RR.Slots[I].FromExecCache && !SE.Discarded &&
+      if (CountDupHists && !RR.Slots[I].FromExecCache && !SE.Discarded &&
           R.Out == vm::Outcome::Completed) {
         auto [It, New] = SeenHists.try_emplace(R.Hist.Hash, I);
         if (!New && RR.Slots[It->second].SE.Result.Hist == R.Hist) {
@@ -644,7 +634,7 @@ SynthResult synth::synthesize(const ir::Module &M,
       FinishRound(Stats);
       if (!Truncated &&
           CleanRounds >= std::max(1u, Cfg.CleanRoundsRequired)) {
-        Result.Converged = true;
+        Result.Status = SynthStatus::Converged;
         break;
       }
       continue;
@@ -653,7 +643,7 @@ SynthResult synth::synthesize(const ir::Module &M,
     if (ViolationRepairs.empty()) {
       // Every violation this round had an empty repair disjunction: the
       // misbehaviour is not caused by reordering ("cannot be fixed").
-      Result.CannotFix = true;
+      Result.Status = SynthStatus::CannotFix;
       FinishRound(Stats);
       break;
     }
@@ -758,7 +748,7 @@ SynthResult synth::synthesize(const ir::Module &M,
   }
 
   // MaxRounds ran out (or a truncated-round stall) without a verdict.
-  if (!Result.Converged && !Result.CannotFix &&
+  if (Result.Status == SynthStatus::Exhausted &&
       Result.DegradeReason.empty())
     Degrade(strformat("round budget of %u rounds exhausted without "
                       "convergence",
@@ -770,14 +760,6 @@ SynthResult synth::synthesize(const ir::Module &M,
   Result.RetriedExecutions = Sup.stats().Retries;
   Result.TimedOutExecutions = Sup.stats().TimedOut;
   Result.Bundles = Sup.takeBundles();
-  if (Result.Converged)
-    Result.Status = SynthStatus::Converged;
-  else if (Result.CannotFix)
-    Result.Status = SynthStatus::CannotFix;
-  else if (Result.Degraded)
-    Result.Status = SynthStatus::Degraded;
-  else
-    Result.Status = SynthStatus::Exhausted;
 
   // End-of-run totals (added exactly once, on the merge thread) and the
   // bundle metrics snapshot. The snapshot is the deterministic counter
@@ -792,16 +774,6 @@ SynthResult synth::synthesize(const ir::Module &M,
     Reg.counter("harness_retries_total").add(Sup.stats().Retries);
     Reg.counter("harness_discarded_total").add(Sup.stats().Discarded);
     Reg.counter("harness_timeouts_total").add(Sup.stats().TimedOut);
-    // Worker-shard cache totals are jobs-dependent (they depend on which
-    // worker ran which slot), so they are exported as gauges, which stay
-    // out of countersJson and the bundle snapshot by design.
-    if (CheckC) {
-      cache::CheckCache::Totals T = CheckC->totals();
-      Reg.gauge("cache_check_worker_hits")
-          .set(static_cast<double>(T.Hits));
-      Reg.gauge("cache_check_worker_misses")
-          .set(static_cast<double>(T.Misses));
-    }
     if (ExecC)
       Reg.gauge("cache_exec_entries")
           .set(static_cast<double>(ExecC->size()));

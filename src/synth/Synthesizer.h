@@ -150,13 +150,13 @@ struct SynthConfig {
 
   //===--- Result caching (see src/cache/) ---===//
 
-  /// Master switch for the result caches (`dfence --cache on|off`). On by
-  /// default. The caches are invisible in results by construction — the
-  /// check cache re-verifies hash hits with a full history compare, and
-  /// the execution cache only serves keys that pin every input of a pure
-  /// execution — so SynthResult and the deterministic counter snapshot
-  /// are byte-identical with caching on or off, at any Jobs value
-  /// (CacheDifferentialTest is the gate).
+  /// Master switch for the execution cache and the duplicate-history
+  /// statistics (`dfence --cache on|off`). On by default. The execution
+  /// cache is invisible in results by construction — it only serves keys
+  /// that pin every input of a pure execution — so SynthResult (minus its
+  /// cache statistics) and the deterministic counter snapshot (minus
+  /// cache_*) are byte-identical with caching on or off, at any Jobs
+  /// value (CacheDifferentialTest is the gate).
   bool CacheEnabled = true;
   /// Optional externally owned cross-round execution cache, shared across
   /// synthesize() calls so re-verifying an unchanged program (same base
@@ -196,7 +196,9 @@ struct SynthConfig {
 /// Overall disposition of a synthesis run, most desirable first.
 enum class SynthStatus : uint8_t {
   Converged,   ///< A clean round verified the fenced program.
-  Degraded,    ///< Budgets exhausted; static fallback fences applied.
+  /// Budgets exhausted; static fallback fences applied. FencedModule is
+  /// then conservatively (over-)fenced but safe.
+  Degraded,
   Exhausted,   ///< Budgets exhausted and degradation disabled.
   CannotFix,   ///< A round of violations had no repair candidates.
   ConfigError, ///< Invalid configuration; see SynthResult::Error.
@@ -225,8 +227,9 @@ struct RoundStats {
   uint64_t DistinctPredicates = 0; ///< |Φ| after this round.
   unsigned CleanStreak = 0; ///< Consecutive clean rounds incl. this one.
   bool Truncated = false;   ///< Cut short by a budget/deadline.
-  /// Per-round cache effectiveness (jobs-invariant; cache-mode variant —
-  /// the run-level totals' per-round split).
+  /// Per-round duplicate-history and execution-cache statistics
+  /// (jobs-invariant; cache-mode variant — the run-level totals'
+  /// per-round split).
   uint64_t CheckCacheHits = 0;
   uint64_t CheckCacheMisses = 0;
   uint64_t ExecCacheHits = 0;
@@ -244,15 +247,10 @@ struct RoundStats {
 
 /// The outcome of a synthesis run.
 struct SynthResult {
-  bool Converged = false; ///< A full round showed no violations.
-  bool CannotFix = false; ///< A violating execution had no repair.
-  /// True when budget exhaustion triggered the static-fencing fallback;
-  /// FencedModule is then conservatively (over-)fenced but safe.
-  bool Degraded = false;
   /// True when the run's total wall-clock budget (TotalWallMs) expired
   /// before a verdict — the run timed out. The result is then a partial
-  /// one (RoundLog records what ran); with DegradeToStatic it is also
-  /// Degraded, i.e. conservatively fenced.
+  /// one (RoundLog records what ran); its Status is Degraded
+  /// (conservatively fenced) with DegradeToStatic, Exhausted without.
   bool TimedOut = false;
   SynthStatus Status = SynthStatus::Exhausted;
   std::string DegradeReason; ///< Why degradation / exhaustion happened.
@@ -281,8 +279,10 @@ struct SynthResult {
   //===--- The only SynthResult fields allowed to differ between cache=on
   //===--- and cache=off runs. ---===//
 
-  /// Duplicate Completed histories per round (what a sequential run's
-  /// check cache serves as hits), counted on the merge thread.
+  /// Completed histories that duplicate an earlier history of the same
+  /// round (hits) or are the first of their kind (misses), counted on
+  /// the merge thread. Statistics only: every history is still checked.
+  /// Counted when caching is on and the spec checks histories.
   uint64_t CheckCacheHits = 0;
   uint64_t CheckCacheMisses = 0;
   /// Executions served from / missed in the cross-round ExecCache.

@@ -12,8 +12,9 @@
 // the one-pass hashHistory() over the finished record. Each event hash
 // binds the op's index and global timestamp, so reorderings, truncations
 // and field edits all change the sum; equal hashes are treated only as a
-// *candidate* for equality, and every cache consumer re-verifies with the
-// full structural compare (operator==) before trusting a verdict.
+// *candidate* for equality, and the synthesizer's duplicate-history count
+// re-verifies with the full structural compare (operator==) before
+// counting a duplicate.
 //
 //===----------------------------------------------------------------------===//
 
@@ -49,8 +50,8 @@ struct OpRecord {
     return Completed && RespondSeq < Other.InvokeSeq;
   }
 
-  /// Field-wise equality; the collision-safe compare behind every trusted
-  /// cache hit.
+  /// Field-wise equality; the collision-safe compare behind the
+  /// duplicate-history count.
   bool operator==(const OpRecord &) const = default;
 };
 

@@ -8,9 +8,8 @@
 // harness accounting — at jobs=1 and jobs=8 alike, and the deterministic
 // metrics counter snapshot must match after stripping the cache_* keys
 // (the only counters allowed to differ, since they describe the caches
-// themselves). The check cache's full-history re-verification and the
-// execution cache's full-key compare are what make this pinnable as
-// equality rather than approximation.
+// themselves). The execution cache's full-key compare is what makes
+// this pinnable as equality rather than approximation.
 //
 //===----------------------------------------------------------------------===//
 
@@ -68,9 +67,6 @@ SynthResult run(const Benchmark &B, MemModel Model, bool CacheOn,
 void expectEquivalent(const SynthResult &A, const SynthResult &B,
                       const std::string &What) {
   EXPECT_EQ(A.Status, B.Status) << What;
-  EXPECT_EQ(A.Converged, B.Converged) << What;
-  EXPECT_EQ(A.CannotFix, B.CannotFix) << What;
-  EXPECT_EQ(A.Degraded, B.Degraded) << What;
   EXPECT_EQ(A.DegradeReason, B.DegradeReason) << What;
   EXPECT_EQ(A.Error, B.Error) << What;
   EXPECT_EQ(A.fenceSummary(), B.fenceSummary()) << What;
@@ -148,8 +144,9 @@ TEST_P(CacheDifferentialTest, OnAndOffByteIdenticalAtOneAndEightJobs) {
     EXPECT_EQ(RegOn1.countersJson().dump(), RegOn8.countersJson().dump())
         << What;
 
-    // The comparison must not be vacuous: for memoizable specs the
-    // cache-on runs have to show real check-cache traffic.
+    // The comparison must not be vacuous: for history-checked specs the
+    // cache-on runs have to count real check traffic (the per-round
+    // duplicate-history statistics).
     if (strictestSpec(B) != SpecKind::MemorySafety)
       EXPECT_GT(On1.CheckCacheHits + On1.CheckCacheMisses, 0u) << What;
 
@@ -206,7 +203,7 @@ TEST(CacheDifferentialTest, SharedExecCacheAcceleratesReverification) {
   Synth.MaxRounds = 8;
   Synth.MaxRepairRounds = 8;
   SynthResult Fenced = synthesize(CR.Module, B.Clients, Synth);
-  ASSERT_TRUE(Fenced.Converged) << Fenced.FirstViolation;
+  ASSERT_EQ(Fenced.Status, SynthStatus::Converged) << Fenced.FirstViolation;
 
   cache::ExecCache Shared;
   Cfg.ExecResultCache = &Shared;

@@ -73,9 +73,6 @@ SynthResult run(const Benchmark &B, MemModel Model, DispatchMode Dispatch,
 void expectEquivalent(const SynthResult &A, const SynthResult &B,
                       const std::string &What) {
   EXPECT_EQ(A.Status, B.Status) << What;
-  EXPECT_EQ(A.Converged, B.Converged) << What;
-  EXPECT_EQ(A.CannotFix, B.CannotFix) << What;
-  EXPECT_EQ(A.Degraded, B.Degraded) << What;
   EXPECT_EQ(A.DegradeReason, B.DegradeReason) << What;
   EXPECT_EQ(A.Error, B.Error) << What;
   EXPECT_EQ(A.fenceSummary(), B.fenceSummary()) << What;

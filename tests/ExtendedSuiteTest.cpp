@@ -78,7 +78,7 @@ TEST(ExtendedSuiteTest, PetersonNeedsStoreLoadFencesOnTso) {
   const Benchmark &B = benchmarkByName("Peterson Lock");
   SynthResult R =
       runSynth(B, MemModel::TSO, SpecKind::Linearizability);
-  EXPECT_TRUE(R.Converged) << R.FirstViolation;
+  EXPECT_EQ(R.Status, SynthStatus::Converged) << R.FirstViolation;
   EXPECT_GT(R.ViolatingExecutions, 0u)
       << "unfenced Peterson must admit double entry";
   ASSERT_GE(R.Fences.size(), 2u) << R.fenceSummary();
@@ -94,13 +94,13 @@ TEST(ExtendedSuiteTest, TreiberPushFenceOnPsoOnly) {
   const Benchmark &B = benchmarkByName("Treiber Stack");
   SynthResult Tso =
       runSynth(B, MemModel::TSO, SpecKind::Linearizability);
-  EXPECT_TRUE(Tso.Converged) << Tso.FirstViolation;
+  EXPECT_EQ(Tso.Status, SynthStatus::Converged) << Tso.FirstViolation;
   EXPECT_EQ(Tso.Fences.size(), 0u)
       << "CAS publication drains the TSO buffer: " << Tso.fenceSummary();
 
   SynthResult Pso =
       runSynth(B, MemModel::PSO, SpecKind::Linearizability);
-  EXPECT_TRUE(Pso.Converged) << Pso.FirstViolation;
+  EXPECT_EQ(Pso.Status, SynthStatus::Converged) << Pso.FirstViolation;
   ASSERT_GE(Pso.Fences.size(), 1u);
   EXPECT_EQ(Pso.Fences[0].Function, "push") << Pso.fenceSummary();
 }
@@ -109,13 +109,13 @@ TEST(ExtendedSuiteTest, LamportRingPublicationFenceOnPso) {
   const Benchmark &B = benchmarkByName("Lamport Ring");
   SynthResult Pso =
       runSynth(B, MemModel::PSO, SpecKind::SequentialConsistency);
-  EXPECT_TRUE(Pso.Converged) << Pso.FirstViolation;
+  EXPECT_EQ(Pso.Status, SynthStatus::Converged) << Pso.FirstViolation;
   ASSERT_GE(Pso.Fences.size(), 1u);
   EXPECT_EQ(Pso.Fences[0].Function, "enqueue") << Pso.fenceSummary();
 
   SynthResult Tso =
       runSynth(B, MemModel::TSO, SpecKind::SequentialConsistency);
-  EXPECT_TRUE(Tso.Converged);
+  EXPECT_EQ(Tso.Status, SynthStatus::Converged);
   EXPECT_EQ(Tso.Fences.size(), 0u)
       << "SPSC ring is SC-clean on TSO: " << Tso.fenceSummary();
 }
@@ -124,7 +124,7 @@ TEST(ExtendedSuiteTest, ChaseLevFullMatchesSimplifiedShape) {
   const Benchmark &B = benchmarkByName("Chase-Lev Full");
   SynthResult R =
       runSynth(B, MemModel::TSO, SpecKind::SequentialConsistency);
-  EXPECT_TRUE(R.Converged) << R.FirstViolation;
+  EXPECT_EQ(R.Status, SynthStatus::Converged) << R.FirstViolation;
   bool TakeFence = false;
   for (const auto &F : R.Fences)
     if (F.Function == "take" && F.Kind == ir::FenceKind::StoreLoad)

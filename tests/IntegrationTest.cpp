@@ -52,7 +52,7 @@ TEST(IntegrationTest, ChaseLevNeedsStoreLoadFenceOnTSO) {
   // must be large enough that a converging run cannot have missed it.
   SynthResult R = runSynthesis("Chase-Lev WSQ", MemModel::TSO,
                                SpecKind::SequentialConsistency, 1000);
-  EXPECT_TRUE(R.Converged) << R.FirstViolation;
+  EXPECT_EQ(R.Status, SynthStatus::Converged) << R.FirstViolation;
   EXPECT_GT(R.ViolatingExecutions, 0u);
   ASSERT_GE(R.Fences.size(), 1u);
   EXPECT_TRUE(hasFenceIn(R, "take"))
@@ -64,7 +64,7 @@ TEST(IntegrationTest, ChaseLevNeedsMoreFencesOnPSO) {
                                  SpecKind::SequentialConsistency);
   SynthResult Pso = runSynthesis("Chase-Lev WSQ", MemModel::PSO,
                                  SpecKind::SequentialConsistency);
-  EXPECT_TRUE(Pso.Converged) << Pso.FirstViolation;
+  EXPECT_EQ(Pso.Status, SynthStatus::Converged) << Pso.FirstViolation;
   EXPECT_GE(Pso.Fences.size(), Tso.Fences.size())
       << "PSO relaxes more orders than TSO";
   EXPECT_TRUE(hasFenceIn(Pso, "put"))
@@ -77,7 +77,7 @@ TEST(IntegrationTest, ChaseLevMemorySafetyFindsNothing) {
   // up as lost/duplicated items, not as bad accesses).
   SynthResult R = runSynthesis("Chase-Lev WSQ", MemModel::PSO,
                                SpecKind::MemorySafety);
-  EXPECT_TRUE(R.Converged);
+  EXPECT_EQ(R.Status, SynthStatus::Converged);
   EXPECT_EQ(R.Fences.size(), 0u);
 }
 
@@ -93,13 +93,13 @@ TEST(IntegrationTest, LinearizabilityRequiresAtLeastScFences) {
 TEST(IntegrationTest, LifoWsqCleanOnTsoFencedOnPso) {
   SynthResult Tso = runSynthesis("LIFO WSQ", MemModel::TSO,
                                  SpecKind::SequentialConsistency);
-  EXPECT_TRUE(Tso.Converged) << Tso.FirstViolation;
+  EXPECT_EQ(Tso.Status, SynthStatus::Converged) << Tso.FirstViolation;
   EXPECT_EQ(Tso.Fences.size(), 0u)
       << "CAS publication drains the TSO buffer: " << Tso.fenceSummary();
 
   SynthResult Pso = runSynthesis("LIFO WSQ", MemModel::PSO,
                                  SpecKind::SequentialConsistency);
-  EXPECT_TRUE(Pso.Converged) << Pso.FirstViolation;
+  EXPECT_EQ(Pso.Status, SynthStatus::Converged) << Pso.FirstViolation;
   ASSERT_GE(Pso.Fences.size(), 1u);
   EXPECT_TRUE(hasFenceIn(Pso, "put")) << Pso.fenceSummary();
 }
@@ -107,12 +107,12 @@ TEST(IntegrationTest, LifoWsqCleanOnTsoFencedOnPso) {
 TEST(IntegrationTest, MsnQueueEnqueueFenceOnPso) {
   SynthResult Tso = runSynthesis("MSN Queue", MemModel::TSO,
                                  SpecKind::SequentialConsistency);
-  EXPECT_TRUE(Tso.Converged);
+  EXPECT_EQ(Tso.Status, SynthStatus::Converged);
   EXPECT_EQ(Tso.Fences.size(), 0u) << Tso.fenceSummary();
 
   SynthResult Pso = runSynthesis("MSN Queue", MemModel::PSO,
                                  SpecKind::SequentialConsistency);
-  EXPECT_TRUE(Pso.Converged) << Pso.FirstViolation;
+  EXPECT_EQ(Pso.Status, SynthStatus::Converged) << Pso.FirstViolation;
   ASSERT_GE(Pso.Fences.size(), 1u);
   EXPECT_TRUE(hasFenceIn(Pso, "enqueue"))
       << "the paper's (enqueue, E3:E4): " << Pso.fenceSummary();
@@ -122,7 +122,7 @@ TEST(IntegrationTest, Ms2QueueNeedsNoFences) {
   for (MemModel Model : {MemModel::TSO, MemModel::PSO}) {
     SynthResult R =
         runSynthesis("MS2 Queue", Model, SpecKind::Linearizability);
-    EXPECT_TRUE(R.Converged) << R.FirstViolation;
+    EXPECT_EQ(R.Status, SynthStatus::Converged) << R.FirstViolation;
     EXPECT_EQ(R.Fences.size(), 0u)
         << "fully-fenced locks cover both ends: " << R.fenceSummary();
   }
@@ -131,7 +131,7 @@ TEST(IntegrationTest, Ms2QueueNeedsNoFences) {
 TEST(IntegrationTest, IwsqNoGarbagePsoFences) {
   SynthResult R =
       runSynthesis("LIFO iWSQ", MemModel::PSO, SpecKind::NoGarbage);
-  EXPECT_TRUE(R.Converged) << R.FirstViolation;
+  EXPECT_EQ(R.Status, SynthStatus::Converged) << R.FirstViolation;
   ASSERT_GE(R.Fences.size(), 1u);
   EXPECT_TRUE(hasFenceIn(R, "put"))
       << "the tasks[t]/anchor store-store reorder: " << R.fenceSummary();
@@ -143,7 +143,8 @@ TEST(IntegrationTest, IwsqOwnerAvoidsStoreLoadFencesOnTso) {
   for (const char *Name : {"FIFO iWSQ", "LIFO iWSQ", "Anchor iWSQ"}) {
     SynthResult R =
         runSynthesis(Name, MemModel::TSO, SpecKind::NoGarbage);
-    EXPECT_TRUE(R.Converged) << Name << ": " << R.FirstViolation;
+    EXPECT_EQ(R.Status, SynthStatus::Converged)
+        << Name << ": " << R.FirstViolation;
     EXPECT_EQ(R.Fences.size(), 0u) << Name << ": " << R.fenceSummary();
   }
 }
@@ -151,12 +152,12 @@ TEST(IntegrationTest, IwsqOwnerAvoidsStoreLoadFencesOnTso) {
 TEST(IntegrationTest, AllocatorMemorySafetyFencesOnPso) {
   SynthResult Tso = runSynthesis("Michael Allocator", MemModel::TSO,
                                  SpecKind::MemorySafety);
-  EXPECT_TRUE(Tso.Converged) << Tso.FirstViolation;
+  EXPECT_EQ(Tso.Status, SynthStatus::Converged) << Tso.FirstViolation;
   EXPECT_EQ(Tso.Fences.size(), 0u) << Tso.fenceSummary();
 
   SynthResult Pso = runSynthesis("Michael Allocator", MemModel::PSO,
                                  SpecKind::MemorySafety, 300);
-  EXPECT_TRUE(Pso.Converged) << Pso.FirstViolation;
+  EXPECT_EQ(Pso.Status, SynthStatus::Converged) << Pso.FirstViolation;
   ASSERT_GE(Pso.Fences.size(), 1u);
   EXPECT_TRUE(hasFenceIn(Pso, "MallocFromNewSB"))
       << "carving stores vs Active CAS: " << Pso.fenceSummary();
@@ -169,7 +170,7 @@ TEST(IntegrationTest, AllocatorLinearizabilityAddsFreeFence) {
                                     SpecKind::MemorySafety, 1000);
   SynthResult Lin = runSynthesis("Michael Allocator", MemModel::PSO,
                                  SpecKind::Linearizability, 1000);
-  EXPECT_TRUE(Lin.Converged) << Lin.FirstViolation;
+  EXPECT_EQ(Lin.Status, SynthStatus::Converged) << Lin.FirstViolation;
   EXPECT_GE(Lin.Fences.size(), Safety.Fences.size());
   EXPECT_TRUE(hasFenceIn(Lin, "release"))
       << "free-list link store vs anchor CAS: " << Lin.fenceSummary();
@@ -193,7 +194,7 @@ TEST(IntegrationTest, PointerClientMakesMemorySafetyEffective) {
   Cfg.FlushProb = 0.1;
   SynthResult R =
       synthesize(CR.Module, programs::wsqPointerClients(), Cfg);
-  EXPECT_TRUE(R.Converged) << R.FirstViolation;
+  EXPECT_EQ(R.Status, SynthStatus::Converged) << R.FirstViolation;
   EXPECT_GT(R.ViolatingExecutions, 0u)
       << "double frees must surface under the pointer client";
   EXPECT_GE(R.Fences.size(), 1u) << R.fenceSummary();
@@ -218,15 +219,15 @@ TEST(IntegrationTest, InterOpPredicatesAblation) {
   SynthResult Without = synthesize(CR.Module, B.Clients, Cfg);
   Cfg.InterOpPredicates = true;
   SynthResult With = synthesize(CR.Module, B.Clients, Cfg);
-  EXPECT_TRUE(With.Converged) << With.FirstViolation;
-  EXPECT_FALSE(Without.Converged && !Without.CannotFix)
+  EXPECT_EQ(With.Status, SynthStatus::Converged) << With.FirstViolation;
+  EXPECT_NE(Without.Status, SynthStatus::Converged)
       << "the ablated run should fail to converge cleanly";
 }
 
 TEST(IntegrationTest, FencedChaseLevSatisfiesLinearizabilityOnPso) {
   SynthResult R = runSynthesis("Chase-Lev WSQ", MemModel::PSO,
                                SpecKind::Linearizability);
-  ASSERT_TRUE(R.Converged) << R.FirstViolation;
+  ASSERT_EQ(R.Status, SynthStatus::Converged) << R.FirstViolation;
   // Independent verification round with fresh seeds.
   const Benchmark &B = benchmarkByName("Chase-Lev WSQ");
   SynthConfig Cfg;
@@ -239,6 +240,6 @@ TEST(IntegrationTest, FencedChaseLevSatisfiesLinearizabilityOnPso) {
   Cfg.BaseSeed = 0xabcdef;
   Cfg.FlushProb = 0.5;
   SynthResult V = synthesize(R.FencedModule, B.Clients, Cfg);
-  EXPECT_TRUE(V.Converged);
+  EXPECT_EQ(V.Status, SynthStatus::Converged);
   EXPECT_EQ(V.ViolatingExecutions, 0u);
 }

@@ -388,7 +388,7 @@ TEST(ChaseLevFullTest, SynthesisFindsTakeFenceOnTso) {
   Cfg.MaxRepairRounds = 12;
   Cfg.FlushProb = 0.1;
   auto R = synth::synthesize(M, {C}, Cfg);
-  EXPECT_TRUE(R.Converged) << R.FirstViolation;
+  EXPECT_EQ(R.Status, synth::SynthStatus::Converged) << R.FirstViolation;
   bool TakeFence = false;
   for (const auto &F : R.Fences)
     if (F.Function == "take")

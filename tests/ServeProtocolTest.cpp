@@ -126,7 +126,6 @@ TEST(ServeProtocol, ResponseBuilders) {
 
 TEST(ServeProtocol, CanonicalResultExcludesCacheStatistics) {
   synth::SynthResult R;
-  R.Converged = true;
   R.Status = synth::SynthStatus::Converged;
   R.CheckCacheHits = 17;
   R.ExecCacheHits = 23;
@@ -145,9 +144,9 @@ TEST(ServeProtocol, CanonicalResultExcludesCacheStatistics) {
 
 TEST(ServeProtocol, StatusOfResultMapping) {
   synth::SynthResult R;
-  R.Converged = true;
+  R.Status = synth::SynthStatus::Converged;
   EXPECT_STREQ(statusOfResult(R), "ok");
-  R.Degraded = true;
+  R.Status = synth::SynthStatus::Degraded;
   EXPECT_STREQ(statusOfResult(R), "degraded");
   R.TimedOut = true; // Timeout wins over plain degradation.
   EXPECT_STREQ(statusOfResult(R), "timeout");

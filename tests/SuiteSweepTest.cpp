@@ -67,10 +67,12 @@ TEST_P(SuiteSweepTest, ConvergesAndRespectsModelOrdering) {
   SynthResult Pso =
       synthesize(CR.Module, B.Clients, sweepConfig(B, MemModel::PSO));
 
-  EXPECT_TRUE(Tso.Converged) << B.Name << " TSO: " << Tso.FirstViolation;
-  EXPECT_TRUE(Pso.Converged) << B.Name << " PSO: " << Pso.FirstViolation;
-  EXPECT_FALSE(Tso.CannotFix) << B.Name;
-  EXPECT_FALSE(Pso.CannotFix) << B.Name;
+  EXPECT_EQ(Tso.Status, SynthStatus::Converged)
+      << B.Name << " TSO: " << Tso.FirstViolation;
+  EXPECT_EQ(Pso.Status, SynthStatus::Converged)
+      << B.Name << " PSO: " << Pso.FirstViolation;
+  EXPECT_NE(Tso.Status, SynthStatus::CannotFix) << B.Name;
+  EXPECT_NE(Pso.Status, SynthStatus::CannotFix) << B.Name;
   EXPECT_EQ(Tso.SatTruncated + Pso.SatTruncated, 0u)
       << B.Name << ": repair selection ran out of search nodes";
   EXPECT_GE(Pso.Fences.size(), Tso.Fences.size())
@@ -143,7 +145,7 @@ TEST(SuiteSweepTest, FullyLockedAlgorithmsNeedNoFences) {
     ASSERT_TRUE(CR.Ok);
     SynthConfig Cfg = sweepConfig(B, MemModel::TSO);
     SynthResult R = synthesize(CR.Module, B.Clients, Cfg);
-    EXPECT_TRUE(R.Converged) << Name;
+    EXPECT_EQ(R.Status, SynthStatus::Converged) << Name;
     EXPECT_EQ(R.Fences.size(), 0u)
         << Name << " on TSO: " << R.fenceSummary();
   }

@@ -65,8 +65,8 @@ TEST(SynthTest, InfersPublicationFenceUnderPSO) {
   auto M = frontend::compileOrDie(PublishSrc);
   SynthConfig Cfg = baseConfig(MemModel::PSO, SpecKind::MemorySafety);
   SynthResult R = synthesize(M, {publishClient()}, Cfg);
-  EXPECT_TRUE(R.Converged) << R.FirstViolation;
-  EXPECT_FALSE(R.CannotFix);
+  EXPECT_EQ(R.Status, SynthStatus::Converged) << R.FirstViolation;
+  EXPECT_NE(R.Status, SynthStatus::CannotFix);
   ASSERT_GE(R.Fences.size(), 1u);
   for (const auto &F : R.Fences)
     EXPECT_EQ(F.Function, "writer") << "all fences belong in the writer";
@@ -79,7 +79,7 @@ TEST(SynthTest, NoFenceNeededUnderTSO) {
   auto M = frontend::compileOrDie(PublishSrc);
   SynthConfig Cfg = baseConfig(MemModel::TSO, SpecKind::MemorySafety);
   SynthResult R = synthesize(M, {publishClient()}, Cfg);
-  EXPECT_TRUE(R.Converged);
+  EXPECT_EQ(R.Status, SynthStatus::Converged);
   EXPECT_EQ(R.Fences.size(), 0u);
   EXPECT_EQ(R.ViolatingExecutions, 0u);
 }
@@ -88,11 +88,11 @@ TEST(SynthTest, FencedProgramPassesVerificationRound) {
   auto M = frontend::compileOrDie(PublishSrc);
   SynthConfig Cfg = baseConfig(MemModel::PSO, SpecKind::MemorySafety);
   SynthResult R1 = synthesize(M, {publishClient()}, Cfg);
-  ASSERT_TRUE(R1.Converged);
+  ASSERT_EQ(R1.Status, SynthStatus::Converged);
   // Re-running synthesis on the fenced program finds nothing new.
   Cfg.BaseSeed += 99991;
   SynthResult R2 = synthesize(R1.FencedModule, {publishClient()}, Cfg);
-  EXPECT_TRUE(R2.Converged);
+  EXPECT_EQ(R2.Status, SynthStatus::Converged);
   EXPECT_EQ(R2.ViolatingExecutions, 0u);
   EXPECT_EQ(R2.Fences.size(), R1.Fences.size());
 }
@@ -118,8 +118,8 @@ int take() { return 99; }
   SynthConfig Cfg = baseConfig(MemModel::SC, SpecKind::Linearizability);
   Cfg.Factory = spec::WsqSpec::factory();
   SynthResult R = synthesize(M, {C}, Cfg);
-  EXPECT_TRUE(R.CannotFix);
-  EXPECT_FALSE(R.Converged);
+  EXPECT_EQ(R.Status, SynthStatus::CannotFix);
+  EXPECT_NE(R.Status, SynthStatus::Converged);
 }
 
 TEST(SynthTest, OneShotStrategyNeedsMoreExecutions) {
@@ -132,7 +132,8 @@ TEST(SynthTest, OneShotStrategyNeedsMoreExecutions) {
   Cfg.MaxRepairRounds = 1;
   Cfg.MaxRounds = 2;
   SynthResult R = synthesize(M, {publishClient()}, Cfg);
-  EXPECT_TRUE(R.Converged) << "one repair round should fix publication";
+  EXPECT_EQ(R.Status, SynthStatus::Converged)
+      << "one repair round should fix publication";
   EXPECT_GE(R.Fences.size(), 1u);
 }
 
@@ -241,7 +242,7 @@ TEST(SynthTest, RoundLogIsConsistent) {
   auto M = frontend::compileOrDie(PublishSrc);
   SynthConfig Cfg = baseConfig(MemModel::PSO, SpecKind::MemorySafety);
   SynthResult R = synthesize(M, {publishClient()}, Cfg);
-  ASSERT_TRUE(R.Converged);
+  ASSERT_EQ(R.Status, SynthStatus::Converged);
   ASSERT_FALSE(R.RoundLog.empty());
   uint64_t TotalViol = 0, TotalExecs = 0;
   for (size_t I = 0; I != R.RoundLog.size(); ++I) {
@@ -296,7 +297,7 @@ TEST(SynthTest, ConfigErrorOnMissingClients) {
   SynthResult R = synthesize(M, {}, Cfg);
   EXPECT_EQ(R.Status, SynthStatus::ConfigError);
   EXPECT_FALSE(R.Error.empty());
-  EXPECT_FALSE(R.Converged);
+  EXPECT_NE(R.Status, SynthStatus::Converged);
   EXPECT_EQ(R.TotalExecutions, 0u);
 }
 
@@ -338,7 +339,7 @@ int spin() {
   EXPECT_EQ(R.RetriedExecutions, R.TotalExecutions)
       << "one retry per discarded execution";
   EXPECT_EQ(R.ViolatingExecutions, 0u);
-  EXPECT_TRUE(R.Converged);
+  EXPECT_EQ(R.Status, SynthStatus::Converged);
   EXPECT_TRUE(R.Fences.empty());
 }
 
@@ -350,8 +351,8 @@ TEST(SynthTest, RepairBudgetExhaustionDegradesToStaticFences) {
   Cfg.MaxRepairRounds = 0;
   SynthResult R = synthesize(M, {publishClient()}, Cfg);
   EXPECT_EQ(R.Status, SynthStatus::Degraded);
-  EXPECT_TRUE(R.Degraded);
-  EXPECT_FALSE(R.Converged);
+  EXPECT_EQ(R.Status, SynthStatus::Degraded);
+  EXPECT_NE(R.Status, SynthStatus::Converged);
   EXPECT_NE(R.DegradeReason.find("repair budget"), std::string::npos)
       << R.DegradeReason;
   EXPECT_GT(R.StaticFallbackFences, 0u);
@@ -365,7 +366,7 @@ TEST(SynthTest, RepairBudgetExhaustionDegradesToStaticFences) {
   SynthConfig Verify = baseConfig(MemModel::PSO, SpecKind::MemorySafety);
   Verify.BaseSeed += 424243;
   SynthResult V = synthesize(R.FencedModule, {publishClient()}, Verify);
-  EXPECT_TRUE(V.Converged);
+  EXPECT_EQ(V.Status, SynthStatus::Converged);
   EXPECT_EQ(V.ViolatingExecutions, 0u);
 }
 
@@ -376,7 +377,7 @@ TEST(SynthTest, DegradationDisabledReportsExhausted) {
   Cfg.DegradeToStatic = false;
   SynthResult R = synthesize(M, {publishClient()}, Cfg);
   EXPECT_EQ(R.Status, SynthStatus::Exhausted);
-  EXPECT_FALSE(R.Degraded);
+  EXPECT_NE(R.Status, SynthStatus::Degraded);
   EXPECT_EQ(R.StaticFallbackFences, 0u);
   EXPECT_FALSE(R.DegradeReason.empty());
 }
@@ -419,8 +420,8 @@ int take() { return 99; }
   Cfg.Factory = spec::WsqSpec::factory();
   SynthResult R = synthesize(M, {C}, Cfg);
   EXPECT_EQ(R.Status, SynthStatus::CannotFix);
-  EXPECT_TRUE(R.CannotFix);
-  EXPECT_FALSE(R.Degraded);
+  EXPECT_EQ(R.Status, SynthStatus::CannotFix);
+  EXPECT_NE(R.Status, SynthStatus::Degraded);
   EXPECT_EQ(R.StaticFallbackFences, 0u);
 }
 
@@ -430,7 +431,7 @@ TEST(SynthTest, CapturedBundlesReplayTheViolation) {
   Cfg.CaptureBundles = true;
   Cfg.MaxBundles = 2;
   SynthResult R = synthesize(M, {publishClient()}, Cfg);
-  ASSERT_TRUE(R.Converged);
+  ASSERT_EQ(R.Status, SynthStatus::Converged);
   ASSERT_GT(R.ViolatingExecutions, 0u);
   ASSERT_FALSE(R.Bundles.empty());
   EXPECT_LE(R.Bundles.size(), 2u);
@@ -452,5 +453,5 @@ TEST(SynthTest, FlushProbPortfolioCyclesAcrossExecutions) {
   SynthResult B = synthesize(M, {publishClient()}, Cfg);
   EXPECT_EQ(A.ViolatingExecutions, B.ViolatingExecutions);
   EXPECT_EQ(A.Fences.size(), B.Fences.size());
-  EXPECT_TRUE(A.Converged);
+  EXPECT_EQ(A.Status, SynthStatus::Converged);
 }

@@ -148,11 +148,11 @@ void printHelp(FILE *Out) {
       "concurrency\n"
       "                      (default 0; the result is bit-identical at "
       "any N)\n"
-      "  --cache on|off      result caches: memoized history checking "
-      "and the\n"
-      "                      cross-round execution cache (default on; "
-      "results\n"
-      "                      are byte-identical either way)\n"
+      "  --cache on|off      the cross-round execution cache and the "
+      "cache\n"
+      "                      statistics (default on; results are "
+      "byte-identical\n"
+      "                      either way)\n"
       "  --dispatch MODE     specialized|generic interpreter dispatch "
       "(default\n"
       "                      specialized: monomorphized per-model loop; "
@@ -599,7 +599,7 @@ int runSynthesis(const ir::Module &M,
     std::printf("sat: %u repair solve(s) hit the search budget; their "
                 "predicate sets are minimal, not necessarily minimum\n",
                 R.SatTruncated);
-  if (R.CannotFix)
+  if (R.Status == synth::SynthStatus::CannotFix)
     std::printf("result: violations not caused by reordering — cannot "
                 "be fixed with fences\nfirst violation: %s\n",
                 R.FirstViolation.c_str());
@@ -616,11 +616,11 @@ int runSynthesis(const ir::Module &M,
                 static_cast<unsigned long long>(R.TotalExecutions),
                 static_cast<unsigned long long>(R.ViolatingExecutions),
                 R.Fences.size(), R.StaticFallbackFences);
-  else if (R.Degraded)
+  else if (R.Status == synth::SynthStatus::Degraded)
     std::printf("result: degraded — %s; fell back to conservative "
                 "static fencing (%u fence(s) added)\n",
                 R.DegradeReason.c_str(), R.StaticFallbackFences);
-  else if (!R.Converged)
+  else if (R.Status != synth::SynthStatus::Converged)
     std::printf("result: %s — %s\n", synth::synthStatusName(R.Status),
                 R.DegradeReason.c_str());
   else if (R.Fences.empty())
@@ -688,7 +688,9 @@ int runSynthesis(const ir::Module &M,
                 R.RoundLog.size());
   // Degraded counts as success: the output program is conservatively
   // fenced and safe, which is the harness's whole point.
-  return R.Converged || R.Degraded || R.Fences.empty() ? 0 : 1;
+  bool Safe = R.Status == synth::SynthStatus::Converged ||
+              R.Status == synth::SynthStatus::Degraded;
+  return Safe || R.Fences.empty() ? 0 : 1;
 }
 
 int cmdSynth(const Options &Opt) {
