@@ -4,21 +4,17 @@
 // out, on Chase-Lev (PSO, linearizability — the richest fence set):
 //
 //   1. per-round repair vs one-shot repair (also see fig4_rounds)
-//   2. SAT minimal-model selection vs exact branch-and-bound hitting set
-//   3. redundant-fence merge pass on/off
-//   4. scheduler partial-order reduction on/off
-//   5. inter-operation [store ≺ return] predicates on/off
+//   2. redundant-fence merge pass on/off
+//   3. scheduler partial-order reduction on/off
+//   4. inter-operation [store ≺ return] predicates on/off
+//   5. demonic flush-delaying scheduler vs deterministic round-robin
 //
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchUtil.h"
-#include "sat/MinimalModels.h"
-#include "sat/ModelEnumeration.h"
 #include "sched/RoundRobinScheduler.h"
-#include "support/Rng.h"
 #include "synth/Synthesizer.h"
 
-#include <chrono>
 #include <set>
 #include <cstdio>
 
@@ -131,45 +127,5 @@ int main() {
                 DistinctViolations(&RR, 0.5));
   }
 
-  {
-    std::printf("6. repair selection vs the enumeration oracle on random "
-                "monotone CNF\n   (same vector wherever enumeration "
-                "finishes below its 4096-model cap):\n");
-    const size_t Cap = 4096;
-    Rng R(99);
-    int Agree = 0, Compared = 0, Capped = 0, CappedNotWorse = 0;
-    double ExactMs = 0, EnumMs = 0;
-    for (int Case = 0; Case < 200; ++Case) {
-      sat::MonotoneCnf F;
-      F.NumVars = 4 + static_cast<unsigned>(R.nextBelow(12));
-      unsigned NumClauses = 2 + static_cast<unsigned>(R.nextBelow(16));
-      for (unsigned I = 0; I < NumClauses; ++I) {
-        std::vector<sat::Var> C;
-        unsigned Len = 1 + static_cast<unsigned>(R.nextBelow(4));
-        for (unsigned K = 0; K < Len; ++K)
-          C.push_back(static_cast<sat::Var>(R.nextBelow(F.NumVars)));
-        F.Clauses.push_back(std::move(C));
-      }
-      bool U1 = false, U2 = false;
-      auto T0 = std::chrono::steady_clock::now();
-      auto A = sat::minimumModel(F, U1);
-      auto T1 = std::chrono::steady_clock::now();
-      auto Models = sat::enumerateMinimalModels(F, Cap, U2);
-      auto Oracle = sat::smallestModel(Models);
-      auto T2 = std::chrono::steady_clock::now();
-      ExactMs += std::chrono::duration<double, std::milli>(T1 - T0).count();
-      EnumMs += std::chrono::duration<double, std::milli>(T2 - T1).count();
-      if (Models.size() >= Cap) {
-        ++Capped;
-        CappedNotWorse += U1 == U2 && A.size() <= Oracle.size();
-        continue;
-      }
-      ++Compared;
-      Agree += U1 == U2 && A == Oracle;
-    }
-    std::printf("  same vector: %d/%d; capped: %d (exact no larger on %d); "
-                "exact %.1f ms total, enumeration %.1f ms total\n",
-                Agree, Compared, Capped, CappedNotWorse, ExactMs, EnumMs);
-  }
   return 0;
 }

@@ -1,15 +1,13 @@
 //===- micro_substrate.cpp - google-benchmark substrate microbenchmarks ---===//
 //
 // Not a paper table: performance health of the substrates (interpreter
-// step rate, SAT solving, history checking, compilation), so regressions
-// in the infrastructure are visible.
+// step rate, repair selection, history checking, compilation), so
+// regressions in the infrastructure are visible.
 //
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchUtil.h"
 #include "sat/MinimalModels.h"
-#include "sat/ModelEnumeration.h"
-#include "sat/Solver.h"
 #include "spec/Checkers.h"
 #include "spec/Specs.h"
 #include "support/Rng.h"
@@ -94,32 +92,7 @@ void BM_LinearizabilityCheck(benchmark::State &State) {
 }
 BENCHMARK(BM_LinearizabilityCheck);
 
-void BM_SatSolveRandom(benchmark::State &State) {
-  for (auto _ : State) {
-    State.PauseTiming();
-    Rng R(42);
-    sat::Solver S;
-    for (int V = 0; V < 60; ++V)
-      S.newVar();
-    bool Ok = true;
-    for (int C = 0; C < 220; ++C) {
-      std::vector<sat::Lit> Clause;
-      for (int K = 0; K < 3; ++K) {
-        auto V = static_cast<sat::Var>(R.nextBelow(60));
-        Clause.push_back(R.nextBool(0.5) ? sat::Lit::pos(V)
-                                         : sat::Lit::neg(V));
-      }
-      Ok = S.addClause(Clause) && Ok;
-    }
-    State.ResumeTiming();
-    bool Sat = Ok && S.solve();
-    benchmark::DoNotOptimize(Sat);
-  }
-}
-BENCHMARK(BM_SatSolveRandom);
-
-/// One random monotone Φ for the repair-selection pair below: the exact
-/// selector synthesis uses, and the enumeration oracle it replaced.
+/// One random monotone Φ for the repair-selection benchmark below.
 sat::MonotoneCnf selectionFormula() {
   sat::MonotoneCnf F;
   F.NumVars = 16;
@@ -142,17 +115,6 @@ void BM_MinimumModelExact(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_MinimumModelExact);
-
-void BM_MinimumModelByEnumeration(benchmark::State &State) {
-  sat::MonotoneCnf F = selectionFormula();
-  for (auto _ : State) {
-    bool Unsat = false;
-    auto Model =
-        sat::smallestModel(sat::enumerateMinimalModels(F, 4096, Unsat));
-    benchmark::DoNotOptimize(Model.size());
-  }
-}
-BENCHMARK(BM_MinimumModelByEnumeration);
 
 void BM_FullSynthesisChaseLevTso(benchmark::State &State) {
   const auto &B = programs::benchmarkByName("Chase-Lev WSQ");

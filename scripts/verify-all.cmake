@@ -32,10 +32,12 @@
 # that gate is deterministic, so it holds at smoke sizes and under
 # sanitizers alike (scenarios/s bars are full-run only).
 #
-# After the three workflows, the repair-selection differential tests
-# (Sat*, MinModel*), the serve-daemon tests (Server*), the daemon smoke
-# tests (ServeSmoke*) and the bench smoke gates (bench_*_smoke) run 20
-# more times on the default build (`ctest --repeat until-fail:20`): the
+# After the three workflows, the repair-selection tests
+# (MinModelDifferentialTest, MinModelPropertyTest, MinModelTest), the
+# serve-daemon tests (Server*), the daemon smoke tests (ServeSmoke*) and
+# the bench smoke gates (bench_*_smoke) run 20 more times on the default
+# build (`ctest --repeat until-fail:20`; "Sat" matches only tests that
+# contain it in passing, such as ClientsSatisfySpecUnderSC). The
 # differential is seeded, both deadline tests stall their executions
 # with a fault plan, and the bench smoke gates check deterministic
 # invariants (bench_exec_smoke's one timing bar, specialized vs generic

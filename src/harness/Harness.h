@@ -12,9 +12,9 @@
 //    watchdog timeout) is retried up to MaxRetries times with a reseeded
 //    schedule and an exponentially growing step budget before it is
 //    finally counted as discarded;
-//  * round- and run-level time budgets (Stopwatch + Budget) that the
-//    synthesis loop consults between executions to trigger graceful
-//    degradation instead of overrunning;
+//  * round- and run-level wall-clock deadlines that the synthesis loop
+//    consults between executions (and threads into each watchdog) to
+//    trigger graceful degradation instead of overrunning;
 //  * crash-repro bundle capture for violating or aborted executions
 //    (see ReproBundle.h).
 //
@@ -66,20 +66,12 @@ private:
   std::chrono::steady_clock::time_point Start;
 };
 
-/// A wall-clock budget; 0 = unlimited.
-struct Budget {
-  uint64_t LimitMs = 0;
-  bool expired(const Stopwatch &W) const {
-    return LimitMs != 0 && W.elapsedMs() >= LimitMs;
-  }
-};
-
-/// An absolute wall-clock deadline. Unlike Budget (a relative allowance
-/// consulted between executions), a Deadline is threaded *into* in-flight
-/// work: the supervision loop caps every attempt's watchdog at the time
-/// remaining, so cancellation fires mid-execution — and therefore
-/// mid-round — instead of only at round boundaries. A default-constructed
-/// Deadline is unarmed and never expires.
+/// An absolute wall-clock deadline. The synthesis loop consults it
+/// between executions, and it is also threaded *into* in-flight work: the
+/// supervision loop caps every attempt's watchdog at the time remaining,
+/// so cancellation fires mid-execution — and therefore mid-round —
+/// instead of only at round boundaries. A default-constructed Deadline is
+/// unarmed and never expires.
 class Deadline {
 public:
   Deadline() = default;

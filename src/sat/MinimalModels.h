@@ -7,8 +7,8 @@
 // deterministically: minimumModel returns the lexicographically smallest
 // minimum-cardinality hitting set, found by an exact iterative-deepening
 // search (see MinimalModels.cpp). The paper's route — enumerate minimal
-// models with a SAT solver, keep the smallest — survives as the test and
-// bench oracle in sat/ModelEnumeration.h.
+// models with a SAT solver, keep the smallest — is not used; the tests
+// check this search against an exhaustive one (tests/SatTest.cpp).
 //
 //===----------------------------------------------------------------------===//
 

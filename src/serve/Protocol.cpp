@@ -14,7 +14,7 @@
 using namespace dfence;
 using namespace dfence::serve;
 
-static std::optional<vm::MemModel> modelByName(const std::string &S) {
+std::optional<vm::MemModel> serve::modelByName(const std::string &S) {
   if (S == "sc")
     return vm::MemModel::SC;
   if (S == "tso")
@@ -24,7 +24,7 @@ static std::optional<vm::MemModel> modelByName(const std::string &S) {
   return std::nullopt;
 }
 
-static std::optional<synth::SpecKind> specByFlag(const std::string &S) {
+std::optional<synth::SpecKind> serve::specByFlag(const std::string &S) {
   if (S == "safety")
     return synth::SpecKind::MemorySafety;
   if (S == "nogarbage")
@@ -96,8 +96,14 @@ std::optional<ServeRequest> serve::parseRequest(const Json &J,
     R.Dump = V->asBool(false);
   if (const Json *V = J.find("seed"))
     R.Seed = V->asU64(0);
-  if (const Json *V = J.find("cache"))
-    R.CacheOn = V->asString() != "off";
+  if (const Json *V = J.find("cache")) {
+    std::string C = V->asString();
+    if (C != "on" && C != "off") {
+      Error = "unknown cache mode '" + C + "' (on|off)";
+      return std::nullopt;
+    }
+    R.CacheOn = C == "on";
+  }
   if (const Json *V = J.find("dispatch"))
     R.Dispatch = V->asString();
   if (const Json *V = J.find("execMs"))
@@ -143,10 +149,9 @@ std::optional<ServeRequest> serve::parseRequest(const Json &J,
   return R;
 }
 
-/// Fills the shared synthesis knobs of \p Cfg from \p R the way the
-/// one-shot CLI's runSynthesis does — same defaults, same portfolio
-/// logic — so an accepted daemon request and the equivalent CLI run
-/// build the same configuration.
+/// Fills the shared synthesis knobs of \p Cfg from \p R. The one-shot
+/// CLI resolves its flags through prepareJob too, so an accepted daemon
+/// request and the equivalent CLI run build the same configuration.
 static bool fillConfig(const ServeRequest &R, vm::MemModel Model,
                        synth::SpecKind Spec,
                        const spec::SpecFactory &Factory,

@@ -2,11 +2,11 @@
 //
 // The wire vocabulary of the synthesis-as-a-service daemon: JSON-lines,
 // one request object in, one response object out, correlated by the
-// caller-chosen "id". The schema deliberately mirrors the one-shot CLI's
-// flags (same names, same defaults, same validation), because the
-// daemon's core guarantee is that an accepted request's canonical result
-// is byte-identical to the one-shot `dfence synth`/`dfence bench` run of
-// the same request at the same --jobs.
+// caller-chosen "id". The schema uses the one-shot CLI's flag names,
+// and `dfence synth`/`dfence bench` fill a ServeRequest from their flags
+// and resolve it with prepareJob, because the daemon's core guarantee is
+// that an accepted request's canonical result is byte-identical to the
+// one-shot run of the same request at the same --jobs.
 //
 // Request ops:
 //   synth    {"op":"synth","source":<minic>,"client":<dsl>, knobs...}
@@ -97,6 +97,12 @@ struct ServeRequest {
   vm::FaultPlan Faults; ///< Fault-injection plan (bundle "faults" schema).
 };
 
+/// Memory models by CLI/request name: sc | tso | pso.
+std::optional<vm::MemModel> modelByName(const std::string &S);
+
+/// Spec kinds by CLI/request name: safety | nogarbage | sc | lin.
+std::optional<synth::SpecKind> specByFlag(const std::string &S);
+
 /// Parses one request object. Returns nullopt with \p Error set on
 /// schema violations (unknown op, missing work definition, bad knob).
 std::optional<ServeRequest> parseRequest(const Json &J, std::string &Error);
@@ -113,8 +119,9 @@ struct SynthJob {
 
 /// Resolves \p R into a runnable job: compiles the source (or looks up
 /// the benchmark), parses the client DSL, resolves spec/seq-spec, and
-/// fills the config exactly like the one-shot CLI would. Deterministic:
-/// a given request always produces the same job or the same error.
+/// fills the config. The daemon, the one-shot CLI, the fuzzer and
+/// perfbench all resolve requests here. Deterministic: a given request
+/// always produces the same job or the same error.
 std::optional<SynthJob> prepareJob(const ServeRequest &R,
                                    std::string &Error);
 

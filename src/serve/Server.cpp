@@ -326,7 +326,7 @@ Json Server::runJob(Pending &P, unsigned Slot) {
   }
 
   // Stamp the server's execution environment. Semantic knobs came from
-  // the request (prepareJob mirrors the CLI); only the *where it runs*
+  // the request (prepareJob, as for the CLI); only the *where it runs*
   // part is ours: an exclusively leased pool slice, the fingerprint-
   // routed cache shard, observability, and the deadline cap on the
   // total wall budget. Capping TotalWallMs cannot change a run that

@@ -298,11 +298,10 @@ SynthResult synth::synthesize(const ir::Module &M,
   Sup.setCacheInfo(Cfg.CacheEnabled ? "on" : "off");
   Sup.setRequestInfo(Cfg.RequestTag);
   harness::Stopwatch Watch;
-  harness::Budget TotalBudget{Cfg.TotalWallMs};
-  // The run-level deadline is threaded into every in-flight execution
-  // (each attempt's watchdog is capped at the time remaining), so the
-  // total budget cancels work mid-round; the Budget above only cancels
-  // slots that have not started.
+  // The run-level deadline cancels slots that have not started and is
+  // threaded into every in-flight execution (each attempt's watchdog is
+  // capped at the time remaining), so the total budget cancels work
+  // mid-round.
   harness::Deadline RunDL = harness::Deadline::after(Cfg.TotalWallMs);
 
   // Functions implicated by some violation's repair candidates; the
@@ -400,7 +399,6 @@ SynthResult synth::synthesize(const ir::Module &M,
     Result.Rounds = Round;
     RoundStats Stats;
     Stats.Round = Round;
-    harness::Stopwatch RoundWatch;
     // Flight recorder bookkeeping: wall-clock bracket of the round and
     // the profiler's attribution watermark, so the round remainder
     // (round_other) can absorb whatever no phase claimed. Finalizes and
@@ -446,7 +444,6 @@ SynthResult synth::synthesize(const ir::Module &M,
       }
       Result.RoundLog.push_back(std::move(S));
     };
-    harness::Budget RoundBudget{Cfg.RoundWallMs};
     harness::Deadline RoundDL = harness::Deadline::sooner(
         RunDL, harness::Deadline::after(Cfg.RoundWallMs));
     OBS_COUNT(RoundsC, 1);
@@ -459,11 +456,8 @@ SynthResult synth::synthesize(const ir::Module &M,
     // retry escalation for discards) with the spec check on the worker.
     exec::RoundPlan Plan = planRound(Cfg, Clients.size(), Round, FP);
     std::function<bool()> StopFn;
-    if (Cfg.TotalWallMs != 0 || Cfg.RoundWallMs != 0)
-      StopFn = [&] {
-        return TotalBudget.expired(Watch) ||
-               RoundBudget.expired(RoundWatch);
-      };
+    if (RoundDL.armed())
+      StopFn = [&] { return RoundDL.expired(); };
     // The execution cache is frozen for the duration of the round —
     // workers only read it; new summaries are inserted below on this
     // thread, and the pool's dispatch/join barriers order those writes
@@ -487,7 +481,7 @@ SynthResult synth::synthesize(const ir::Module &M,
     // prefix [0, Ran) truncates at a deterministic index boundary,
     // exactly where a sequential loop breaking on the budget would.
     bool Truncated = RR.Ran < Plan.Slots.size();
-    if (Truncated && TotalBudget.expired(Watch))
+    if (Truncated && RunDL.expired())
       OutOfTime = true;
 
     // Deterministic aggregation: fold the slots in execution-index order.

@@ -6,7 +6,9 @@
 // round / slot / sat_solve span hierarchy, and the metrics counters are
 // populated. Also pins down the CLI hardening contract: unknown flags
 // exit 2 with a pointed message, and --help lists every observability
-// flag. Runs as part of tier 1 so the end-to-end path cannot rot.
+// flag; and `dfence bench` reports the same fences as `dfence serve` for
+// the same request. Runs as part of tier 1 so the end-to-end path cannot
+// rot.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +22,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 #include <sys/wait.h>
 
 using namespace dfence;
@@ -369,4 +372,48 @@ TEST(CliObsSmokeTest, WallClockFlagReportsTimeoutWithPartialSummary) {
                     Out);
   EXPECT_EQ(Exit, 0);
   EXPECT_NE(Out.find("result: degraded"), std::string::npos) << Out;
+}
+
+// `dfence bench` resolves its flags through the daemon's request path, so
+// the one-shot run and the same request sent to `dfence serve` must
+// report the same fences. Chase-Lev gets two at this K under TSO.
+TEST(CliObsSmokeTest, CliAndServeReportTheSameFences) {
+  std::string Out;
+  int Exit = runCommand(std::string(DFENCE_BIN) +
+                            " bench \"Chase-Lev WSQ\" --model tso --k 200"
+                            " --rounds 4 --jobs 1",
+                        Out);
+  ASSERT_EQ(Exit, 0) << Out;
+  // Fence lines are the indented lines after "result: N enforcement(s)".
+  std::vector<std::string> CliFences;
+  std::istringstream Lines(Out);
+  for (std::string Line; std::getline(Lines, Line);)
+    if (Line.rfind("  ", 0) == 0)
+      CliFences.push_back(Line.substr(2));
+  ASSERT_FALSE(CliFences.empty()) << Out;
+
+  Exit = runCommand(
+      "printf '%s\\n' '{\"op\":\"bench\",\"id\":\"b\","
+      "\"bench\":\"Chase-Lev WSQ\",\"model\":\"tso\",\"k\":200,"
+      "\"rounds\":4}' | " +
+          std::string(DFENCE_BIN) + " serve --jobs 1",
+      Out);
+  ASSERT_EQ(Exit, 0) << Out;
+  std::vector<std::string> ServeFences;
+  bool Answered = false;
+  std::istringstream Resps(Out);
+  for (std::string Line; std::getline(Resps, Line);) {
+    Json J = parseOrFail(Line, "serve response");
+    const Json *Id = J.find("id");
+    if (!Id || Id->asString() != "b")
+      continue;
+    Answered = true;
+    EXPECT_EQ(J.find("status")->asString(), "ok") << Line;
+    const Json *Result = J.find("result");
+    ASSERT_NE(Result, nullptr) << Line;
+    for (const Json &F : Result->find("fences")->items())
+      ServeFences.push_back(F.asString());
+  }
+  ASSERT_TRUE(Answered) << Out;
+  EXPECT_EQ(CliFences, ServeFences);
 }

@@ -2,9 +2,9 @@
 //
 // The wire layer in isolation: request parsing and validation, response
 // builders, the canonical-result rule (cache statistics never appear in
-// the canonical result object), and prepareJob's CLI-equivalent
-// defaulting — including that unknown benchmarks are a structured error,
-// never the abort the CLI-side lookup helper would produce.
+// the canonical result object), and prepareJob's defaulting, which the
+// one-shot CLI resolves through too — including that unknown benchmarks
+// are a structured error, never the abort of programs::benchmarkByName.
 //
 //===----------------------------------------------------------------------===//
 
@@ -85,6 +85,27 @@ TEST(ServeProtocol, DefaultsMatchTheOneShotCli) {
   EXPECT_EQ(R->Retries, 2u);
   EXPECT_EQ(R->DeadlineMs, 0u);
   EXPECT_FALSE(R->HasFaults);
+}
+
+TEST(ServeProtocol, CacheAcceptsOnlyOnOrOff) {
+  auto Request = [](const std::string &Cache) {
+    return parseOrDie("{\"op\":\"bench\",\"bench\":\"MS2 Queue\","
+                      "\"cache\":" +
+                      Cache + "}");
+  };
+  std::string Error;
+  auto On = parseRequest(Request("\"on\""), Error);
+  ASSERT_TRUE(On) << Error;
+  EXPECT_TRUE(On->CacheOn);
+  auto Off = parseRequest(Request("\"off\""), Error);
+  ASSERT_TRUE(Off) << Error;
+  EXPECT_FALSE(Off->CacheOn);
+  // Any other value is a structured error, not a silent "on".
+  for (const char *Bad : {"\"Off\"", "\"no\"", "\"\"", "false"}) {
+    Error.clear();
+    EXPECT_FALSE(parseRequest(Request(Bad), Error)) << Bad;
+    EXPECT_NE(Error.find("cache"), std::string::npos) << Bad;
+  }
 }
 
 TEST(ServeProtocol, FaultPlanTravelsInBundleVocabulary) {

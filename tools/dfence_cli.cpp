@@ -27,6 +27,19 @@
 //       Deterministically re-execute a crash-repro bundle captured with
 //       --repro and check that the recorded violation reproduces.
 //
+//   dfence serve [--jobs N] [--slots N] [--queue N] [--listen PORT]
+//       [--socket PATH] [--metrics-port PORT] [--no-stdio] ...
+//       Long-lived synthesis daemon answering JSON-lines requests on
+//       stdio and/or sockets (docs/SERVICE.md).
+//
+//   dfence fuzz [--fuzz-seed S] [--count N] [--families a,b]
+//       [--via-serve N] [--report FILE] ...
+//       Seeded scenario campaign, outcomes deduped by repair fingerprint
+//       (docs/FUZZING.md).
+//
+// synth and bench fill a serve request from their flags and resolve it
+// with serve::prepareJob, exactly as the daemon does.
+//
 // Synthesis resilience flags: --exec-ms N (per-execution watchdog),
 // --retries N (discard retry budget), --round-ms N / --total-ms N (wall
 // budgets; on exhaustion synthesis degrades to conservative static
@@ -56,6 +69,7 @@
 #include "obs/Convergence.h"
 #include "obs/Obs.h"
 #include "programs/Benchmark.h"
+#include "serve/Protocol.h"
 #include "serve/Server.h"
 #include "serve/Transport.h"
 #include "support/StringUtils.h"
@@ -303,28 +317,6 @@ const std::map<std::string, std::vector<const char *>> &knownFlags() {
   return Table;
 }
 
-std::optional<vm::MemModel> parseModel(const std::string &S) {
-  if (S == "sc")
-    return vm::MemModel::SC;
-  if (S == "tso")
-    return vm::MemModel::TSO;
-  if (S == "pso")
-    return vm::MemModel::PSO;
-  return std::nullopt;
-}
-
-std::optional<synth::SpecKind> parseSpec(const std::string &S) {
-  if (S == "safety")
-    return synth::SpecKind::MemorySafety;
-  if (S == "nogarbage")
-    return synth::SpecKind::NoGarbage;
-  if (S == "sc")
-    return synth::SpecKind::SequentialConsistency;
-  if (S == "lin")
-    return synth::SpecKind::Linearizability;
-  return std::nullopt;
-}
-
 bool readFile(const std::string &Path, std::string &Out) {
   std::ifstream In(Path);
   if (!In)
@@ -332,6 +324,34 @@ bool readFile(const std::string &Path, std::string &Out) {
   std::ostringstream SS;
   SS << In.rdbuf();
   Out = SS.str();
+  return true;
+}
+
+/// Writes \p Metrics to \p Path: .prom/.txt gets the Prometheus text
+/// format, any other file the JSON document, and "-" streams the JSON to
+/// stdout. A written file is confirmed with a "metrics: PATH" line on
+/// \p Confirm. Returns false, after an error message, when the file
+/// cannot be written.
+bool writeMetrics(const obs::Registry &Metrics, const std::string &Path,
+                  FILE *Confirm) {
+  if (Path == "-") {
+    std::printf("%s\n", Metrics.toJson().dump(2).c_str());
+    return true;
+  }
+  std::ofstream Out(Path);
+  if (!Out) {
+    std::fprintf(stderr, "error: cannot write %s\n", Path.c_str());
+    return false;
+  }
+  auto EndsWith = [&](const char *Suf) {
+    size_t N = std::strlen(Suf);
+    return Path.size() >= N && Path.compare(Path.size() - N, N, Suf) == 0;
+  };
+  if (EndsWith(".prom") || EndsWith(".txt"))
+    Out << Metrics.toPrometheus();
+  else
+    Out << Metrics.toJson().dump(2) << "\n";
+  std::fprintf(Confirm, "metrics: %s\n", Path.c_str());
   return true;
 }
 
@@ -405,7 +425,7 @@ int cmdLitmus(const Options &Opt) {
     return 1;
   }
   Client->InitFunc = Opt.get("init");
-  auto Model = parseModel(Opt.get("model", "pso"));
+  auto Model = serve::modelByName(Opt.get("model", "pso"));
   if (!Model) {
     std::fprintf(stderr, "error: unknown --model\n");
     return 1;
@@ -443,85 +463,53 @@ int cmdLitmus(const Options &Opt) {
   return 0;
 }
 
-int runSynthesis(const ir::Module &M,
-                 const std::vector<vm::Client> &Clients,
-                 const Options &Opt, const spec::SpecFactory &Factory,
-                 synth::SpecKind Spec) {
-  synth::SynthConfig Cfg;
-  auto Model = parseModel(Opt.get("model", "pso"));
-  if (!Model || *Model == vm::MemModel::SC) {
-    std::fprintf(stderr,
-                 "error: --model must be tso or pso for synthesis\n");
-    return 1;
-  }
-  Cfg.Model = *Model;
-  Cfg.Spec = Spec;
-  Cfg.Factory = Factory;
-  Cfg.ExecsPerRound = static_cast<unsigned>(Opt.getInt("k", 1000));
-  Cfg.MaxRounds = static_cast<unsigned>(Opt.getInt("rounds", 16));
-  Cfg.MaxRepairRounds = Cfg.MaxRounds;
-  if (Opt.has("flush")) {
-    Cfg.FlushProb = Opt.getDouble("flush", 0.5);
-  } else if (*Model == vm::MemModel::TSO) {
-    Cfg.FlushProb = vm::defaultFlushProb(*Model); // the paper's ~0.1
-  } else {
-    // PSO portfolio: mostly the tuned PSO probability, with the TSO one
-    // mixed in to also catch bugs that need long store delays.
-    Cfg.FlushProbs = {vm::defaultFlushProb(vm::MemModel::PSO),
-                      vm::defaultFlushProb(vm::MemModel::TSO)};
-  }
-  std::string Enf = Opt.get("enforce", "fence");
-  if (Enf == "cas")
-    Cfg.Mode = synth::EnforceMode::CasDummy;
-  else if (Enf == "atomic")
-    Cfg.Mode = synth::EnforceMode::AtomicSection;
-  else if (Enf != "fence") {
-    std::fprintf(stderr, "error: unknown --enforce mode\n");
-    return 1;
-  }
-  Cfg.MergeFences = !Opt.has("no-merge");
-  // Parallel round engine; 0 = hardware concurrency (the CLI default —
-  // deterministic merge makes the result identical at any width).
-  Cfg.Jobs = static_cast<unsigned>(Opt.getInt("jobs", 0));
-  // Result caches (src/cache/): on by default, and invisible in results
-  // by construction — --cache off exists for differential testing and
-  // for bounding memory on enormous runs.
+/// `dfence synth` / `dfence bench`: fills \p Req's knobs from the flags and
+/// resolves it with serve::prepareJob, the daemon's request path, so the
+/// one-shot run and the daemon build the same configuration. Only the
+/// execution environment is the CLI's own: --jobs, --wall-clock, the
+/// observability sinks and the round log.
+int runSynthesis(const Options &Opt, serve::ServeRequest Req) {
+  Req.ClientDsl = Opt.get("client");
+  Req.InitFunc = Opt.get("init");
+  Req.Model = Opt.get("model", Req.Model);
+  Req.Spec = Opt.get("spec");
+  Req.SeqSpec = Opt.get("seq-spec");
+  Req.Enforce = Opt.get("enforce", Req.Enforce);
+  Req.K = static_cast<unsigned>(Opt.getInt("k", Req.K));
+  Req.Rounds = static_cast<unsigned>(Opt.getInt("rounds", Req.Rounds));
+  Req.Flush = Opt.getDouble("flush", Req.Flush);
+  Req.NoMerge = Opt.has("no-merge");
   std::string CacheMode = Opt.get("cache", "on");
   if (CacheMode != "on" && CacheMode != "off") {
     std::fprintf(stderr, "error: --cache must be 'on' or 'off'\n");
     return 1;
   }
-  Cfg.CacheEnabled = CacheMode == "on";
-  // Interpreter dispatch (src/vm/ExecContext.cpp): specialized (the
-  // monomorphized per-model loop) by default; --dispatch generic is the
-  // A/B + debugging escape hatch. Results are byte-identical either way.
-  std::string Dispatch = Opt.get("dispatch", "specialized");
-  if (Dispatch == "generic")
-    Cfg.Dispatch = vm::DispatchMode::Generic;
-  else if (Dispatch != "specialized") {
-    std::fprintf(stderr,
-                 "error: --dispatch must be 'specialized' or 'generic'\n");
-    return 1;
-  }
-
-  // Resilience policy: watchdogs, retry budget, wall budgets, bundles.
-  Cfg.Exec.ExecWallMs =
-      static_cast<uint32_t>(Opt.getInt("exec-ms", 0));
-  Cfg.Exec.MaxRetries =
-      static_cast<unsigned>(Opt.getInt("retries", Cfg.Exec.MaxRetries));
-  Cfg.RoundWallMs = static_cast<uint32_t>(Opt.getInt("round-ms", 0));
-  Cfg.TotalWallMs = static_cast<uint32_t>(Opt.getInt("total-ms", 0));
+  Req.CacheOn = CacheMode == "on";
+  Req.Dispatch = Opt.get("dispatch");
+  Req.ExecMs = static_cast<uint32_t>(Opt.getInt("exec-ms", Req.ExecMs));
+  Req.Retries = static_cast<unsigned>(Opt.getInt("retries", Req.Retries));
+  Req.RoundMs = static_cast<uint32_t>(Opt.getInt("round-ms", Req.RoundMs));
+  Req.TotalMs = static_cast<uint32_t>(Opt.getInt("total-ms", Req.TotalMs));
   // --wall-clock is the hard-deadline spelling of the total budget: it
   // also threads into in-flight rounds (the harness caps each
   // execution's watchdog to the remaining time) and flips the report
   // below to an explicit timeout with a partial-result summary.
   if (uint32_t WC = static_cast<uint32_t>(Opt.getInt("wall-clock", 0)))
-    if (Cfg.TotalWallMs == 0 || WC < Cfg.TotalWallMs)
-      Cfg.TotalWallMs = WC;
-  Cfg.SeqSpecName = Opt.get("seq-spec");
+    if (Req.TotalMs == 0 || WC < Req.TotalMs)
+      Req.TotalMs = WC;
   std::string ReproPath = Opt.get("repro");
-  if (!ReproPath.empty())
-    Cfg.CaptureBundles = true;
+  Req.CaptureBundles = !ReproPath.empty();
+
+  std::string Error;
+  std::optional<serve::SynthJob> Job = serve::prepareJob(Req, Error);
+  if (!Job) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return 1;
+  }
+  synth::SynthConfig &Cfg = Job->Cfg;
+  // Parallel round engine; 0 = hardware concurrency (the CLI default —
+  // deterministic merge makes the result identical at any width).
+  Cfg.Jobs = static_cast<unsigned>(Opt.getInt("jobs", 0));
 
   // Observability (src/obs/): each sink is attached only when requested,
   // so a plain run pays nothing but null checks in the engine.
@@ -573,7 +561,7 @@ int runSynthesis(const ir::Module &M,
     Cfg.RoundLog = &*RoundLog;
   }
 
-  synth::SynthResult R = synth::synthesize(M, Clients, Cfg);
+  synth::SynthResult R = synth::synthesize(Job->M, Job->Clients, Cfg);
   if (R.Status == synth::SynthStatus::ConfigError) {
     std::fprintf(stderr, "error: %s\n", R.Error.c_str());
     return 1;
@@ -647,33 +635,8 @@ int runSynthesis(const ir::Module &M,
   if (Opt.has("dump"))
     std::printf("%s", ir::printModule(R.FencedModule).c_str());
 
-  if (!MetricsOut.empty()) {
-    // File extension picks the exposition format: .prom/.txt gets the
-    // Prometheus text format, everything else the JSON document. "-"
-    // streams JSON to stdout (the --log-json stream convention), so the
-    // "metrics: PATH" confirmation line moves to stderr there.
-    auto EndsWith = [&](const char *Suf) {
-      size_t N = std::strlen(Suf);
-      return MetricsOut.size() >= N &&
-             MetricsOut.compare(MetricsOut.size() - N, N, Suf) == 0;
-    };
-    bool Prom = EndsWith(".prom") || EndsWith(".txt");
-    if (MetricsOut == "-") {
-      std::printf("%s\n", Metrics.toJson().dump(2).c_str());
-    } else {
-      std::ofstream Out(MetricsOut);
-      if (!Out) {
-        std::fprintf(stderr, "error: cannot write %s\n",
-                     MetricsOut.c_str());
-        return 1;
-      }
-      if (Prom)
-        Out << Metrics.toPrometheus();
-      else
-        Out << Metrics.toJson().dump(2) << "\n";
-      std::printf("metrics: %s\n", MetricsOut.c_str());
-    }
-  }
+  if (!MetricsOut.empty() && !writeMetrics(Metrics, MetricsOut, stdout))
+    return 1;
   if (!TraceOut.empty()) {
     std::string Error;
     if (!Trace.saveFile(TraceOut, Error)) {
@@ -694,42 +657,13 @@ int runSynthesis(const ir::Module &M,
 }
 
 int cmdSynth(const Options &Opt) {
-  std::string Src;
-  if (!readFile(Opt.File, Src)) {
+  serve::ServeRequest Req;
+  Req.Kind = serve::ServeRequest::Op::Synth;
+  if (!readFile(Opt.File, Req.Source)) {
     std::fprintf(stderr, "error: cannot read %s\n", Opt.File.c_str());
     return 1;
   }
-  frontend::CompileResult CR = frontend::compileMiniC(Src);
-  if (!CR.Ok) {
-    std::fprintf(stderr, "%s: error: %s\n", Opt.File.c_str(),
-                 CR.Error.c_str());
-    return 1;
-  }
-  std::string Error;
-  auto Client = driver::parseClientDsl(Opt.get("client"), Error);
-  if (!Client) {
-    std::fprintf(stderr, "error: %s\n", Error.c_str());
-    return 1;
-  }
-  Client->InitFunc = Opt.get("init");
-
-  auto Spec = parseSpec(Opt.get("spec", "safety"));
-  if (!Spec) {
-    std::fprintf(stderr, "error: unknown --spec\n");
-    return 1;
-  }
-  spec::SpecFactory Factory;
-  if (*Spec == synth::SpecKind::SequentialConsistency ||
-      *Spec == synth::SpecKind::Linearizability) {
-    Factory = driver::specByName(Opt.get("seq-spec"));
-    if (!Factory) {
-      std::fprintf(stderr,
-                   "error: --spec sc/lin needs --seq-spec (one of %s)\n",
-                   join(driver::knownSpecNames(), ", ").c_str());
-      return 1;
-    }
-  }
-  return runSynthesis(CR.Module, {*Client}, Opt, Factory, *Spec);
+  return runSynthesis(Opt, std::move(Req));
 }
 
 std::optional<synth::SpecKind> specKindByName(const std::string &S) {
@@ -817,29 +751,10 @@ int cmdBench(const Options &Opt) {
                   B.Description.c_str());
     return 0;
   }
-  const programs::Benchmark *Found = nullptr;
-  for (const programs::Benchmark &B : programs::allBenchmarks())
-    if (B.Name == Opt.File)
-      Found = &B;
-  for (const programs::Benchmark &B : programs::extendedBenchmarks())
-    if (B.Name == Opt.File)
-      Found = &B;
-  if (!Found) {
-    std::fprintf(stderr,
-                 "error: unknown benchmark (try 'dfence bench list')\n");
-    return 1;
-  }
-  frontend::CompileResult CR = frontend::compileMiniC(Found->Source);
-  if (!CR.Ok)
-    return 1;
-  auto Spec = parseSpec(
-      Opt.get("spec", Found->UseNoGarbage ? "nogarbage" : "sc"));
-  if (!Spec) {
-    std::fprintf(stderr, "error: unknown --spec\n");
-    return 1;
-  }
-  return runSynthesis(CR.Module, Found->Clients, Opt, Found->Factory,
-                      *Spec);
+  serve::ServeRequest Req;
+  Req.Kind = serve::ServeRequest::Op::Bench;
+  Req.BenchName = Opt.File;
+  return runSynthesis(Opt, std::move(Req));
 }
 
 /// `dfence serve`: the long-lived synthesis-as-a-service daemon
@@ -932,30 +847,10 @@ int cmdServe(const Options &Opt) {
     Rc = serve::runTransport(S, TO);
   } // Server drains before the metrics flush below.
 
-  if (!MetricsOut.empty()) {
-    auto EndsWith = [&](const char *Suf) {
-      size_t N = std::strlen(Suf);
-      return MetricsOut.size() >= N &&
-             MetricsOut.compare(MetricsOut.size() - N, N, Suf) == 0;
-    };
-    if (MetricsOut == "-") {
-      // Flushed after the server drained, so stdio transport responses
-      // and the metrics document cannot interleave.
-      std::printf("%s\n", Metrics.toJson().dump(2).c_str());
-    } else {
-      std::ofstream Out(MetricsOut);
-      if (!Out) {
-        std::fprintf(stderr, "error: cannot write %s\n",
-                     MetricsOut.c_str());
-        return 1;
-      }
-      if (EndsWith(".prom") || EndsWith(".txt"))
-        Out << Metrics.toPrometheus();
-      else
-        Out << Metrics.toJson().dump(2) << "\n";
-      std::fprintf(stderr, "metrics: %s\n", MetricsOut.c_str());
-    }
-  }
+  // Flushed after the server drained, so stdio transport responses and
+  // a metrics document on stdout cannot interleave.
+  if (!MetricsOut.empty() && !writeMetrics(Metrics, MetricsOut, stderr))
+    return 1;
   return Rc;
 }
 
@@ -1030,7 +925,7 @@ int cmdFuzz(const Options &Opt) {
 
   fuzz::CampaignConfig CC;
   CC.Model = Opt.get("model", "pso");
-  auto Model = parseModel(CC.Model);
+  auto Model = serve::modelByName(CC.Model);
   if (!Model || *Model == vm::MemModel::SC) {
     std::fprintf(stderr,
                  "error: --model must be tso or pso for fuzzing\n");
@@ -1137,28 +1032,8 @@ int cmdFuzz(const Options &Opt) {
     std::printf("report: %s (%llu line(s))\n", ReportPath.c_str(),
                 static_cast<unsigned long long>(R.Scenarios + 1));
 
-  if (!MetricsOut.empty()) {
-    auto EndsWith = [&](const char *Suf) {
-      size_t N = std::strlen(Suf);
-      return MetricsOut.size() >= N &&
-             MetricsOut.compare(MetricsOut.size() - N, N, Suf) == 0;
-    };
-    if (MetricsOut == "-") {
-      std::printf("%s\n", Metrics.toJson().dump(2).c_str());
-    } else {
-      std::ofstream Out(MetricsOut);
-      if (!Out) {
-        std::fprintf(stderr, "error: cannot write %s\n",
-                     MetricsOut.c_str());
-        return 1;
-      }
-      if (EndsWith(".prom") || EndsWith(".txt"))
-        Out << Metrics.toPrometheus();
-      else
-        Out << Metrics.toJson().dump(2) << "\n";
-      std::printf("metrics: %s\n", MetricsOut.c_str());
-    }
-  }
+  if (!MetricsOut.empty() && !writeMetrics(Metrics, MetricsOut, stdout))
+    return 1;
   return 0;
 }
 
