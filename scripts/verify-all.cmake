@@ -33,11 +33,10 @@
 # sanitizers alike (scenarios/s bars are full-run only).
 #
 # After the three workflows, the repair-selection tests
-# (MinModelDifferentialTest, MinModelPropertyTest, MinModelTest), the
-# serve-daemon tests (Server*), the daemon smoke tests (ServeSmoke*) and
-# the bench smoke gates (bench_*_smoke) run 20 more times on the default
-# build (`ctest --repeat until-fail:20`; "Sat" matches only tests that
-# contain it in passing, such as ClientsSatisfySpecUnderSC). The
+# (MinimalModelsTest, MinModelDifferentialTest, MinModelPropertyTest,
+# MinModelTest), the serve-daemon tests (Server*), the daemon smoke
+# tests (ServeSmoke*) and the bench smoke gates (bench_*_smoke) run 20
+# more times on the default build (`ctest --repeat until-fail:20`). The
 # differential is seeded, both deadline tests stall their executions
 # with a fault plan, and the bench smoke gates check deterministic
 # invariants (bench_exec_smoke's one timing bar, specialized vs generic
@@ -53,7 +52,7 @@ foreach(preset IN ITEMS verify-default verify-sanitize verify-tsan)
     message(FATAL_ERROR "workflow ${preset} failed (exit ${rc})")
   endif()
 endforeach()
-set(repeat_re "Sat|MinModel|Server|ServeSmoke|bench_.*_smoke")
+set(repeat_re "MinimalModels|MinModel|Server|ServeSmoke|bench_.*_smoke")
 message(STATUS "==== repeat: ${repeat_re} x20 (default build) ====")
 execute_process(
   COMMAND ${CMAKE_CTEST_COMMAND} --preset default

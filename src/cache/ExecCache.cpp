@@ -1,4 +1,4 @@
-//===- ExecCache.cpp - Cross-round execution result cache -----------------===//
+//===- ExecCache.cpp - Whole-round execution result cache -----------------===//
 
 #include "cache/ExecCache.h"
 
@@ -21,7 +21,7 @@ uint64_t cache::fingerprintModule(const ir::Module &M) {
   return vm::hashMix64(H);
 }
 
-static uint64_t fingerprintString(uint64_t H, const std::string &S) {
+uint64_t cache::fingerprintString(uint64_t H, const std::string &S) {
   uint64_t F = 1469598103934665603ULL;
   for (char C : S)
     F = (F ^ static_cast<unsigned char>(C)) * 1099511628211ULL;
@@ -48,16 +48,25 @@ uint64_t cache::fingerprintClient(const vm::Client &C) {
   return vm::hashMix64(H);
 }
 
-uint64_t ExecKey::hash() const {
-  uint64_t H = ModuleFp;
-  H = vm::hashCombine(H, ClientFp);
-  H = vm::hashCombine(H, Seed);
-  H = vm::hashCombine(H, FlushProbBits);
-  H = vm::hashCombine(H, MaxSteps);
-  H = vm::hashCombine(H, PolicyFp);
-  H = vm::hashCombine(H, (static_cast<uint64_t>(Model) << 3) |
-                             (static_cast<uint64_t>(CollectRepairs) << 2) |
-                             (static_cast<uint64_t>(InterOpPredicates) << 1) |
-                             static_cast<uint64_t>(PartialOrderReduction));
-  return H;
+const std::vector<exec::RoundSlot> *ExecCache::lookup(const RoundKey &K) {
+  Lookups.fetch_add(K.K, std::memory_order_relaxed);
+  auto It = Rounds.find(K);
+  if (It == Rounds.end())
+    return nullptr;
+  Hits.fetch_add(K.K, std::memory_order_relaxed);
+  return &It->second;
+}
+
+bool ExecCache::insert(const RoundKey &K,
+                       std::vector<exec::RoundSlot> Slots) {
+  size_t N = Slots.size();
+  if (size() + N > MaxExecutions) {
+    RejectedFull.fetch_add(N, std::memory_order_relaxed);
+    return false;
+  }
+  if (!Rounds.try_emplace(K, std::move(Slots)).second)
+    return false;
+  Stored.fetch_add(N, std::memory_order_relaxed);
+  Inserts.fetch_add(N, std::memory_order_relaxed);
+  return true;
 }

@@ -1,40 +1,44 @@
-//===- ExecCache.h - Cross-round execution result cache ---------*- C++ -*-===//
+//===- ExecCache.h - Whole-round execution result cache ---------*- C++ -*-===//
 //
-// After a repair round, synthesis keeps running rounds against a module
-// that no longer changes; under the nominal-index seed derivation each
-// (module, client, seed, flush, policy) configuration is a pure function
-// of its key, so re-running one that was already run — the final
-// confirming rounds of a converged run, or a whole re-verification of an
-// unchanged program — is redundant work. The ExecCache maps a full
-// execution key to a compact summary of everything the synthesis merge
-// fold observes (outcome, stats, repair disjunction, verdict, harness
-// accounting) — deliberately *not* the history or trace, which is why
-// bundle capture disables the cache rather than storing them.
+// Under the nominal-index plan (synth/Synthesizer.cpp, planRound) the K
+// executions of a round are a pure function of the module they run, the
+// round's first global execution index, K, and the run's configuration —
+// and so are their verdicts, once the spec is part of that configuration.
+// An identical request (re-verifying an unchanged program with the same
+// seed and knobs, or the serve daemon seeing the same request again)
+// therefore re-runs rounds that already ran. The ExecCache stores whole
+// rounds: synthesize() looks a round up on its merge thread before
+// dispatching it and, on a hit, folds the stored slots exactly as fresh
+// ones without touching the pool. Slots of one run never repeat (each has
+// its own seed), so a run never hits its own entries; the traffic the
+// cache serves is repeated requests.
 //
-// Keys embed a fingerprint of the module *after* fence enforcement and of
-// the client, plus every ExecConfig and retry-policy field that can alter
-// the result. The full key is stored and compared on lookup, so a
-// fingerprint collision degrades to a miss. Insertion stops at a fixed
-// capacity (no eviction): hits or misses must depend only on the sequence
-// of lookups/inserts, never on timing, to keep results reproducible.
+// A stored slot keeps everything the merge fold reads — outcome, stats,
+// repair disjunction, verdict, harness accounting — but not the history
+// or trace, which is why bundle capture disables the cache. Only rounds
+// that ran to the end with no timed-out slot are stored. Capacity and the
+// lifetime counters are counted in executions; insertion stops at the
+// capacity (no eviction), so hits depend only on the sequence of lookups
+// and inserts, never on timing.
 //
-// Concurrency contract: frozen during a round (workers only call the
-// const lookup); mutated only between rounds on the merge thread, in
-// execution-index order. The pool's batch barrier orders the two phases.
+// Only the merge thread of the one synthesize() call that owns the cache
+// touches its rounds. The serve daemon shares caches across requests
+// through ShardedExecCache, which serializes the requests of one shard.
 //
 //===----------------------------------------------------------------------===//
 
 #ifndef DFENCE_CACHE_EXECCACHE_H
 #define DFENCE_CACHE_EXECCACHE_H
 
+#include "exec/RoundRunner.h"
 #include "vm/Client.h"
-#include "vm/Interp.h"
 
 #include <atomic>
+#include <compare>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace dfence::ir {
@@ -53,97 +57,53 @@ uint64_t fingerprintModule(const ir::Module &M);
 /// excluded — it never reaches the engine.
 uint64_t fingerprintClient(const vm::Client &C);
 
-/// Everything a supervised execution's result is a function of. Scheduler
-/// must be the engine-internal RandomFlushScheduler (an external Sched,
-/// wall-clock watchdogs, fault plans and trace capture make a slot
-/// non-cacheable; the planner simply never builds keys for those).
-struct ExecKey {
+/// Folds the bytes of \p S into fingerprint \p H.
+uint64_t fingerprintString(uint64_t H, const std::string &S);
+
+/// Identifies one round of one run. RunFp must cover every input of the
+/// round's slots besides the module: clients, seed and flush streams,
+/// step budget, retry policy, execution knobs, spec and sequential spec.
+struct RoundKey {
   uint64_t ModuleFp = 0;
-  uint64_t ClientFp = 0;
-  uint64_t Seed = 0;
-  uint64_t FlushProbBits = 0; ///< Bit pattern of ExecConfig::FlushProb.
-  uint64_t MaxSteps = 0;
-  uint64_t PolicyFp = 0; ///< Retry policy (it remixes seed/steps).
-  uint8_t Model = 0;
-  bool CollectRepairs = false;
-  bool InterOpPredicates = false;
-  bool PartialOrderReduction = false;
+  uint64_t RunFp = 0;
+  uint64_t First = 0; ///< Global index of the round's first execution.
+  uint32_t K = 0;     ///< Executions per round.
 
-  bool operator==(const ExecKey &) const = default;
-  uint64_t hash() const;
-};
-
-struct ExecKeyHasher {
-  size_t operator()(const ExecKey &K) const {
-    return static_cast<size_t>(K.hash());
-  }
-};
-
-/// Compact record of one supervised execution: exactly the fields the
-/// synthesis merge fold reads, minus history and trace.
-struct ExecSummary {
-  vm::Outcome Out = vm::Outcome::Completed;
-  vm::ExecStats Stats;
-  vm::RepairDisjunction Repairs;
-  std::string Message;
-  size_t Steps = 0;
-  /// The spec verdict for this execution (a pure function of the result,
-  /// so memoizing it alongside is sound); empty = acceptable.
-  std::string Violation;
-  unsigned Attempts = 1;
-  bool Discarded = false;
-  bool TimedOut = false;
-  uint64_t UsedSeed = 0;
-  size_t UsedMaxSteps = 0;
+  auto operator<=>(const RoundKey &) const = default;
 };
 
 class ExecCache {
 public:
-  explicit ExecCache(size_t MaxEntries = 1 << 15)
-      : MaxEntries(MaxEntries) {}
+  /// \p MaxExecutions caps the stored slots summed over all rounds.
+  explicit ExecCache(size_t MaxExecutions = 1 << 15)
+      : MaxExecutions(MaxExecutions) {}
 
-  /// Lifetime accounting of a shared cache instance (the serve daemon
-  /// keeps one warm cache across requests and reports these). Purely
-  /// observational: the counters never feed back into lookup/insert
-  /// decisions, so they cannot perturb the deterministic hit pattern.
+  /// Lifetime accounting, counted in executions (a round lookup counts
+  /// K). The serve daemon keeps warm caches across requests and reports
+  /// these. Purely observational: the counters never feed back into
+  /// lookup/insert decisions.
   struct Stats {
     uint64_t Lookups = 0;
     uint64_t Hits = 0;
     uint64_t Inserts = 0;
-    uint64_t RejectedFull = 0; ///< Inserts dropped at capacity.
+    uint64_t RejectedFull = 0; ///< Executions not stored at capacity.
   };
 
-  /// Returns the summary stored for \p K, or null. Safe to call
-  /// concurrently with other lookups (the map is not mutated; the stat
-  /// counters are relaxed atomics).
-  const ExecSummary *lookup(const ExecKey &K) const {
-    Lookups.fetch_add(1, std::memory_order_relaxed);
-    auto It = Map.find(K);
-    if (It == Map.end())
-      return nullptr;
-    Hits.fetch_add(1, std::memory_order_relaxed);
-    return &It->second;
-  }
+  /// The slots stored for round \p K, or null.
+  const std::vector<exec::RoundSlot> *lookup(const RoundKey &K);
 
-  /// Stores \p S under \p K. Returns false (and stores nothing) when the
-  /// key is already present or the deterministic capacity is reached.
-  /// Merge-thread only; never call while a round is in flight.
-  bool insert(const ExecKey &K, ExecSummary S) {
-    if (Map.size() >= MaxEntries) {
-      RejectedFull.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    if (!Map.try_emplace(K, std::move(S)).second)
-      return false;
-    Inserts.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
+  /// Stores a whole round's \p Slots (history and trace already dropped)
+  /// under \p K. Returns false, storing nothing, when the key is present
+  /// or the round does not fit in the remaining capacity.
+  bool insert(const RoundKey &K, std::vector<exec::RoundSlot> Slots);
 
-  size_t size() const { return Map.size(); }
-  size_t capacity() const { return MaxEntries; }
+  /// Stored executions; safe to read while the owner inserts.
+  size_t size() const { return Stored.load(std::memory_order_relaxed); }
+  size_t capacity() const { return MaxExecutions; }
 
-  /// Snapshot of the lifetime counters; safe to call concurrently with
-  /// lookups (values are individually consistent, not a global cut).
+  /// Snapshot of the lifetime counters; safe to call while the owner
+  /// looks up and inserts (values are individually consistent, not a
+  /// global cut).
   Stats stats() const {
     Stats S;
     S.Lookups = Lookups.load(std::memory_order_relaxed);
@@ -154,30 +114,28 @@ public:
   }
 
 private:
-  size_t MaxEntries;
-  std::unordered_map<ExecKey, ExecSummary, ExecKeyHasher> Map;
-  mutable std::atomic<uint64_t> Lookups{0}, Hits{0};
-  std::atomic<uint64_t> Inserts{0}, RejectedFull{0};
+  size_t MaxExecutions;
+  std::map<RoundKey, std::vector<exec::RoundSlot>> Rounds;
+  std::atomic<size_t> Stored{0};
+  std::atomic<uint64_t> Lookups{0}, Hits{0}, Inserts{0}, RejectedFull{0};
 };
 
 /// N independent ExecCaches behind a request-fingerprint router, for the
-/// concurrent serve dispatcher. The plain ExecCache's contract — frozen
-/// during a round, mutated only between rounds, never used by concurrent
-/// synthesize() calls — becomes a *per-shard* invariant: a request is
-/// routed to shardIndex(requestFp) and must hold that shard's mutex for
-/// its whole run, so two concurrent requests either touch different
-/// shards (fully independent) or serialize on the same one.
+/// concurrent serve dispatcher. A request is routed to
+/// shardIndex(requestFp) and must hold that shard's mutex for its whole
+/// run, so two concurrent requests either touch different shards (fully
+/// independent) or serialize on the same one.
 ///
 /// Routing is keyed by the request's content fingerprint, not by which
 /// dispatcher slot happens to run it: a repeated request always lands on
 /// the shard holding its warm entries, so hit patterns (and therefore
 /// the reported cache stats) are scheduling-independent. Canonical
 /// result bytes never depend on hits at all — a hit replays a recorded
-/// result bit-identical to a fresh execution.
+/// round bit-identical to a fresh one.
 class ShardedExecCache {
 public:
-  /// \p TotalEntries is split evenly across \p NumShards (each shard
-  /// gets at least 1 entry of capacity).
+  /// \p TotalEntries (executions) is split evenly across \p NumShards
+  /// (each shard gets at least 1 execution of capacity).
   explicit ShardedExecCache(size_t NumShards, size_t TotalEntries)
       : Mutexes(NumShards ? NumShards : 1) {
     size_t N = NumShards ? NumShards : 1;
@@ -202,8 +160,8 @@ public:
   const ExecCache &shard(size_t I) const { return *Shards[I]; }
 
   /// Serializes same-shard requests: lock for the whole synthesize()
-  /// call that uses shard(I) — that is what makes the per-shard
-  /// exclusivity contract hold under a concurrent dispatcher.
+  /// call that uses shard(I), so only one merge thread owns a shard at a
+  /// time under a concurrent dispatcher.
   std::mutex &shardMutex(size_t I) { return Mutexes[I]; }
 
   size_t size() const {

@@ -65,8 +65,8 @@ unsigned resolveJobs(unsigned Requested);
 /// Slice-relative index of the pool worker executing the current thread:
 /// 0 for the runOrdered caller (and for any thread never owned by a
 /// pool), 1..W-1 for the slice's spawned workers. Thread-local; valid
-/// inside Body callbacks, where instrumentation uses it as the counter
-/// shard and the check-cache shard.
+/// inside Body callbacks, where it picks the worker's counter shard and
+/// persistent context.
 unsigned currentWorker();
 
 /// A contiguous, exclusively-leased partition of an ExecPool: its own

@@ -10,36 +10,12 @@
 using namespace dfence;
 using namespace dfence::exec;
 
-/// Reconstructs a slot result from a cached summary. The summary carries
-/// every field the merge fold reads — but no history and no trace, so
-/// served slots must never reach a consumer that needs either (the
-/// synthesizer disables the execution cache when capturing bundles).
-static void applySummary(const cache::ExecSummary &Sum, RoundSlot &S) {
-  vm::ExecResult &R = S.SE.Result;
-  R.Out = Sum.Out;
-  R.Hist.Ops.clear();
-  R.Hist.Hash = 0;
-  R.Stats = Sum.Stats;
-  R.Repairs = Sum.Repairs;
-  R.Message = Sum.Message;
-  R.Steps = Sum.Steps;
-  R.Trace.clear();
-  S.SE.Attempts = Sum.Attempts;
-  S.SE.Discarded = Sum.Discarded;
-  S.SE.TimedOut = Sum.TimedOut;
-  S.SE.UsedSeed = Sum.UsedSeed;
-  S.SE.UsedMaxSteps = Sum.UsedMaxSteps;
-  S.Violation = Sum.Violation;
-  S.FromExecCache = true;
-}
-
 RoundResult exec::runRound(PoolSlice &Slice, const vm::PreparedProgram &P,
                            const RoundPlan &Plan,
                            const harness::ExecPolicy &Policy,
                            const ViolationCheck &Check,
                            const std::function<bool()> &Stop,
                            const obs::ObsContext *Obs,
-                           const cache::ExecCache *Exec,
                            const harness::Deadline &DL) {
   obs::TraceSink *Trace = obs::traceOrNull(Obs);
   obs::Profiler *Prof = obs::profilerOrNull(Obs);
@@ -58,20 +34,6 @@ RoundResult exec::runRound(PoolSlice &Slice, const vm::PreparedProgram &P,
         // contexts stay slice-relative.
         unsigned GWorker = Slice.base() + Worker;
         OBS_SPAN(SlotSpan, Trace, "slot", "exec", GWorker);
-        // Cross-round cache: a cacheable slot whose exact key was run
-        // before (against this module generation) skips the execution
-        // and the check both; the summary already embeds the verdict.
-        if (Exec && EP.Cacheable) {
-          if (const cache::ExecSummary *Sum = Exec->lookup(EP.Key)) {
-            applySummary(*Sum, S);
-            if (Trace) {
-              SlotSpan.arg("index", static_cast<uint64_t>(I));
-              SlotSpan.arg("seed", EP.EC.Seed);
-              SlotSpan.arg("cache", std::string("exec-hit"));
-            }
-            return;
-          }
-        }
         // Flight recorder: attach (or detach) this worker's phase shard
         // before every slot — the persistent context outlives rounds, so
         // a run without a profiler must clear a previously attached

@@ -21,7 +21,6 @@
 #ifndef DFENCE_EXEC_ROUNDRUNNER_H
 #define DFENCE_EXEC_ROUNDRUNNER_H
 
-#include "cache/ExecCache.h"
 #include "exec/ExecPool.h"
 #include "harness/Harness.h"
 #include "vm/Client.h"
@@ -38,12 +37,6 @@ namespace dfence::exec {
 struct ExecPlan {
   vm::ExecConfig EC;
   uint32_t ClientIdx = 0; ///< Index into the round's client vector.
-  /// Cross-round cache key; meaningful only when Cacheable.
-  cache::ExecKey Key;
-  /// The slot's result is a pure function of Key: no external scheduler,
-  /// wall-clock watchdog, fault plan or trace capture involved. Only such
-  /// slots consult (or later populate) the execution cache.
-  bool Cacheable = false;
 };
 
 /// A whole round's worth of slots. Slot I of round R must be planned from
@@ -61,11 +54,6 @@ struct RoundSlot {
   /// Violation diagnostics from the caller-supplied check; empty when the
   /// execution was acceptable or discarded.
   std::string Violation;
-  /// The slot was served from the execution cache: SE/Violation were
-  /// reconstructed from a summary and SE.Result carries no history or
-  /// trace. Jobs-invariant (the cache is frozen during the round, so a
-  /// hit depends only on the plan and cache contents, not on timing).
-  bool FromExecCache = false;
 };
 
 struct RoundResult {
@@ -92,11 +80,7 @@ using ViolationCheck = std::function<std::string(const vm::ExecResult &)>;
 /// every slot emits a "slot" span on its worker's trace track
 /// (tid = Slice.base() + currentWorker(), globally unique across
 /// concurrently running slices) with the slot index, seed, outcome and
-/// retry count as args. \p Exec is an optional caller-owned cross-round
-/// execution cache, frozen for the whole round (runRound only reads it;
-/// the caller inserts new results between rounds): cacheable slots with
-/// a stored key skip execution entirely, without changing any slot's
-/// observable result. Null disables execution skipping.
+/// retry count as args.
 ///
 /// \p DL is the round's wall-clock deadline. Unlike \p Stop (which only
 /// cancels slots that have not started), an armed deadline is threaded
@@ -110,7 +94,6 @@ RoundResult runRound(PoolSlice &Slice, const vm::PreparedProgram &P,
                      const ViolationCheck &Check,
                      const std::function<bool()> &Stop = nullptr,
                      const obs::ObsContext *Obs = nullptr,
-                     const cache::ExecCache *Exec = nullptr,
                      const harness::Deadline &DL = {});
 
 } // namespace dfence::exec

@@ -24,20 +24,18 @@ static uint64_t remixSeed(uint64_t Seed, uint64_t Salt, unsigned Attempt) {
   return Z ^ (Z >> 31);
 }
 
-/// The shared supervision loop: watchdog, reseeded retries, growing step
-/// budget. \p Run fills an ExecResult for the attempt's config; both
-/// public overloads differ only in how an attempt executes.
-///
-/// When \p DL is armed, each attempt's watchdog is capped at the time
-/// remaining, and an expired deadline yields a synthetic Timeout without
-/// running at all. Capping WallClockMs never changes the *content* of an
+/// Deadline handling: when \p DL is armed, each attempt's watchdog is
+/// capped at the time remaining, and an expired deadline yields a
+/// synthetic Timeout without running at all. Capping WallClockMs never changes the *content* of an
 /// execution that completes (the watchdog only decides timeout-vs-
 /// complete), so deadline-capped runs stay bit-identical to uncapped
 /// ones whenever they finish in time.
-template <typename RunFn>
-static SupervisedExec superviseLoop(vm::ExecConfig EC,
-                                    const ExecPolicy &Policy,
-                                    const Deadline &DL, RunFn Run) {
+SupervisedExec harness::runSupervised(const vm::PreparedProgram &P,
+                                      size_t ClientIdx,
+                                      vm::ExecContext &Ctx,
+                                      vm::ExecConfig EC,
+                                      const ExecPolicy &Policy,
+                                      const Deadline &DL) {
   if (Policy.ExecWallMs != 0)
     EC.WallClockMs = Policy.ExecWallMs;
 
@@ -73,7 +71,7 @@ static SupervisedExec superviseLoop(vm::ExecConfig EC,
       if (EC.WallClockMs == 0 || EC.WallClockMs > Cap)
         EC.WallClockMs = Cap;
     }
-    Run(EC, SE.Result);
+    Ctx.run(P, ClientIdx, EC, SE.Result);
     SE.Attempts = Attempt + 1;
     SE.UsedSeed = EC.Seed;
     SE.UsedMaxSteps = EC.MaxSteps;
@@ -86,40 +84,6 @@ static SupervisedExec superviseLoop(vm::ExecConfig EC,
       break;
     }
   }
-  return SE;
-}
-
-SupervisedExec harness::runSupervised(const ir::Module &M,
-                                      const vm::Client &C,
-                                      vm::ExecConfig EC,
-                                      const ExecPolicy &Policy,
-                                      const Deadline &DL) {
-  return superviseLoop(EC, Policy, DL,
-                       [&](const vm::ExecConfig &AttemptEC,
-                           vm::ExecResult &R) {
-                         R = vm::runExecution(M, C, AttemptEC);
-                       });
-}
-
-SupervisedExec harness::runSupervised(const vm::PreparedProgram &P,
-                                      size_t ClientIdx,
-                                      vm::ExecContext &Ctx,
-                                      vm::ExecConfig EC,
-                                      const ExecPolicy &Policy,
-                                      const Deadline &DL) {
-  return superviseLoop(EC, Policy, DL,
-                       [&](const vm::ExecConfig &AttemptEC,
-                           vm::ExecResult &R) {
-                         Ctx.run(P, ClientIdx, AttemptEC, R);
-                       });
-}
-
-SupervisedExec Supervisor::run(const ir::Module &M, const vm::Client &C,
-                               vm::ExecConfig EC) {
-  if (CaptureBundles)
-    EC.RecordTrace = true;
-  SupervisedExec SE = runSupervised(M, C, EC, Policy);
-  fold(M, C, EC, SE);
   return SE;
 }
 

@@ -131,25 +131,18 @@ struct SupervisedExec {
 /// True for the outcomes the synthesis loop discards rather than checks.
 bool isDiscardedOutcome(vm::Outcome O);
 
-/// Runs one execution of \p C against \p M under \p Policy: applies the
-/// watchdog and retries discarded runs with a reseeded schedule and an
-/// exponentially larger step budget. \p EC is taken by value; the policy
-/// overrides its WallClockMs and (on retries) Seed and MaxSteps. When
-/// \p DL is armed, every attempt's watchdog is additionally capped at
-/// the time remaining (an expired deadline yields an immediate Timeout
-/// without running), so an in-flight execution cannot outlive its
-/// caller's wall-clock budget.
-SupervisedExec runSupervised(const ir::Module &M, const vm::Client &C,
-                             vm::ExecConfig EC, const ExecPolicy &Policy,
-                             const Deadline &DL = {});
-
-/// Prepared-program variant: the same supervision loop (same retry
-/// seeds, same budget growth, bit-identical results), but every attempt
-/// runs client \p ClientIdx of \p P on the caller-owned reusable \p Ctx
-/// instead of building a fresh engine. This is the round engine's hot
-/// path — each pool slot passes its persistent context, so steady-state
-/// rounds execute without per-execution allocation. \p Ctx must not be
-/// used concurrently from another thread.
+/// Runs client \p ClientIdx of \p P once under \p Policy on the
+/// caller-owned reusable \p Ctx: applies the watchdog and retries
+/// discarded runs with a reseeded schedule and an exponentially larger
+/// step budget. \p EC is taken by value; the policy overrides its
+/// WallClockMs and (on retries) Seed and MaxSteps. When \p DL is armed,
+/// every attempt's watchdog is additionally capped at the time remaining
+/// (an expired deadline yields an immediate Timeout without running), so
+/// an in-flight execution cannot outlive its caller's wall-clock budget.
+/// This is the round engine's hot path — each pool slot passes its
+/// persistent context, so steady-state rounds execute without
+/// per-execution allocation. \p Ctx must not be used concurrently from
+/// another thread.
 SupervisedExec runSupervised(const vm::PreparedProgram &P, size_t ClientIdx,
                              vm::ExecContext &Ctx, vm::ExecConfig EC,
                              const ExecPolicy &Policy,
@@ -170,8 +163,7 @@ class Supervisor {
 public:
   explicit Supervisor(ExecPolicy Policy = {}) : Policy(Policy) {}
 
-  /// Enables bundle capture (at most \p MaxBundles are kept). Executions
-  /// supervised afterwards run with trace recording on.
+  /// Enables bundle capture (at most \p MaxBundles are kept).
   void enableBundleCapture(size_t MaxBundles) {
     CaptureBundles = true;
     this->MaxBundles = MaxBundles;
@@ -197,20 +189,16 @@ public:
   /// disk names the request that generated it.
   void setRequestInfo(std::string Id) { RequestId = std::move(Id); }
 
-  /// Supervises one execution. When capture is enabled, trace recording
-  /// is forced on and an aborted (still-discarded) execution is captured
-  /// automatically; violating executions are captured by the caller via
-  /// capture(), because only the caller's checker can judge a Completed
-  /// history.
-  SupervisedExec run(const ir::Module &M, const vm::Client &C,
-                     vm::ExecConfig EC);
-
-  /// Folds an execution that was run out-of-band into this supervisor's
-  /// accounting, capturing VM-level violations exactly as run() would.
-  /// The parallel round engine (src/exec/) runs executions on worker
-  /// threads through the reentrant runSupervised and folds the results
-  /// back in deterministic execution-index order; fold itself must only
-  /// be called from one thread at a time. \p EC is the config the
+  /// Folds a supervised execution into this supervisor's accounting and,
+  /// when capture is enabled, captures a VM-level violation (memory
+  /// safety, assertion failure) automatically; violating executions of a
+  /// Completed history are captured by the caller via capture(), because
+  /// only the caller's checker can judge them. The parallel round
+  /// engine (src/exec/) runs executions on worker threads through the
+  /// reentrant runSupervised and folds the results back in deterministic
+  /// execution-index order; fold itself must only be called from one
+  /// thread at a time. Capture needs the execution's trace, so the caller
+  /// runs it with ExecConfig::RecordTrace while capturing. \p EC is the config the
   /// execution was *requested* with (UsedSeed/UsedMaxSteps of \p SE
   /// override it for capture, as retries may have changed them).
   void fold(const ir::Module &M, const vm::Client &C, vm::ExecConfig EC,

@@ -10,6 +10,7 @@
 #include "programs/Benchmark.h"
 #include "support/StringUtils.h"
 #include "vm/Interp.h"
+#include "vm/Prepared.h"
 
 using namespace dfence;
 using namespace dfence::serve;
@@ -228,6 +229,11 @@ std::optional<SynthJob> serve::prepareJob(const ServeRequest &R,
       return std::nullopt;
     }
     Client->InitFunc = R.InitFunc;
+    // The engine aborts on a client it cannot run; reject it here.
+    if (std::string Bad = vm::checkClient(Job.M, *Client); !Bad.empty()) {
+      Error = "client: " + Bad;
+      return std::nullopt;
+    }
     Job.Clients = {*Client};
     auto Spec = specByFlag(R.Spec.empty() ? "safety" : R.Spec);
     if (!Spec) {

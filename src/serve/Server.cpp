@@ -53,9 +53,9 @@ unsigned resolveSlotJobs(const ServeConfig &C) {
 }
 
 /// The content fingerprint that routes a request to its cache shard:
-/// module + clients, exactly the identity the ExecCache keys embed — so
-/// a repeated request always lands on the shard holding its warm
-/// entries, independent of which slot runs it.
+/// module + clients, which every round key of the request covers — so a
+/// repeated request always lands on the shard holding its warm rounds,
+/// independent of which slot runs it.
 uint64_t requestFingerprint(const SynthJob &Job) {
   uint64_t Fp = cache::fingerprintModule(Job.M);
   for (const vm::Client &C : Job.Clients)
@@ -341,7 +341,7 @@ Json Server::runJob(Pending &P, unsigned Slot) {
   Job->Cfg.Obs = Obs;
 
   // Cache shard: routed by content fingerprint and held (its mutex) for
-  // the whole run — the ExecCache exclusivity contract, per shard.
+  // the whole run, so only this request's merge thread touches it.
   // Same-shard requests serialize here; the wait counter is the
   // contention signal.
   std::unique_lock<std::mutex> ShardLock;

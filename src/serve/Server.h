@@ -93,7 +93,7 @@ struct ServeConfig {
   /// Master switch for the shared cross-request execution cache
   /// (requests can individually opt out with "cache":"off").
   bool CacheEnabled = true;
-  size_t CacheCapacity = 1 << 15; ///< Total, split across shards.
+  size_t CacheCapacity = 1 << 15; ///< Executions, split across shards.
   /// Default interpreter dispatch for requests that do not carry their
   /// own "dispatch" knob (`dfence serve --dispatch`). Byte-identical
   /// results either way; the generic mode exists for A/B and debugging.

@@ -124,20 +124,8 @@ std::string synth::checkExecution(const vm::ExecResult &R,
 /// wart on its own, and fatal for parallel dispatch, which must know the
 /// whole plan before anything runs. For untruncated runs the two schemes
 /// coincide (TotalExecutions advances by exactly K per round).
-///
-/// Fingerprints of everything outside the per-slot ExecConfig that an
-/// execution result depends on; planRound bakes them into the slots'
-/// cross-round cache keys. ModuleFp must be recomputed after enforcement.
-struct RunFingerprints {
-  bool Cacheable = false; ///< The run's slots qualify for the ExecCache.
-  uint64_t ModuleFp = 0;
-  uint64_t PolicyFp = 0;
-  std::vector<uint64_t> ClientFps; ///< One per client, computed once.
-};
-
 static exec::RoundPlan planRound(const SynthConfig &Cfg,
-                                 size_t NumClients, unsigned Round,
-                                 const RunFingerprints &FP) {
+                                 size_t NumClients, unsigned Round) {
   exec::RoundPlan Plan;
   Plan.Slots.resize(Cfg.ExecsPerRound);
   uint64_t First = static_cast<uint64_t>(Round - 1) * Cfg.ExecsPerRound;
@@ -156,47 +144,72 @@ static exec::RoundPlan planRound(const SynthConfig &Cfg,
                        ? Cfg.FlushProb
                        : Cfg.FlushProbs[G % Cfg.FlushProbs.size()];
     EC.PartialOrderReduction = Cfg.PartialOrderReduction;
-    // The supervisor forces trace recording when capturing; the plan must
-    // bake it in because workers bypass Supervisor::run.
+    // Bundle capture replays the recorded trace, so capturing runs
+    // record one.
     EC.RecordTrace = Cfg.CaptureBundles;
     if (Cfg.Faults.enabled())
       EC.Faults = &Cfg.Faults;
-    if (FP.Cacheable) {
-      P.Cacheable = true;
-      cache::ExecKey &K = P.Key;
-      K.ModuleFp = FP.ModuleFp;
-      K.ClientFp = FP.ClientFps[P.ClientIdx];
-      K.Seed = EC.Seed;
-      std::memcpy(&K.FlushProbBits, &EC.FlushProb, sizeof(double));
-      K.MaxSteps = EC.MaxSteps;
-      K.PolicyFp = FP.PolicyFp;
-      K.Model = static_cast<uint8_t>(EC.Model);
-      K.CollectRepairs = EC.CollectRepairs;
-      K.InterOpPredicates = EC.InterOpPredicates;
-      K.PartialOrderReduction = EC.PartialOrderReduction;
-    }
   }
   return Plan;
 }
 
-/// Condenses a ran slot into the compact form the ExecCache stores:
-/// exactly what the merge fold reads, history and trace dropped.
-static cache::ExecSummary makeSummary(const harness::SupervisedExec &SE,
-                                      const std::string &Violation) {
-  cache::ExecSummary Sum;
-  const vm::ExecResult &R = SE.Result;
-  Sum.Out = R.Out;
-  Sum.Stats = R.Stats;
-  Sum.Repairs = R.Repairs;
-  Sum.Message = R.Message;
-  Sum.Steps = R.Steps;
-  Sum.Violation = Violation;
-  Sum.Attempts = SE.Attempts;
-  Sum.Discarded = SE.Discarded;
-  Sum.TimedOut = SE.TimedOut;
-  Sum.UsedSeed = SE.UsedSeed;
-  Sum.UsedMaxSteps = SE.UsedMaxSteps;
-  return Sum;
+/// The run half of every round's cache key: everything besides the module
+/// and the round's position that a round's slots — results and verdicts —
+/// are a function of. Dispatch mode is left out (it never changes a
+/// result); wall-clock watchdogs, fault plans and bundle capture turn the
+/// cache off instead.
+static uint64_t runFingerprint(const SynthConfig &Cfg,
+                               const std::vector<vm::Client> &Clients) {
+  auto Bits = [](double D) {
+    uint64_t B;
+    std::memcpy(&B, &D, sizeof B);
+    return B;
+  };
+  uint64_t H = vm::hashCombine(0x9216d5d98979fb1bULL, Clients.size());
+  for (const vm::Client &C : Clients)
+    H = vm::hashCombine(H, cache::fingerprintClient(C));
+  H = vm::hashCombine(H, Cfg.BaseSeed);
+  H = vm::hashCombine(H, Bits(Cfg.FlushProb));
+  H = vm::hashCombine(H, Cfg.FlushProbs.size());
+  for (double P : Cfg.FlushProbs)
+    H = vm::hashCombine(H, Bits(P));
+  H = vm::hashCombine(H, Cfg.MaxStepsPerExec);
+  H = vm::hashCombine(H, Cfg.Exec.ExecWallMs);
+  H = vm::hashCombine(H, Cfg.Exec.MaxRetries);
+  H = vm::hashCombine(H, Bits(Cfg.Exec.StepBudgetGrowth));
+  H = vm::hashCombine(H, Cfg.Exec.RetrySeedSalt);
+  H = vm::hashCombine(H, static_cast<uint64_t>(Cfg.Model));
+  H = vm::hashCombine(H, Cfg.InterOpPredicates);
+  H = vm::hashCombine(H, Cfg.PartialOrderReduction);
+  H = vm::hashCombine(H, static_cast<uint64_t>(Cfg.Spec));
+  return cache::fingerprintString(H, Cfg.SeqSpecName);
+}
+
+Json synth::roundStatsJson(const RoundStats &S) {
+  Json O = Json::object();
+  O.set("round", Json::number(static_cast<uint64_t>(S.Round)));
+  O.set("executions", Json::number(S.Executions));
+  O.set("violations", Json::number(S.Violations));
+  O.set("newPredicates", Json::number(S.NewPredicates));
+  O.set("distinctPredicates", Json::number(S.DistinctPredicates));
+  O.set("fences", Json::number(static_cast<uint64_t>(S.FencesEnforced)));
+  O.set("cleanStreak", Json::number(static_cast<uint64_t>(S.CleanStreak)));
+  O.set("truncated", Json::boolean(S.Truncated));
+  Json Cache = Json::object();
+  Cache.set("checkHits", Json::number(S.CheckCacheHits));
+  Cache.set("checkMisses", Json::number(S.CheckCacheMisses));
+  Cache.set("execHits", Json::number(S.ExecCacheHits));
+  Cache.set("execMisses", Json::number(S.ExecCacheMisses));
+  O.set("cache", std::move(Cache));
+  Json Sat = Json::object();
+  Sat.set("clauses", Json::number(S.SatClauses));
+  Sat.set("models", Json::number(S.SatModels));
+  Sat.set("nodes", Json::number(S.SatNodes));
+  Sat.set("truncated", Json::boolean(S.SatTruncated));
+  Sat.set("solveUs", Json::number(S.SatSolveUs));
+  O.set("sat", std::move(Sat));
+  O.set("roundWallUs", Json::number(S.RoundWallUs));
+  return O;
 }
 
 SynthResult synth::synthesize(const ir::Module &M,
@@ -345,46 +358,25 @@ SynthResult synth::synthesize(const ir::Module &M,
   Slice.setObs(Cfg.Obs);
 
   // Result caches (src/cache/). Duplicate Completed histories are only
-  // counted (cache_check_*) for specs with a non-trivial history check;
-  // the cross-round execution cache is only sound when a slot's result
-  // is a pure function of its key — no wall-clock watchdog (timeouts
-  // depend on machine load), no fault plan (the plan is keyed by
-  // pointer, not content), and no bundle capture (cached summaries carry
+  // counted (cache_check_*) for specs with a non-trivial history check.
+  // Rounds are cached only in a caller-supplied ExecCache, and only when
+  // a round is a pure function of its key — no wall-clock watchdog
+  // (timeouts depend on machine load), no fault plan (the plan is keyed
+  // by pointer, not content), and no bundle capture (stored slots carry
   // no history or trace to capture from).
   bool CountDupHists = Cfg.CacheEnabled &&
                        (Cfg.Spec == SpecKind::NoGarbage ||
                         Cfg.Spec == SpecKind::SequentialConsistency ||
                         Cfg.Spec == SpecKind::Linearizability);
-  bool ExecCaching = Cfg.CacheEnabled && !Cfg.CaptureBundles &&
-                     !Cfg.Faults.enabled() && Cfg.Exec.ExecWallMs == 0;
-  std::optional<cache::ExecCache> OwnedExecCache;
-  cache::ExecCache *ExecC = nullptr;
-  if (ExecCaching) {
-    ExecC = Cfg.ExecResultCache;
-    if (!ExecC) {
-      OwnedExecCache.emplace();
-      ExecC = &*OwnedExecCache;
-    }
-  }
-
-  // Cross-round cache keys: fingerprints of everything a slot's result
-  // depends on beyond its ExecConfig. The module fingerprint is
-  // recomputed after every enforcement (fences change the program).
-  RunFingerprints FP;
-  FP.Cacheable = ExecC != nullptr;
-  if (FP.Cacheable) {
-    FP.ModuleFp = cache::fingerprintModule(Cur);
-    FP.ClientFps.reserve(Clients.size());
-    for (const vm::Client &C : Clients)
-      FP.ClientFps.push_back(cache::fingerprintClient(C));
-    uint64_t GrowthBits;
-    std::memcpy(&GrowthBits, &Cfg.Exec.StepBudgetGrowth, sizeof(double));
-    uint64_t PH = vm::hashCombine(0x9216d5d98979fb1bULL,
-                                  Cfg.Exec.ExecWallMs);
-    PH = vm::hashCombine(PH, Cfg.Exec.MaxRetries);
-    PH = vm::hashCombine(PH, GrowthBits);
-    FP.PolicyFp = vm::hashCombine(PH, Cfg.Exec.RetrySeedSalt);
-  }
+  cache::ExecCache *ExecC =
+      Cfg.CacheEnabled && !Cfg.CaptureBundles && !Cfg.Faults.enabled() &&
+              Cfg.Exec.ExecWallMs == 0
+          ? Cfg.ExecResultCache
+          : nullptr;
+  // Round keys: the module fingerprint is recomputed after every
+  // enforcement (fences change the program); the run half is fixed.
+  uint64_t ModuleFp = ExecC ? cache::fingerprintModule(Cur) : 0;
+  uint64_t RunFp = ExecC ? runFingerprint(Cfg, Clients) : 0;
 
   // Resolve the clients against the working module once up front; every
   // execution of every round runs from these tables. Rebuilt below after
@@ -420,28 +412,8 @@ SynthResult synth::synthesize(const ir::Module &M,
         Prof->observePhaseNs(obs::Phase::RoundOther,
                              WallNs > Attr ? WallNs - Attr : 0);
       }
-      if (Cfg.RoundLog) {
-        obs::RoundRecord RR;
-        RR.Round = S.Round;
-        RR.Executions = S.Executions;
-        RR.Violations = S.Violations;
-        RR.NewPredicates = S.NewPredicates;
-        RR.DistinctPredicates = S.DistinctPredicates;
-        RR.FencesEnforced = S.FencesEnforced;
-        RR.CleanStreak = S.CleanStreak;
-        RR.Truncated = S.Truncated;
-        RR.CheckCacheHits = S.CheckCacheHits;
-        RR.CheckCacheMisses = S.CheckCacheMisses;
-        RR.ExecCacheHits = S.ExecCacheHits;
-        RR.ExecCacheMisses = S.ExecCacheMisses;
-        RR.SatClauses = S.SatClauses;
-        RR.SatModels = S.SatModels;
-        RR.SatNodes = S.SatNodes;
-        RR.SatTruncated = S.SatTruncated;
-        RR.RoundWallUs = S.RoundWallUs;
-        RR.SatSolveUs = S.SatSolveUs;
-        Cfg.RoundLog->write(RR);
-      }
+      if (Cfg.RoundLog)
+        Cfg.RoundLog->write(roundStatsJson(S));
       Result.RoundLog.push_back(std::move(S));
     };
     harness::Deadline RoundDL = harness::Deadline::sooner(
@@ -454,35 +426,43 @@ SynthResult synth::synthesize(const ir::Module &M,
     // front (seed/client/flush-prob derive from the round-local index),
     // dispatched across the pool, each run under the harness (watchdog +
     // retry escalation for discards) with the spec check on the worker.
-    exec::RoundPlan Plan = planRound(Cfg, Clients.size(), Round, FP);
-    std::function<bool()> StopFn;
-    if (RoundDL.armed())
-      StopFn = [&] { return RoundDL.expired(); };
-    // The execution cache is frozen for the duration of the round —
-    // workers only read it; new summaries are inserted below on this
-    // thread, and the pool's dispatch/join barriers order those writes
-    // before the next round's reads.
-    exec::RoundResult RR = exec::runRound(
-        Slice, *Prepared, Plan, Cfg.Exec,
-        [&Cfg](const vm::ExecResult &R) { return checkExecution(R, Cfg); },
-        StopFn, Cfg.Obs, ExecC, RoundDL);
-    // Populate the execution cache from this round's fresh results before
-    // the fold below moves repair disjunctions out of the slots. Index
-    // order + the deterministic capacity cap keep the cache's contents —
-    // and therefore every later round's hit pattern — jobs-invariant.
-    if (ExecC)
-      for (size_t I = 0; I != RR.Ran; ++I) {
-        const exec::ExecPlan &P = Plan.Slots[I];
-        const exec::RoundSlot &S = RR.Slots[I];
-        if (P.Cacheable && !S.FromExecCache && !S.SE.TimedOut)
-          ExecC->insert(P.Key, makeSummary(S.SE, S.Violation));
-      }
+    exec::RoundPlan Plan = planRound(Cfg, Clients.size(), Round);
+    // A cached round is folded from its stored slots exactly as a fresh
+    // one, without touching the pool.
+    cache::RoundKey Key{ModuleFp, RunFp,
+                        static_cast<uint64_t>(Round - 1) * Cfg.ExecsPerRound,
+                        Cfg.ExecsPerRound};
+    const std::vector<exec::RoundSlot> *Hit =
+        ExecC ? ExecC->lookup(Key) : nullptr;
+    exec::RoundResult RR;
+    if (Hit) {
+      RoundSpan.arg("cache", std::string("exec-hit"));
+    } else {
+      std::function<bool()> StopFn;
+      if (RoundDL.armed())
+        StopFn = [&] { return RoundDL.expired(); };
+      RR = exec::runRound(
+          Slice, *Prepared, Plan, Cfg.Exec,
+          [&Cfg](const vm::ExecResult &R) { return checkExecution(R, Cfg); },
+          StopFn, Cfg.Obs, RoundDL);
+    }
+    const std::vector<exec::RoundSlot> &Slots = Hit ? *Hit : RR.Slots;
+    size_t Ran = Hit ? Hit->size() : RR.Ran;
     // Budget expiry cancels the slots that had not started; the executed
     // prefix [0, Ran) truncates at a deterministic index boundary,
     // exactly where a sequential loop breaking on the budget would.
-    bool Truncated = RR.Ran < Plan.Slots.size();
+    bool Truncated = Ran < Plan.Slots.size();
     if (Truncated && RunDL.expired())
       OutOfTime = true;
+    if (Hit) {
+      Result.ExecCacheHits += Ran;
+      Stats.ExecCacheHits += Ran;
+      OBS_COUNT(CacheExecHitsC, Ran);
+    } else if (ExecC) {
+      Result.ExecCacheMisses += Ran;
+      Stats.ExecCacheMisses += Ran;
+      OBS_COUNT(CacheExecMissesC, Ran);
+    }
 
     // Deterministic aggregation: fold the slots in execution-index order.
     // Every SynthResult field — counters, round log, first violation,
@@ -496,14 +476,16 @@ SynthResult synth::synthesize(const ir::Module &M,
     // a full history compare, so a 64-bit collision is a miss. Folded in
     // index order, so the counts are jobs-invariant.
     std::unordered_map<uint64_t, size_t> SeenHists;
+    bool AnyTimedOut = false;
     auto FoldT0 = std::chrono::steady_clock::now();
     OBS_SPAN(FoldSpan, Trace, "fold", "synth", 0);
-    for (size_t I = 0; I != RR.Ran; ++I) {
+    for (size_t I = 0; I != Ran; ++I) {
       const exec::ExecPlan &P = Plan.Slots[I];
       const vm::Client &Client = Clients[P.ClientIdx];
-      harness::SupervisedExec &SE = RR.Slots[I].SE;
-      vm::ExecResult &R = SE.Result;
+      const harness::SupervisedExec &SE = Slots[I].SE;
+      const vm::ExecResult &R = SE.Result;
       Sup.fold(Cur, Client, P.EC, SE);
+      AnyTimedOut |= SE.TimedOut;
       ++Result.TotalExecutions;
       ++Stats.Executions;
       OBS_COUNT(ExecsC, 1);
@@ -519,19 +501,10 @@ SynthResult synth::synthesize(const ir::Module &M,
       OBS_COUNT(VmBufStoresC, R.Stats.BufferedStores);
       if (BufHighG)
         BufHighG->max(R.Stats.BufHighWater);
-      if (RR.Slots[I].FromExecCache) {
-        ++Result.ExecCacheHits;
-        ++Stats.ExecCacheHits;
-        OBS_COUNT(CacheExecHitsC, 1);
-      } else if (P.Cacheable) {
-        ++Result.ExecCacheMisses;
-        ++Stats.ExecCacheMisses;
-        OBS_COUNT(CacheExecMissesC, 1);
-      }
-      if (CountDupHists && !RR.Slots[I].FromExecCache && !SE.Discarded &&
+      if (CountDupHists && !Hit && !SE.Discarded &&
           R.Out == vm::Outcome::Completed) {
         auto [It, New] = SeenHists.try_emplace(R.Hist.Hash, I);
-        if (!New && RR.Slots[It->second].SE.Result.Hist == R.Hist) {
+        if (!New && Slots[It->second].SE.Result.Hist == R.Hist) {
           ++Result.CheckCacheHits;
           ++Stats.CheckCacheHits;
           OBS_COUNT(CacheCheckHitsC, 1);
@@ -547,7 +520,7 @@ SynthResult synth::synthesize(const ir::Module &M,
         OBS_COUNT(DiscardedC, 1);
         continue;
       }
-      const std::string &Violation = RR.Slots[I].Violation;
+      const std::string &Violation = Slots[I].Violation;
       if (Violation.empty())
         continue;
       ++Result.ViolatingExecutions;
@@ -581,10 +554,19 @@ SynthResult synth::synthesize(const ir::Module &M,
         // round; abort only when a whole round is unrepairable.
         continue;
       }
-      ViolationRepairs.push_back(std::move(R.Repairs));
+      ViolationRepairs.push_back(R.Repairs);
     }
-    FoldSpan.arg("ran", static_cast<uint64_t>(RR.Ran));
+    FoldSpan.arg("ran", static_cast<uint64_t>(Ran));
     FoldSpan.end();
+    // Store a fresh round only when it is what an unbounded run would
+    // have produced: every slot ran and none was cut by a deadline.
+    if (ExecC && !Hit && !Truncated && !AnyTimedOut) {
+      for (exec::RoundSlot &S : RR.Slots) {
+        S.SE.Result.Hist = {};
+        S.SE.Result.Trace = {};
+      }
+      ExecC->insert(Key, std::move(RR.Slots));
+    }
     Stats.Truncated = Truncated;
     if (Prof)
       Prof->observePhaseNs(
@@ -716,11 +698,11 @@ SynthResult synth::synthesize(const ir::Module &M,
       // Fence insertion changes no FuncId, name, arity or register
       // count, but the prepared program points into Cur — rebuild so the
       // next round runs against the fenced bodies with fresh tables, and
-      // refresh the module fingerprint so cross-round cache keys of the
-      // fenced program can never match pre-enforcement entries.
+      // refresh the module fingerprint so round keys of the fenced
+      // program can never match pre-enforcement entries.
       Prepared.emplace(Cur, Clients);
-      if (FP.Cacheable)
-        FP.ModuleFp = cache::fingerprintModule(Cur);
+      if (ExecC)
+        ModuleFp = cache::fingerprintModule(Cur);
       if (Prof)
         Prof->observePhaseNs(
             obs::Phase::Enforce,

@@ -17,6 +17,7 @@
 #include "harness/ReproBundle.h"
 #include "ir/Module.h"
 #include "spec/Spec.h"
+#include "support/Json.h"
 #include "synth/FenceEnforcer.h"
 #include "vm/Client.h"
 #include "vm/Interp.h"
@@ -56,7 +57,9 @@ const char *specKindName(SpecKind K);
 struct SynthConfig {
   vm::MemModel Model = vm::MemModel::PSO;
   SpecKind Spec = SpecKind::SequentialConsistency;
-  /// Sequential specification; required for SC/linearizability.
+  /// Sequential specification; required for SC/linearizability. With a
+  /// shared ExecResultCache it must be a function of the module and
+  /// SeqSpecName, which name it in the cache key.
   spec::SpecFactory Factory;
 
   double FlushProb = 0.5;
@@ -136,8 +139,10 @@ struct SynthConfig {
   /// MaxBundles; see harness/ReproBundle.h). Forces trace recording.
   bool CaptureBundles = false;
   unsigned MaxBundles = 4;
-  /// Advisory name of the sequential spec behind Factory, stamped into
-  /// captured bundles so `dfence --replay` can re-run the checker.
+  /// Name of the sequential spec behind Factory. Stamped into captured
+  /// bundles so `dfence --replay` can re-run the checker, and part of
+  /// every ExecResultCache key: runs that share a cache must give
+  /// different factories different names.
   std::string SeqSpecName;
   /// Advisory originating-request identifier (serve daemon), stamped
   /// into captured bundles so a crash report names its request. Empty
@@ -152,18 +157,19 @@ struct SynthConfig {
 
   /// Master switch for the execution cache and the duplicate-history
   /// statistics (`dfence --cache on|off`). On by default. The execution
-  /// cache is invisible in results by construction — it only serves keys
-  /// that pin every input of a pure execution — so SynthResult (minus its
-  /// cache statistics) and the deterministic counter snapshot (minus
-  /// cache_*) are byte-identical with caching on or off, at any Jobs
-  /// value (CacheDifferentialTest is the gate).
+  /// cache is invisible in results by construction — a round is only
+  /// served under a key that pins every input of its slots — so
+  /// SynthResult (minus its cache statistics) and the deterministic
+  /// counter snapshot (minus cache_*) are byte-identical with caching on
+  /// or off, at any Jobs value (CacheDifferentialTest is the gate).
   bool CacheEnabled = true;
-  /// Optional externally owned cross-round execution cache, shared across
-  /// synthesize() calls so re-verifying an unchanged program (same base
-  /// seed, clients and knobs) skips whole executions. Not owned; when
-  /// null and caching is on, the run uses a private cache. synthesize()
-  /// mutates it between rounds on its merge thread — do not share one
-  /// instance across concurrent synthesize() calls.
+  /// Optional externally owned execution cache, shared across
+  /// synthesize() calls so an identical request (same module, clients,
+  /// seed, knobs and spec) folds whole stored rounds instead of running
+  /// them. Not owned; null — the default — caches nothing (a run never
+  /// repeats its own rounds). Only this run's merge thread touches it,
+  /// so one instance must not serve concurrent synthesize() calls. The
+  /// key names the sequential spec by SeqSpecName, not by Factory.
   cache::ExecCache *ExecResultCache = nullptr;
 
   //===--- Observability (see src/obs/) ---===//
@@ -186,7 +192,7 @@ struct SynthConfig {
   const obs::ObsContext *Obs = nullptr;
 
   /// Optional convergence round log (`--round-log FILE`): one JSON line
-  /// per completed round (see obs/Convergence.h for the record schema).
+  /// per completed round, roundStatsJson of its RoundStats.
   /// Not owned; must outlive synthesize(). Written on the merge thread
   /// as each round finishes, so a consumer tailing the file sees rounds
   /// live. Null — the default — emits nothing.
@@ -245,6 +251,9 @@ struct RoundStats {
   uint64_t RoundWallUs = 0;
 };
 
+/// Serializes \p S as the round log's line object (stable key order).
+Json roundStatsJson(const RoundStats &S);
+
 /// The outcome of a synthesis run.
 struct SynthResult {
   /// True when the run's total wall-clock budget (TotalWallMs) expired
@@ -285,7 +294,8 @@ struct SynthResult {
   /// Counted when caching is on and the spec checks histories.
   uint64_t CheckCacheHits = 0;
   uint64_t CheckCacheMisses = 0;
-  /// Executions served from / missed in the cross-round ExecCache.
+  /// Executions folded from a stored round of ExecResultCache (hits), or
+  /// run after a round lookup missed (misses).
   uint64_t ExecCacheHits = 0;
   uint64_t ExecCacheMisses = 0;
 

@@ -8,18 +8,33 @@ using namespace dfence;
 using namespace dfence::vm;
 using namespace dfence::ir;
 
-static FuncId resolveOrDie(const Module &M, const std::string &Name) {
-  auto F = M.findFunction(Name);
-  if (!F)
-    reportFatalError("client calls unknown function: " + Name);
-  return *F;
+std::string vm::checkClient(const Module &M, const Client &C) {
+  if (!C.InitFunc.empty() && !M.findFunction(C.InitFunc))
+    return "client calls unknown function: " + C.InitFunc;
+  for (const ThreadScript &S : C.Threads)
+    for (size_t CI = 0, CE = S.Calls.size(); CI != CE; ++CI) {
+      const MethodCall &MC = S.Calls[CI];
+      auto F = M.findFunction(MC.Func);
+      if (!F)
+        return "client calls unknown function: " + MC.Func;
+      if (MC.Args.size() != M.Funcs[*F].NumParams)
+        return "client call arity mismatch for " + MC.Func;
+      // A thread's calls complete in script order, so call CI can only
+      // reference the results of calls < CI.
+      for (const Arg &A : MC.Args)
+        if (A.Ref >= 0 && static_cast<size_t>(A.Ref) >= CI)
+          return "client argument references a later call";
+    }
+  return std::string();
 }
 
 PreparedClient PreparedProgram::prepareClient(const Client &C) const {
+  if (std::string Error = checkClient(*M, C); !Error.empty())
+    reportFatalError(Error);
   PreparedClient PC;
   PC.C = &C;
   if (!C.InitFunc.empty()) {
-    PC.Init = resolveOrDie(*M, C.InitFunc);
+    PC.Init = *M->findFunction(C.InitFunc);
     PC.HasInit = true;
   }
   PC.Threads.resize(C.Threads.size());
@@ -27,20 +42,8 @@ PreparedClient PreparedProgram::prepareClient(const Client &C) const {
     const ThreadScript &S = C.Threads[TI];
     PreparedThread &PT = PC.Threads[TI];
     PT.Calls.reserve(S.Calls.size());
-    for (size_t CI = 0, CE = S.Calls.size(); CI != CE; ++CI) {
-      const MethodCall &MC = S.Calls[CI];
-      FuncId F = resolveOrDie(*M, MC.Func);
-      const Function &Fn = M->Funcs[F];
-      if (MC.Args.size() != Fn.NumParams)
-        reportFatalError("client call arity mismatch for " + MC.Func);
-      // A thread's calls complete in script order, so call CI can only
-      // reference the results of calls < CI. Static property — reject at
-      // prepare time instead of mid-run.
-      for (const Arg &A : MC.Args)
-        if (A.Ref >= 0 && static_cast<size_t>(A.Ref) >= CI)
-          reportFatalError("client argument references a later call");
-      PT.Calls.push_back(F);
-    }
+    for (const MethodCall &MC : S.Calls)
+      PT.Calls.push_back(*M->findFunction(MC.Func));
     PC.TotalCalls += S.Calls.size();
   }
   return PC;

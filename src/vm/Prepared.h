@@ -24,6 +24,7 @@
 #include "vm/Client.h"
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 namespace dfence::vm {
@@ -59,13 +60,18 @@ struct PreparedClient {
   size_t TotalCalls = 0;
 };
 
+/// Checks \p C against \p M: every callee (and the init function) must
+/// exist, every call must pass the callee's arity, and an argument may
+/// only reference an earlier call of its thread. Returns the first
+/// defect's diagnostic, or empty when \p C can run.
+std::string checkClient(const ir::Module &M, const Client &C);
+
 /// A module plus its clients, resolved and validated for execution.
 class PreparedProgram {
 public:
-  /// Prepares every client in \p Clients against \p M. Unknown callees,
-  /// arity mismatches and forward argument references are fatal here —
-  /// the same diagnostics the engine used to raise mid-execution, moved
-  /// to before anything runs.
+  /// Prepares every client in \p Clients against \p M. A client that
+  /// fails checkClient is fatal here; callers that take clients from
+  /// users check them first.
   PreparedProgram(const ir::Module &M, const std::vector<Client> &Clients);
 
   /// Single-client convenience (the runExecution wrapper path).

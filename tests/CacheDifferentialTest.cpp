@@ -18,10 +18,13 @@
 #include "ir/Printer.h"
 #include "obs/Obs.h"
 #include "programs/Benchmark.h"
+#include "serve/Protocol.h"
 #include "support/Rng.h"
 #include "synth/Synthesizer.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace dfence;
 using namespace dfence::programs;
@@ -37,7 +40,8 @@ SpecKind strictestSpec(const Benchmark &B) {
 }
 
 SynthResult run(const Benchmark &B, MemModel Model, bool CacheOn,
-                unsigned Jobs, obs::Registry *Reg = nullptr) {
+                unsigned Jobs, obs::Registry *Reg = nullptr,
+                cache::ExecCache *Shared = nullptr) {
   auto CR = frontend::compileMiniC(B.Source);
   EXPECT_TRUE(CR.Ok) << B.Name << ": " << CR.Error;
   SynthConfig Cfg;
@@ -54,6 +58,7 @@ SynthResult run(const Benchmark &B, MemModel Model, bool CacheOn,
   Cfg.BaseSeed = deriveSeed(0x5eed, B.Name);
   Cfg.Jobs = Jobs;
   Cfg.CacheEnabled = CacheOn;
+  Cfg.ExecResultCache = Shared;
   obs::ObsContext Obs;
   if (Reg) {
     Obs.Metrics = Reg;
@@ -101,18 +106,27 @@ void expectEquivalent(const SynthResult &A, const SynthResult &B,
         << What << " bundle " << I;
 }
 
-/// The registry's deterministic counter snapshot with the cache_* keys
-/// removed (and "metrics"-level snapshots of them, should they appear).
-std::string countersMinusCache(obs::Registry &Reg) {
+/// The registry's deterministic counter snapshot without the keys that
+/// start with one of \p Prefixes.
+std::string countersWithout(obs::Registry &Reg,
+                            std::initializer_list<std::string> Prefixes) {
   Json Doc = Reg.countersJson();
   const Json *Counters = Doc.find("counters");
   if (!Counters)
     return "{}";
   Json Out = Json::object();
   for (const auto &[Key, Val] : Counters->members())
-    if (Key.rfind("cache_", 0) != 0)
+    if (std::none_of(Prefixes.begin(), Prefixes.end(),
+                     [&](const std::string &P) {
+                       return Key.rfind(P, 0) == 0;
+                     }))
       Out.set(Key, Val);
   return Out.dump();
+}
+
+/// The snapshot minus the cache_* keys, which describe the caches.
+std::string countersMinusCache(obs::Registry &Reg) {
+  return countersWithout(Reg, {"cache_"});
 }
 
 } // namespace
@@ -147,8 +161,9 @@ TEST_P(CacheDifferentialTest, OnAndOffByteIdenticalAtOneAndEightJobs) {
     // The comparison must not be vacuous: for history-checked specs the
     // cache-on runs have to count real check traffic (the per-round
     // duplicate-history statistics).
-    if (strictestSpec(B) != SpecKind::MemorySafety)
+    if (strictestSpec(B) != SpecKind::MemorySafety) {
       EXPECT_GT(On1.CheckCacheHits + On1.CheckCacheMisses, 0u) << What;
+    }
 
     // Cache statistics must also be jobs-invariant in the SynthResult.
     EXPECT_EQ(On1.CheckCacheHits, On8.CheckCacheHits) << What;
@@ -160,6 +175,30 @@ TEST_P(CacheDifferentialTest, OnAndOffByteIdenticalAtOneAndEightJobs) {
                   Off1.ExecCacheHits + Off1.ExecCacheMisses,
               0u)
         << What;
+  }
+}
+
+TEST_P(CacheDifferentialTest, WarmSharedCacheServesEveryRound) {
+  const Benchmark &B = benchmarkByName(GetParam());
+  for (MemModel Model : {MemModel::TSO, MemModel::PSO}) {
+    cache::ExecCache Shared;
+    obs::Registry RegCold, RegWarm;
+    SynthResult Cold = run(B, Model, /*CacheOn=*/true, 1, &RegCold, &Shared);
+    SynthResult Warm = run(B, Model, /*CacheOn=*/true, 1, &RegWarm, &Shared);
+    std::string What =
+        B.Name + std::string("/") + vm::memModelName(Model);
+    expectEquivalent(Cold, Warm, What + " cold-vs-warm");
+    // A stored round is folded without touching the pool, so the pool's
+    // own counters are the other keys a hit may change.
+    EXPECT_EQ(countersWithout(RegCold, {"cache_", "exec_pool_"}),
+              countersWithout(RegWarm, {"cache_", "exec_pool_"}))
+        << What;
+    EXPECT_GT(RegCold.counter("exec_pool_claims_total").value(), 0u)
+        << What;
+    EXPECT_EQ(RegWarm.counter("exec_pool_claims_total").value(), 0u)
+        << What;
+    EXPECT_EQ(Cold.ExecCacheHits, 0u) << What;
+    EXPECT_EQ(Warm.ExecCacheHits, Warm.TotalExecutions) << What;
   }
 }
 
@@ -216,4 +255,35 @@ TEST(CacheDifferentialTest, SharedExecCacheAcceleratesReverification) {
       << "an unchanged program re-verified with unchanged knobs must be "
          "served entirely from the shared cache";
   expectEquivalent(Cold, Warm, "cold vs warm re-verification");
+}
+
+TEST(CacheDifferentialTest, SpecIsPartOfTheRoundKey) {
+  // A memory-safety run stores rounds judged against memory safety only;
+  // a linearizability run of the same module, clients and seed on the
+  // same cache must judge every round afresh, and come out byte for byte
+  // as it does cold.
+  const Benchmark &B = benchmarkByName("Chase-Lev WSQ");
+  auto CR = frontend::compileMiniC(B.Source);
+  ASSERT_TRUE(CR.Ok);
+  SynthConfig Cfg;
+  Cfg.Model = MemModel::PSO;
+  Cfg.Factory = B.Factory;
+  Cfg.ExecsPerRound = 300;
+  Cfg.MaxRounds = 8;
+  Cfg.MaxRepairRounds = 8;
+  Cfg.FlushProbs = {0.5, 0.1};
+  auto Run = [&](SpecKind Spec, cache::ExecCache &Cache) {
+    SynthConfig C = Cfg;
+    C.Spec = Spec;
+    C.ExecResultCache = &Cache;
+    return synthesize(CR.Module, B.Clients, C);
+  };
+  cache::ExecCache Fresh, Shared;
+  SynthResult Cold = Run(SpecKind::Linearizability, Fresh);
+  ASSERT_EQ(Cold.Status, SynthStatus::Converged);
+  ASSERT_FALSE(Cold.Fences.empty());
+  Run(SpecKind::MemorySafety, Shared);
+  SynthResult Lin = Run(SpecKind::Linearizability, Shared);
+  EXPECT_EQ(Lin.ExecCacheHits, 0u);
+  EXPECT_EQ(serve::resultToJson(Lin).dump(), serve::resultToJson(Cold).dump());
 }

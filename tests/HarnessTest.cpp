@@ -12,6 +12,8 @@
 #include "harness/ReproBundle.h"
 #include "sched/ReplayScheduler.h"
 #include "synth/Synthesizer.h"
+#include "vm/ExecContext.h"
+#include "vm/Prepared.h"
 
 #include <gtest/gtest.h>
 
@@ -225,7 +227,9 @@ TEST(HarnessTest, RetryGrowsStepBudgetUntilCompletion) {
   Policy.MaxRetries = 3;
   Policy.StepBudgetGrowth = 100.0;
 
-  SupervisedExec SE = runSupervised(M, C, EC, Policy);
+  vm::PreparedProgram P(M, C);
+  vm::ExecContext Ctx;
+  SupervisedExec SE = runSupervised(P, 0, Ctx, EC, Policy);
   EXPECT_FALSE(SE.Discarded);
   EXPECT_EQ(SE.Result.Out, vm::Outcome::Completed);
   EXPECT_GT(SE.Attempts, 1u);
@@ -243,7 +247,9 @@ TEST(HarnessTest, RetryExhaustionCountsAsDiscarded) {
   Policy.MaxRetries = 2;
   Policy.StepBudgetGrowth = 1.0; // No growth: the spin never finishes.
 
-  SupervisedExec SE = runSupervised(M, C, EC, Policy);
+  vm::PreparedProgram P(M, C);
+  vm::ExecContext Ctx;
+  SupervisedExec SE = runSupervised(P, 0, Ctx, EC, Policy);
   EXPECT_TRUE(SE.Discarded);
   EXPECT_EQ(SE.Attempts, Policy.MaxRetries + 1);
   EXPECT_EQ(SE.Result.Out, vm::Outcome::StepLimit);
@@ -261,7 +267,9 @@ TEST(HarnessTest, WatchdogTimesOutRunawayExecution) {
   Policy.StepBudgetGrowth = 1.0;
 
   Stopwatch W;
-  SupervisedExec SE = runSupervised(M, C, EC, Policy);
+  vm::PreparedProgram P(M, C);
+  vm::ExecContext Ctx;
+  SupervisedExec SE = runSupervised(P, 0, Ctx, EC, Policy);
   EXPECT_TRUE(SE.TimedOut);
   EXPECT_TRUE(SE.Discarded);
   EXPECT_EQ(SE.Result.Out, vm::Outcome::Timeout);
@@ -275,6 +283,8 @@ TEST(HarnessTest, SupervisorAccountsAndCapturesBundles) {
   Supervisor Sup;
   Sup.enableBundleCapture(2);
   Sup.setSpecInfo("memory-safety", "");
+  vm::PreparedProgram P(M, C);
+  vm::ExecContext Ctx;
 
   unsigned Violations = 0;
   for (uint64_t Seed = 1; Seed <= 3000 && Violations == 0; ++Seed) {
@@ -282,7 +292,9 @@ TEST(HarnessTest, SupervisorAccountsAndCapturesBundles) {
     EC.Model = vm::MemModel::PSO;
     EC.Seed = Seed;
     EC.FlushProb = 0.4;
-    SupervisedExec SE = Sup.run(M, C, EC);
+    EC.RecordTrace = true; // Capture replays the recorded trace.
+    SupervisedExec SE = runSupervised(P, 0, Ctx, EC, ExecPolicy());
+    Sup.fold(M, C, EC, SE);
     if (SE.Result.Out == vm::Outcome::MemSafety)
       ++Violations;
   }

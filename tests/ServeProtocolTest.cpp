@@ -4,14 +4,17 @@
 // builders, the canonical-result rule (cache statistics never appear in
 // the canonical result object), and prepareJob's defaulting, which the
 // one-shot CLI resolves through too — including that unknown benchmarks
-// are a structured error, never the abort of programs::benchmarkByName.
+// and clients the engine cannot run are structured errors, never the
+// abort of programs::benchmarkByName or of the engine's client tables.
 //
 //===----------------------------------------------------------------------===//
 
 #include "serve/Protocol.h"
 
+#include "frontend/Compiler.h"
 #include "harness/ReproBundle.h"
 #include "support/Json.h"
+#include "vm/Prepared.h"
 
 #include <gtest/gtest.h>
 
@@ -44,6 +47,23 @@ Json parseOrDie(const std::string &Text) {
   auto J = Json::parse(Text, Error);
   EXPECT_TRUE(J) << Error;
   return *J;
+}
+
+/// prepareJob's error for a synth request over \p Source with client
+/// \p Client and the extra fields \p Extra (comma-led); empty when the
+/// request is accepted.
+std::string prepareError(const std::string &Source, const std::string &Client,
+                         const std::string &Extra = "") {
+  std::string Error;
+  auto R = parseRequest(
+      parseOrDie("{\"op\":\"synth\",\"source\":" +
+                 Json::string(Source).dump() + ",\"client\":" +
+                 Json::string(Client).dump() + Extra + "}"),
+      Error);
+  EXPECT_TRUE(R) << Error;
+  if (!R)
+    return Error;
+  return prepareJob(*R, Error) ? std::string() : Error;
 }
 
 TEST(ServeProtocol, RejectsNonObjectAndMissingOp) {
@@ -242,6 +262,40 @@ TEST(ServeProtocol, BenchJobUsesTheBenchmarksOwnSpec) {
   EXPECT_FALSE(Job->Clients.empty());
   // MS2 Queue defaults to operation-level SC, like `dfence bench`.
   EXPECT_EQ(Job->Cfg.Spec, synth::SpecKind::SequentialConsistency);
+}
+
+TEST(ServeProtocol, PrepareJobRejectsUnknownClientFunction) {
+  const char *Src = "int f() { return 0; }";
+  EXPECT_EQ(prepareError(Src, "f()"), "");
+  EXPECT_EQ(prepareError(Src, "nosuch()"),
+            "client: client calls unknown function: nosuch");
+  EXPECT_EQ(prepareError(Src, "f()", ",\"init\":\"nosuch\""),
+            "client: client calls unknown function: nosuch");
+}
+
+TEST(ServeProtocol, PrepareJobRejectsClientArityMismatch) {
+  const char *Src = "int f(int a) { return a; }";
+  EXPECT_EQ(prepareError(Src, "f(1)"), "");
+  EXPECT_EQ(prepareError(Src, "f()"),
+            "client: client call arity mismatch for f");
+  EXPECT_EQ(prepareError(Src, "f(1);f(1,2)"),
+            "client: client call arity mismatch for f");
+}
+
+TEST(ServeProtocol, PrepareJobRejectsForwardBackref) {
+  const char *Src = "int f(int a) { return a; }";
+  EXPECT_EQ(prepareError(Src, "f(1);f($0)"), "");
+  // The DSL already refuses a backref to a later call...
+  EXPECT_NE(prepareError(Src, "f($0)").find("client: "), std::string::npos);
+  // ...and the engine-level check refuses one built by hand.
+  auto CR = frontend::compileMiniC(Src);
+  ASSERT_TRUE(CR.Ok) << CR.Error;
+  vm::Client C;
+  C.Threads.resize(1);
+  C.Threads[0].Calls.push_back({"f", {vm::Arg::resultOf(1)}});
+  C.Threads[0].Calls.push_back({"f", {vm::Arg::resultOf(0)}});
+  EXPECT_EQ(vm::checkClient(CR.Module, C),
+            "client argument references a later call");
 }
 
 } // namespace

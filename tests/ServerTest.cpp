@@ -12,7 +12,8 @@
 //     every response is delivered; post-drain submits are rejected;
 //   * determinism: an accepted request's canonical result is
 //     byte-identical to a direct synthesize() at the same jobs, and
-//     byte-identical warm (shared cache populated) vs cold;
+//     byte-identical warm (shared cache populated) vs cold, also when
+//     the warm cache was filled by a request with another spec;
 //   * crash reports: fault-injected requests with bundle capture write
 //     replayable repro bundles stamped with the request id + cache mode.
 //
@@ -262,6 +263,39 @@ TEST(Server, WarmCacheKeepsCanonicalResultIdentical) {
   EXPECT_EQ(Cold.find("result")->dump(), Warm.find("result")->dump());
 }
 
+TEST(Server, SpecIsPartOfTheCacheKey) {
+  // A memory-safety request stores rounds judged against memory safety
+  // only; the linearizability request that follows runs the same module,
+  // clients and seed, and must judge every round afresh.
+  auto Bench = [](const std::string &Id, const std::string &Spec) {
+    return "{\"op\":\"bench\",\"id\":\"" + Id +
+           "\",\"bench\":\"Chase-Lev WSQ\",\"model\":\"pso\","
+           "\"spec\":\"" +
+           Spec + "\",\"k\":300,\"rounds\":8}";
+  };
+  ServeConfig C;
+  C.Jobs = 2;
+  Collector Col;
+  {
+    Server Cold(C);
+    Cold.submit(Bench("cold", "lin"), Col.fn());
+    ASSERT_TRUE(Col.waitFor(1, 120000));
+    Cold.drain();
+  }
+  Server S(C);
+  S.submit(Bench("safety", "safety"), Col.fn());
+  S.submit(Bench("lin", "lin"), Col.fn());
+  ASSERT_TRUE(Col.waitFor(3, 120000));
+  S.drain();
+
+  Json Cold = Col.byId("cold"), Lin = Col.byId("lin");
+  ASSERT_EQ(Cold.find("status")->asString(), "ok");
+  ASSERT_EQ(Lin.find("status")->asString(), "ok");
+  EXPECT_FALSE(Cold.find("result")->find("fences")->items().empty());
+  EXPECT_EQ(Lin.find("cache")->find("execHits")->asU64(1), 0u);
+  EXPECT_EQ(Cold.find("result")->dump(), Lin.find("result")->dump());
+}
+
 TEST(Server, FaultInjectedBundleRoundTripsThroughReplay) {
   ServeConfig C;
   C.Jobs = 2;
@@ -424,17 +458,27 @@ TEST(Server, MalformedAndUnpreparableRequestsAreIsolated) {
   C.Jobs = 2;
   Server S(C);
   Collector Col;
-  // Parse error, schema error, prepare error: all structured, all
-  // answered, daemon stays up.
+  // Parse error, schema error, prepare errors (including clients the
+  // engine would abort on): all structured, all answered, daemon stays
+  // up.
   S.submit("{{{", Col.fn());
   S.submit("{\"op\":\"warp\",\"id\":\"x\"}", Col.fn());
   S.submit("{\"op\":\"bench\",\"id\":\"b\",\"bench\":\"nope\"}",
            Col.fn());
-  ASSERT_TRUE(Col.waitFor(3, 60000));
-  EXPECT_EQ(Col.withStatus("error").size(), 3u);
-  // Still serving after the errors.
+  S.submit("{\"op\":\"synth\",\"id\":\"c\",\"source\":\"int f() { return 0; "
+           "}\",\"client\":\"nosuch()\"}",
+           Col.fn());
+  S.submit("{\"op\":\"synth\",\"id\":\"a\",\"source\":\"int f(int a) { "
+           "return a; }\",\"client\":\"f()\"}",
+           Col.fn());
+  ASSERT_TRUE(Col.waitFor(5, 60000));
+  EXPECT_EQ(Col.withStatus("error").size(), 5u);
+  // Still serving after the errors, inline and on the dispatcher.
   S.submit("{\"op\":\"ping\",\"id\":\"alive\"}", Col.fn());
   EXPECT_EQ(Col.byId("alive").find("status")->asString(), "ok");
+  S.submit(pubRequest("next", ",\"k\":10,\"rounds\":1"), Col.fn());
+  ASSERT_TRUE(Col.waitFor(7, 60000));
+  EXPECT_EQ(Col.byId("next").find("status")->asString(), "ok");
   S.drain();
 }
 

@@ -455,3 +455,35 @@ TEST(SynthTest, FlushProbPortfolioCyclesAcrossExecutions) {
   EXPECT_EQ(A.Fences.size(), B.Fences.size());
   EXPECT_EQ(A.Status, SynthStatus::Converged);
 }
+
+TEST(ConvergenceTest, RoundRecordJsonShapeIsPinned) {
+  RoundStats R;
+  R.Round = 3;
+  R.Executions = 150;
+  R.Violations = 4;
+  R.NewPredicates = 2;
+  R.DistinctPredicates = 11;
+  R.FencesEnforced = 5;
+  R.CleanStreak = 0;
+  R.Truncated = false;
+  R.CheckCacheHits = 10;
+  R.CheckCacheMisses = 140;
+  R.ExecCacheHits = 20;
+  R.ExecCacheMisses = 130;
+  R.SatClauses = 4;
+  R.SatModels = 2;
+  R.SatNodes = 9;
+  R.SatTruncated = true;
+  R.SatSolveUs = 120;
+  R.RoundWallUs = 4500;
+  EXPECT_EQ(
+      roundStatsJson(R).dump(),
+      "{\"round\":3,\"executions\":150,\"violations\":4,"
+      "\"newPredicates\":2,\"distinctPredicates\":11,\"fences\":5,"
+      "\"cleanStreak\":0,\"truncated\":false,"
+      "\"cache\":{\"checkHits\":10,\"checkMisses\":140,"
+      "\"execHits\":20,\"execMisses\":130},"
+      "\"sat\":{\"clauses\":4,\"models\":2,\"nodes\":9,"
+      "\"truncated\":true,\"solveUs\":120},"
+      "\"roundWallUs\":4500}");
+}

@@ -162,11 +162,12 @@ void printHelp(FILE *Out) {
       "concurrency\n"
       "                      (default 0; the result is bit-identical at "
       "any N)\n"
-      "  --cache on|off      the cross-round execution cache and the "
-      "cache\n"
-      "                      statistics (default on; results are "
-      "byte-identical\n"
-      "                      either way)\n"
+      "  --cache on|off      the cache statistics (default on; results "
+      "are\n"
+      "                      byte-identical either way). A one-shot run "
+      "keeps no\n"
+      "                      execution cache, so its round-log "
+      "execMisses read 0\n"
       "  --dispatch MODE     specialized|generic interpreter dispatch "
       "(default\n"
       "                      specialized: monomorphized per-model loop; "
@@ -204,8 +205,8 @@ void printHelp(FILE *Out) {
       "  --retry-backoff-ms N  base backoff between request retries "
       "(default 50)\n"
       "  --cache on|off      shared cross-request execution cache\n"
-      "  --cache-capacity N  entries in the shared cache (default "
-      "32768)\n"
+      "  --cache-capacity N  executions the shared cache stores "
+      "(default 32768)\n"
       "  --dispatch MODE     specialized|generic default interpreter "
       "dispatch for\n"
       "                      requests that do not choose one\n"
