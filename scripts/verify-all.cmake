@@ -15,9 +15,9 @@
 # serve_smoke_test), whose smoke test the tsan leg runs against the real
 # `dfence serve` binary: submit / dispatcher-slot / transport threads
 # plus SIGTERM drain under TSan. serve_concurrency_test is the
-# concurrent-dispatcher gate on that leg — multi-slot slice leases,
-# sharded-cache locking and the interleaved byte-identity differential
-# all execute under TSan (bench_serve_smoke rides the default leg and
+# concurrent-dispatcher gate on that leg — slots running on their own
+# pool slices, sharded-cache locking and the interleaved byte-identity
+# differential all execute under TSan (bench_serve_smoke rides the default leg and
 # exercises the same paths through the real binary). The
 # flight-recorder suite rides along the same way: the
 # flight_recorder_differential_test read-only gate and bench_obs_smoke
@@ -38,10 +38,9 @@
 # tests (ServeSmoke*) and the bench smoke gates (bench_*_smoke) run 20
 # more times on the default build (`ctest --repeat until-fail:20`). The
 # differential is seeded, both deadline tests stall their executions
-# with a fault plan, and the bench smoke gates check deterministic
-# invariants (bench_exec_smoke's one timing bar, specialized vs generic
-# dispatch, is judged against a noise floor it measures itself), so any
-# failure there is a defect, not noise.
+# with a fault plan, and every bench smoke gate checks deterministic
+# invariants only (schemas, step counts, fingerprint sets; no timing
+# bar), so any failure there is a defect, not noise.
 
 foreach(preset IN ITEMS verify-default verify-sanitize verify-tsan)
   message(STATUS "==== workflow: ${preset} ====")

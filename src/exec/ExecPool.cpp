@@ -229,7 +229,6 @@ size_t PoolSlice::runOrdered(size_t Count,
 ExecPool::ExecPool(unsigned Jobs) : TotalJobs(resolveJobs(Jobs)) {
   Slices.push_back(std::unique_ptr<PoolSlice>(
       new PoolSlice(TotalJobs, /*SliceIndex=*/0, /*WorkerBase=*/0)));
-  FreeSlices.push_back(Slices[0].get());
 }
 
 ExecPool::ExecPool(unsigned NumSlices, unsigned JobsPerSlice) {
@@ -240,27 +239,4 @@ ExecPool::ExecPool(unsigned NumSlices, unsigned JobsPerSlice) {
   for (unsigned I = 0; I < NumSlices; ++I)
     Slices.push_back(std::unique_ptr<PoolSlice>(
         new PoolSlice(JobsPerSlice, I, I * JobsPerSlice)));
-  // LIFO free list popping from the back: seed it in reverse so the
-  // first lease hands out slice 0.
-  for (unsigned I = NumSlices; I-- > 0;)
-    FreeSlices.push_back(Slices[I].get());
-}
-
-PoolSlice *ExecPool::lease() {
-  std::lock_guard<std::mutex> L(LeaseMu);
-  if (FreeSlices.empty())
-    return nullptr;
-  PoolSlice *S = FreeSlices.back();
-  FreeSlices.pop_back();
-  return S;
-}
-
-void ExecPool::release(PoolSlice *S) {
-  if (!S)
-    return;
-  std::lock_guard<std::mutex> L(LeaseMu);
-  assert(std::find(FreeSlices.begin(), FreeSlices.end(), S) ==
-             FreeSlices.end() &&
-         "double release");
-  FreeSlices.push_back(S);
 }

@@ -7,13 +7,13 @@
 // lifetime) and get handed one indexed batch of work per round.
 //
 // The pool is partitioned into one or more *slices* (PoolSlice): a
-// contiguous, exclusively-leased subset of workers with its own claim
-// counter, batch state and prefix-cancellation domain. A slice is the
-// unit a single synthesize() call runs against — concurrent synthesize()
-// calls each lease their own slice, so nothing in the batch machinery is
-// ever shared between concurrent requests. The single-slice pool
-// (ExecPool(Jobs)) is exactly the pre-partition pool: the facade methods
-// delegate to slice 0, so one-shot callers are unchanged.
+// contiguous subset of workers with its own claim counter, batch state
+// and prefix-cancellation domain. A slice is the unit a single
+// synthesize() call runs against — concurrent synthesize() calls each
+// run on their own slice (the serve daemon gives slot I slice I), so
+// nothing in the batch machinery is ever shared between concurrent
+// requests. The single-slice pool (ExecPool(Jobs)) is the one-shot
+// shape: callers run on slice(0).
 //
 // Each slice's one primitive, runOrdered, guarantees *prefix semantics*:
 // indices are claimed in increasing order from the slice's counter, a
@@ -69,10 +69,10 @@ unsigned resolveJobs(unsigned Requested);
 /// persistent context.
 unsigned currentWorker();
 
-/// A contiguous, exclusively-leased partition of an ExecPool: its own
-/// worker threads, claim counter, batch state and per-slot persistent
-/// vm::ExecContexts. One slice serves one synthesize() call at a time;
-/// the slice owner is the runOrdered caller (slice-relative worker 0).
+/// A contiguous partition of an ExecPool: its own worker threads, claim
+/// counter, batch state and per-slot persistent vm::ExecContexts. One
+/// slice serves one synthesize() call at a time; the slice owner is the
+/// runOrdered caller (slice-relative worker 0).
 class PoolSlice {
 public:
   /// Slice parallelism, including the calling thread.
@@ -171,7 +171,7 @@ private:
 };
 
 /// A fixed partition of reusable worker threads into one or more
-/// exclusively-leasable slices.
+/// slices; each slice serves one caller at a time.
 class ExecPool {
 public:
   /// Creates a single-slice pool for \p Jobs-way parallelism (0 =
@@ -195,28 +195,9 @@ public:
 
   PoolSlice &slice(unsigned I) { return *Slices[I]; }
 
-  /// Exclusively leases a free slice, or returns null when every slice
-  /// is leased out. A leased slice must be returned with release();
-  /// lease order is LIFO over releases (warmest contexts first).
-  PoolSlice *lease();
-  void release(PoolSlice *S);
-
-  // Single-slice facade: the pre-partition ExecPool interface, delegated
-  // to slice 0 so one-shot callers (and tests) are unchanged.
-  void setObs(const obs::ObsContext *O) { slice(0).setObs(O); }
-  size_t runOrdered(size_t Count, const std::function<void(size_t)> &Body,
-                    const std::function<bool()> &ShouldStop = nullptr) {
-    return slice(0).runOrdered(Count, Body, ShouldStop);
-  }
-  vm::ExecContext &workerContext(unsigned Worker) {
-    return slice(0).workerContext(Worker);
-  }
-
 private:
   unsigned TotalJobs = 1;
   std::vector<std::unique_ptr<PoolSlice>> Slices;
-  std::mutex LeaseMu;
-  std::vector<PoolSlice *> FreeSlices; ///< LIFO free list.
 };
 
 } // namespace dfence::exec

@@ -74,8 +74,8 @@ using ViolationCheck = std::function<std::string(const vm::ExecResult &)>;
 /// round; its module and clients must stay alive and unmodified until
 /// runRound returns) on pool slice \p Slice, which the caller must hold
 /// exclusively for the duration (the one-shot path uses the pool's only
-/// slice; the serve daemon leases one per dispatcher slot). \p Stop may
-/// be null; when it fires, not-yet-started slots are cancelled and the
+/// slice; the serve daemon gives each dispatcher slot its own). \p Stop
+/// may be null; when it fires, not-yet-started slots are cancelled and the
 /// result is the executed prefix. When \p Obs carries a trace sink,
 /// every slot emits a "slot" span on its worker's trace track
 /// (tid = Slice.base() + currentWorker(), globally unique across

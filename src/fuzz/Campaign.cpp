@@ -34,8 +34,6 @@ Json fuzz::requestJson(const Scenario &S, const CampaignConfig &Cfg) {
   J.set("rounds", Json::number(static_cast<uint64_t>(Cfg.Rounds)));
   J.set("seed", Json::number(S.Seed));
   J.set("cache", Json::string(Cfg.CacheOn ? "on" : "off"));
-  if (!Cfg.Dispatch.empty())
-    J.set("dispatch", Json::string(Cfg.Dispatch));
   return J;
 }
 

@@ -48,7 +48,6 @@ struct CampaignConfig {
   /// are jobs-invariant, so this only moves the wall clock.
   unsigned Jobs = 0;
   bool CacheOn = true;
-  std::string Dispatch; ///< "" = default; "specialized" | "generic".
   /// > 0 fans the campaign through an in-process serve daemon with this
   /// many dispatcher slots; 0 runs the direct path.
   unsigned ServeSlots = 0;

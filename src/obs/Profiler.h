@@ -26,9 +26,9 @@
 //    opcode/step counters are jobs-invariant (the executed slot multiset
 //    is identical at any --jobs width) but NOT cache-invariant (exec-cache
 //    hits skip execution), so the differential gates compare the counter
-//    snapshot minus the `obs_*` prefix — mirroring `cache_*` and
-//    `exec_dispatch_*`. Phase *times* are wall-clock and live in
-//    histograms only, which stay out of countersJson by design.
+//    snapshot minus the `obs_*` prefix — mirroring `cache_*`. Phase
+//    *times* are wall-clock and live in histograms only, which stay out
+//    of countersJson by design.
 //  * Sum property: per execution, the exec-side phases plus ExecOther
 //    equal measured execution wall time by construction (ExecOther is the
 //    remainder); per round, RoundOther absorbs whatever the merge thread

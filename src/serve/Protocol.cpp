@@ -105,8 +105,6 @@ std::optional<ServeRequest> serve::parseRequest(const Json &J,
     }
     R.CacheOn = C == "on";
   }
-  if (const Json *V = J.find("dispatch"))
-    R.Dispatch = V->asString();
   if (const Json *V = J.find("execMs"))
     R.ExecMs = static_cast<uint32_t>(V->asU64(0));
   if (const Json *V = J.find("retries"))
@@ -183,16 +181,6 @@ static bool fillConfig(const ServeRequest &R, vm::MemModel Model,
   if (R.Seed != 0)
     Cfg.BaseSeed = R.Seed;
   Cfg.CacheEnabled = R.CacheOn;
-  // Empty = keep whatever default the server stamped into the job's
-  // config (ServeConfig::Dispatch; the Server overrides after this).
-  if (R.Dispatch == "generic")
-    Cfg.Dispatch = vm::DispatchMode::Generic;
-  else if (R.Dispatch == "specialized")
-    Cfg.Dispatch = vm::DispatchMode::Specialized;
-  else if (!R.Dispatch.empty()) {
-    Error = "unknown dispatch mode '" + R.Dispatch + "'";
-    return false;
-  }
   Cfg.Exec.ExecWallMs = R.ExecMs;
   Cfg.Exec.MaxRetries = R.Retries;
   Cfg.RoundWallMs = R.RoundMs;

@@ -75,10 +75,6 @@ struct ServeRequest {
   bool Dump = false;
   uint64_t Seed = 0;   ///< 0 = the synthesizer's default base seed.
   bool CacheOn = true;
-  /// Interpreter dispatch: "specialized" | "generic"; empty = inherit
-  /// the server's default (ServeConfig::Dispatch). Never a cache key —
-  /// both modes produce byte-identical results.
-  std::string Dispatch;
 
   // Resilience knobs.
   uint32_t ExecMs = 0;

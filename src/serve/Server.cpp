@@ -327,17 +327,13 @@ Json Server::runJob(Pending &P, unsigned Slot) {
 
   // Stamp the server's execution environment. Semantic knobs came from
   // the request (prepareJob, as for the CLI); only the *where it runs*
-  // part is ours: an exclusively leased pool slice, the fingerprint-
-  // routed cache shard, observability, and the deadline cap on the
-  // total wall budget. Capping TotalWallMs cannot change a run that
-  // finishes in time (watchdog purity), which is what keeps daemon
-  // results byte-identical to the one-shot CLI.
-  exec::PoolSlice *Slice = Pool.lease();
-  // One slice per slot by construction, so a lease is always available.
-  assert(Slice && "slot without a free slice");
+  // part is ours: the slot's own pool slice, the fingerprint-routed
+  // cache shard, observability, and the deadline cap on the total wall
+  // budget. Capping TotalWallMs cannot change a run that finishes in
+  // time (watchdog purity), which is what keeps daemon results
+  // byte-identical to the one-shot CLI.
   SlotLeasesC.add(1);
-  Job->Cfg.Slice = Slice;
-  Job->Cfg.Jobs = Slice->jobs();
+  Job->Cfg.Slice = &Pool.slice(Slot);
   Job->Cfg.Obs = Obs;
 
   // Cache shard: routed by content fingerprint and held (its mutex) for
@@ -358,10 +354,6 @@ Json Server::runJob(Pending &P, unsigned Slot) {
     Job->Cfg.ExecResultCache = &Cache.shard(Shard);
     S.arg("cacheShard", static_cast<uint64_t>(Shard));
   }
-  // Requests that chose a dispatch mode keep it (prepareJob applied it);
-  // the rest inherit the server default.
-  if (P.Req.Dispatch.empty())
-    Job->Cfg.Dispatch = Cfg.Dispatch;
   if (P.DL.armed()) {
     uint32_t Rem = P.DL.remainingMs();
     if (Job->Cfg.TotalWallMs == 0 || Job->Cfg.TotalWallMs > Rem)
@@ -395,7 +387,6 @@ Json Server::runJob(Pending &P, unsigned Slot) {
     std::this_thread::sleep_for(
         std::chrono::milliseconds(Cfg.RetryBackoffMs << Attempt));
   }
-  Pool.release(Slice);
 
   if (Crashed) {
     DegradedC.add(1);

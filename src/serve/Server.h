@@ -2,11 +2,11 @@
 //
 // A long-lived Server owns the expensive, warm state one-shot runs throw
 // away — one partitioned exec::ExecPool (persistent workers + per-worker
-// ExecContexts, split into exclusively-leasable slices), one sharded
+// ExecContexts, split into one slice per slot), one sharded
 // cross-request cache::ShardedExecCache, one metrics registry — and N
 // dispatcher *slots*, each a thread that pops admitted requests off a
-// two-level priority queue, leases a pool slice, and runs the request
-// against it. Requests overlap across slots; parallelism *within* a
+// two-level priority queue and runs them on its own pool slice (slot I
+// on slice I). Requests overlap across slots; parallelism *within* a
 // request still comes from the slice fanning each round's K executions
 // across its workers.
 //
@@ -73,7 +73,7 @@ struct ServeConfig {
   /// at --jobs N (results are jobs-invariant, so this holds at any
   /// slicing).
   unsigned Jobs = 0;
-  /// Concurrent dispatcher slots; each slot leases its own pool slice.
+  /// Concurrent dispatcher slots; each slot runs on its own pool slice.
   /// 1 = the serial dispatcher (the pre-partition daemon shape).
   unsigned Slots = 1;
   /// Pool-slice width per slot; 0 = divide the resolved Jobs budget
@@ -94,10 +94,6 @@ struct ServeConfig {
   /// (requests can individually opt out with "cache":"off").
   bool CacheEnabled = true;
   size_t CacheCapacity = 1 << 15; ///< Executions, split across shards.
-  /// Default interpreter dispatch for requests that do not carry their
-  /// own "dispatch" knob (`dfence serve --dispatch`). Byte-identical
-  /// results either way; the generic mode exists for A/B and debugging.
-  vm::DispatchMode Dispatch = vm::DispatchMode::Specialized;
   /// Directory for crash reports and captured repro bundles; empty
   /// disables the on-disk reports (responses still carry the status).
   std::string CrashDir;

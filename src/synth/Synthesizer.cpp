@@ -135,7 +135,6 @@ static exec::RoundPlan planRound(const SynthConfig &Cfg,
     P.ClientIdx = static_cast<uint32_t>(G % NumClients);
     vm::ExecConfig &EC = P.EC;
     EC.Model = Cfg.Model;
-    EC.Dispatch = Cfg.Dispatch;
     EC.Seed = Cfg.BaseSeed + G;
     EC.MaxSteps = Cfg.MaxStepsPerExec;
     EC.CollectRepairs = true;
@@ -155,9 +154,8 @@ static exec::RoundPlan planRound(const SynthConfig &Cfg,
 
 /// The run half of every round's cache key: everything besides the module
 /// and the round's position that a round's slots — results and verdicts —
-/// are a function of. Dispatch mode is left out (it never changes a
-/// result); wall-clock watchdogs, fault plans and bundle capture turn the
-/// cache off instead.
+/// are a function of. Wall-clock watchdogs, fault plans and bundle
+/// capture turn the cache off instead.
 static uint64_t runFingerprint(const SynthConfig &Cfg,
                                const std::vector<vm::Client> &Clients) {
   auto Bits = [](double D) {
@@ -276,14 +274,6 @@ SynthResult synth::synthesize(const ir::Module &M,
       obs::counterOrNull(Cfg.Obs, "cache_exec_hits");
   obs::Counter *CacheExecMissesC =
       obs::counterOrNull(Cfg.Obs, "cache_exec_misses");
-  // Dispatch counters are folded per ran slot on the merge thread (the
-  // slot set is identical with caching on or off, so the cache stays
-  // invisible in the counter snapshot minus the cache_* AND
-  // exec_dispatch_* prefixes compared by the differential tests).
-  obs::Counter *DispatchSpecC =
-      obs::counterOrNull(Cfg.Obs, "exec_dispatch_specialized");
-  obs::Counter *DispatchGenC =
-      obs::counterOrNull(Cfg.Obs, "exec_dispatch_generic");
   // Flight recorder (optional). Exec-side phases accumulate on the round
   // workers; the merge-thread phases (sat_solve, enforce, fold) and the
   // per-round remainder are observed below. Phase times are wall-clock
@@ -295,14 +285,6 @@ SynthResult synth::synthesize(const ir::Module &M,
   RunSpan.arg("model", std::string(vm::memModelName(Cfg.Model)));
   RunSpan.arg("spec", std::string(specKindName(Cfg.Spec)));
   RunSpan.arg("k", static_cast<uint64_t>(Cfg.ExecsPerRound));
-  RunSpan.arg("jobs", static_cast<uint64_t>(Cfg.Jobs));
-  if (Log)
-    Log->info("synth",
-              strformat("starting synthesis: model=%s spec=%s k=%u "
-                        "max-rounds=%u jobs=%u",
-                        vm::memModelName(Cfg.Model),
-                        specKindName(Cfg.Spec), Cfg.ExecsPerRound,
-                        Cfg.MaxRounds, Cfg.Jobs));
 
   harness::Supervisor Sup(Cfg.Exec);
   if (Cfg.CaptureBundles)
@@ -342,11 +324,11 @@ SynthResult synth::synthesize(const ir::Module &M,
   // The pool slice lives for the whole run; each round fans its K
   // executions across it and merges in execution-index order, so the
   // result is bit-identical to the sequential engine at any Jobs value
-  // (and any slice width). A caller-leased slice (the concurrent serve
-  // dispatcher) is used as is; a caller-owned pool contributes its
-  // slice 0; otherwise a private pool is built for this run. setObs is
-  // per-slice, so concurrent synthesize() calls on separately leased
-  // slices never race on observability handles.
+  // (and any slice width). A caller's slice (a serve dispatcher slot's)
+  // is used as is; a caller-owned pool contributes its slice 0;
+  // otherwise a private pool is built for this run. setObs is
+  // per-slice, so concurrent synthesize() calls on different slices
+  // never race on observability handles.
   std::optional<exec::ExecPool> OwnedPool;
   exec::PoolSlice *SliceP = Cfg.Slice;
   if (!SliceP) {
@@ -356,6 +338,16 @@ SynthResult synth::synthesize(const ir::Module &M,
   }
   exec::PoolSlice &Slice = *SliceP;
   Slice.setObs(Cfg.Obs);
+  // Reported from the slice, not Cfg.Jobs: Jobs is ignored under
+  // Pool/Slice, and Jobs = 0 means "hardware".
+  RunSpan.arg("jobs", static_cast<uint64_t>(Slice.jobs()));
+  if (Log)
+    Log->info("synth",
+              strformat("starting synthesis: model=%s spec=%s k=%u "
+                        "max-rounds=%u jobs=%u",
+                        vm::memModelName(Cfg.Model),
+                        specKindName(Cfg.Spec), Cfg.ExecsPerRound,
+                        Cfg.MaxRounds, Slice.jobs()));
 
   // Result caches (src/cache/). Duplicate Completed histories are only
   // counted (cache_check_*) for specs with a non-trivial history check.
@@ -489,10 +481,6 @@ SynthResult synth::synthesize(const ir::Module &M,
       ++Result.TotalExecutions;
       ++Stats.Executions;
       OBS_COUNT(ExecsC, 1);
-      if (P.EC.Dispatch == vm::DispatchMode::Specialized)
-        OBS_COUNT(DispatchSpecC, 1);
-      else
-        OBS_COUNT(DispatchGenC, 1);
       OBS_COUNT(VmStepsC, R.Steps);
       OBS_COUNT(VmFlushesC, R.Stats.Flushes);
       OBS_COUNT(VmSchedStepsC, R.Stats.SchedSteps);

@@ -96,22 +96,15 @@ struct SynthConfig {
   /// the workers. Ignored when Slice is set.
   exec::ExecPool *Pool = nullptr;
 
-  /// Optional exclusively-leased pool slice. When set, synthesize()
-  /// fans rounds across exactly this slice — the concurrent serve
-  /// dispatcher leases one slice per dispatcher slot, so concurrent
-  /// synthesize() calls never share batch state, per-worker contexts or
-  /// observability handles. Not owned; the caller must hold the lease
-  /// until synthesize() returns. Takes precedence over Pool/Jobs.
+  /// Optional pool slice. When set, synthesize() fans rounds across
+  /// exactly this slice — the serve dispatcher runs slot I on slice I,
+  /// so concurrent synthesize() calls never share batch state,
+  /// per-worker contexts or observability handles. Not owned; nothing
+  /// else may run on the slice until synthesize() returns. Takes
+  /// precedence over Pool/Jobs.
   exec::PoolSlice *Slice = nullptr;
 
-  /// Interpreter dispatch mode forwarded to every execution (`dfence
-  /// --dispatch specialized|generic`). Specialized binds each execution
-  /// to the monomorphized per-model interpreter (policy-typed store
-  /// buffers, threaded opcode dispatch); generic runs the runtime-
-  /// dispatched loop. Semantically identical by construction — both are
-  /// one template in ExecContext.cpp, results and step counts are
-  /// byte-identical (DispatchDifferentialTest is the gate) — so this is
-  /// a performance escape hatch, never part of any cache key.
+  /// Unread; see vm::DispatchMode.
   vm::DispatchMode Dispatch = vm::DispatchMode::Specialized;
 
   EnforceMode Mode = EnforceMode::Fence;

@@ -15,21 +15,17 @@
 // validation and every diagnostic — are byte-for-byte those of the old
 // engine, which is what keeps recorded replay traces reproducing.
 //
-// The interpreter loops are written once as templates over a memory-model
-// policy and instantiated four ways. The three specialized policies carry
-// their model as a constexpr, so bufOf<MP> resolves every store-buffer
-// call to one concrete policy class (ScBuffer/TsoBuffer/PsoBuffer — fully
-// inlined, zero model branches) and modelOf<MP> constant-folds every
-// model comparison; opcode dispatch then goes through a computed-goto
-// jump table indexed by the prepared program's pre-translated OpIdx
-// stream (a plain switch on compilers without the extension). The generic
-// policy reads the model tag at runtime through the StoreBufferSet facade
-// — exactly the pre-monomorphization interpreter — and exists as the
-// `--dispatch generic` A/B + debugging path. Both modes share this one
-// template, so they cannot drift semantically: DispatchDifferentialTest
-// pins byte-identical results, and the init thread (which always runs
-// under SC regardless of Cfg.Model) steps through the SC policy in
-// specialized mode and through the facade's SC tag in generic mode.
+// The interpreter loops are written once as templates over the memory
+// model and instantiated once per model (SC, TSO, PSO). The model is a
+// template argument, so bufOf<Model> resolves every store-buffer call to one
+// concrete buffer class (ScBuffer/TsoBuffer/PsoBuffer — fully inlined,
+// zero model branches) and every model comparison constant-folds; opcode
+// dispatch goes through a computed-goto jump table indexed by the
+// prepared program's pre-translated OpIdx stream (a plain switch on
+// compilers without the extension). The init thread always runs under SC
+// regardless of Cfg.Model, so it steps through the SC instantiation.
+// SchedulePinTest pins every instantiation's schedules, step counts,
+// repairs and histories across commits.
 //
 //===----------------------------------------------------------------------===//
 
@@ -42,7 +38,6 @@
 #include <algorithm>
 #include <cassert>
 #include <thread>
-#include <type_traits>
 
 using namespace dfence;
 using namespace dfence::vm;
@@ -57,30 +52,6 @@ using namespace dfence::ir;
 #endif
 
 namespace {
-
-/// Runtime-dispatched policy: the model tag is read per operation from
-/// Cfg.Model / the thread's buffer (the StoreBufferSet facade).
-struct GenericPolicy {
-  static constexpr bool Specialized = false;
-};
-
-/// Monomorphized policy: the model is a compile-time constant and every
-/// buffer operation binds to the model's policy class.
-template <MemModel M> struct ModelPolicy {
-  static constexpr bool Specialized = true;
-  static constexpr MemModel Model = M;
-};
-
-using ScPolicy = ModelPolicy<MemModel::SC>;
-using TsoPolicy = ModelPolicy<MemModel::TSO>;
-using PsoPolicy = ModelPolicy<MemModel::PSO>;
-
-/// The policy the init function steps under: always SC semantics (the
-/// init thread is unbuffered regardless of Cfg.Model). Under the generic
-/// policy the facade's SC tag provides that; under a specialized policy
-/// the SC policy class does.
-template <class MP>
-using InitPolicy = std::conditional_t<MP::Specialized, ScPolicy, MP>;
 
 /// Per-opcode "next step is a scheduling point" table, indexed by the
 /// prepared OpIdx stream: Instr::isSharedAccess() plus the opcodes the
@@ -126,21 +97,23 @@ struct ExecContext::Thread {
   uint32_t Tid = 0;
   std::vector<Frame> Frames;
   std::vector<Word> RegArena;
-  StoreBufferSet Buf;
+  /// The write buffers; the model's instantiation touches only its own
+  /// (SC's is stateless).
+  ScBuffer Sc;
+  TsoBuffer Tso;
+  PsoBuffer Pso;
   const ThreadScript *Script = nullptr;   ///< Null for spawned threads.
   const PreparedThread *Prep = nullptr;   ///< Resolved callees of Script.
   size_t ScriptPos = 0;
   std::vector<Word> CallResults; ///< Return values of completed calls.
   bool DoneFlag = false;
 
-  Thread() : Buf(MemModel::SC) {}
-
-  void reset(uint32_t T, MemModel M, const ThreadScript *S,
-             const PreparedThread *P) {
+  void reset(uint32_t T, const ThreadScript *S, const PreparedThread *P) {
     Tid = T;
     Frames.clear();
     RegArena.clear();
-    Buf.reset(M);
+    Tso.reset();
+    Pso.reset();
     Script = S;
     Prep = P;
     ScriptPos = 0;
@@ -175,22 +148,13 @@ struct ExecContext::Thread {
   Word &reg(const Frame &F, Reg Rg) { return RegArena[F.RegBase + Rg]; }
 };
 
-template <class MP> decltype(auto) ExecContext::bufOf(Thread &T) {
-  if constexpr (!MP::Specialized)
-    return (T.Buf);
-  else if constexpr (MP::Model == MemModel::SC)
-    return (T.Buf.sc());
-  else if constexpr (MP::Model == MemModel::TSO)
-    return (T.Buf.tso());
+template <MemModel Model> auto &ExecContext::bufOf(Thread &T) {
+  if constexpr (Model == MemModel::SC)
+    return T.Sc;
+  else if constexpr (Model == MemModel::TSO)
+    return T.Tso;
   else
-    return (T.Buf.pso());
-}
-
-template <class MP> MemModel ExecContext::modelOf() const {
-  if constexpr (MP::Specialized)
-    return MP::Model;
-  else
-    return Cfg.Model;
+    return T.Pso;
 }
 
 ExecContext::ExecContext() = default;
@@ -204,12 +168,11 @@ void ExecContext::violate(Outcome O, std::string Msg) {
   Result->Message = std::move(Msg);
 }
 
-ExecContext::Thread &ExecContext::acquireThread(uint32_t Tid,
-                                                MemModel Model) {
+ExecContext::Thread &ExecContext::acquireThread(uint32_t Tid) {
   if (LiveThreads == Threads.size())
     Threads.push_back(std::make_unique<Thread>());
   Thread &T = *Threads[LiveThreads++];
-  T.reset(Tid, Model, nullptr, nullptr);
+  T.reset(Tid, nullptr, nullptr);
   return T;
 }
 
@@ -224,13 +187,13 @@ void ExecContext::layoutGlobals() {
   }
 }
 
-template <class MP> void ExecContext::runInitT() {
+void ExecContext::runInit() {
   // The init function runs to completion, alone, with SC semantics: a
   // dedicated SC-buffered (i.e. unbuffered) thread stepping until done.
   if (!InitThread)
     InitThread = std::make_unique<Thread>();
   Thread &Init = *InitThread;
-  Init.reset(~0u, MemModel::SC, nullptr, nullptr);
+  Init.reset(~0u, nullptr, nullptr);
   Init.pushFrame(PC->Init, P->frameSize(PC->Init));
   size_t InitSteps = 0;
   while (!Init.Frames.empty() && !Halted) {
@@ -240,7 +203,7 @@ template <class MP> void ExecContext::runInitT() {
     }
     if ((InitSteps & 1023) == 0 && deadlineExpired())
       return;
-    stepThreadT<InitPolicy<MP>>(Init);
+    stepThreadT<MemModel::SC>(Init);
   }
 }
 
@@ -252,7 +215,7 @@ void ExecContext::createClientThreads() {
   if (Cfg.RecordTrace)
     Result->Trace.reserve(std::min<size_t>(Cfg.MaxSteps, 1 << 14));
   for (size_t I = 0, E = C.Threads.size(); I != E; ++I) {
-    Thread &T = acquireThread(static_cast<uint32_t>(I), Cfg.Model);
+    Thread &T = acquireThread(static_cast<uint32_t>(I));
     T.Script = &C.Threads[I];
     T.Prep = &PC->Threads[I];
   }
@@ -305,17 +268,17 @@ bool ExecContext::checkAddr(Word Addr, const char *What, InstrId Label) {
   return false;
 }
 
-template <class MP>
+template <MemModel Model>
 void ExecContext::collectRepairsT(Thread &T, InstrId K, Word Addr,
                                   bool IsLoad) {
-  if (!Cfg.CollectRepairs || modelOf<MP>() == MemModel::SC)
+  if (!Cfg.CollectRepairs || Model == MemModel::SC)
     return;
   // Under TSO only store→load reordering is possible, so only later loads
   // yield ordering predicates; PSO additionally relaxes store→store.
-  if (modelOf<MP>() == MemModel::TSO && !IsLoad)
+  if (Model == MemModel::TSO && !IsLoad)
     return;
   LabelScratch.clear();
-  bufOf<MP>(T).pendingLabelsExcept(Addr, LabelScratch);
+  bufOf<Model>(T).pendingLabelsExcept(Addr, LabelScratch);
   for (InstrId L : LabelScratch)
     Repairs.push_back(OrderingPredicate{L, K, IsLoad});
 }
@@ -341,7 +304,7 @@ bool ExecContext::allocFaultFires() {
   return FP->AllocFailProb > 0.0 && FaultR.nextBool(FP->AllocFailProb);
 }
 
-template <class MP> bool ExecContext::maybeFlushStormT() {
+template <MemModel Model> bool ExecContext::maybeFlushStormT() {
   const FaultPlan *FP = Cfg.Faults;
   if (!FP || FP->FlushStormProb <= 0.0 ||
       !FaultR.nextBool(FP->FlushStormProb))
@@ -356,10 +319,10 @@ template <class MP> bool ExecContext::maybeFlushStormT() {
   Thread &T = *Threads[Tid];
   // Drain the whole buffer; each flush is a recorded action so a replay
   // of the trace reproduces the storm without needing the fault plan.
-  while (!bufOf<MP>(T).empty() && !Halted && Steps < Cfg.MaxSteps) {
+  while (!bufOf<Model>(T).empty() && !Halted && Steps < Cfg.MaxSteps) {
     if (Cfg.RecordTrace)
       Result->Trace.push_back(sched::Action::flush(Tid));
-    flushOneT<MP>(T, false, 0);
+    flushOneT<Model>(T, false, 0);
     ++Steps;
   }
   NoProgress = 0;
@@ -400,11 +363,11 @@ sched::Action ExecContext::applyForcedSwitch(sched::Action A) {
   return A;
 }
 
-template <class MP>
+template <MemModel Model>
 void ExecContext::flushOneT(Thread &T, bool HasVar, Word Var) {
-  decltype(auto) B = bufOf<MP>(T);
+  auto &B = bufOf<Model>(T);
   assert(!B.empty() && "flush of empty buffer");
-  BufferEntry E = (HasVar && modelOf<MP>() == MemModel::PSO)
+  BufferEntry E = (HasVar && Model == MemModel::PSO)
                       ? B.popOldestFor(Var)
                       : B.popOldest();
   // The FLUSH rule is where delayed stores become visible; the paper
@@ -416,10 +379,10 @@ void ExecContext::flushOneT(Thread &T, bool HasVar, Word Var) {
   Mem.write(E.Addr, E.Val);
 }
 
-template <class MP>
+template <MemModel Model>
 void ExecContext::drainForAtomicT(Thread &T, Word Addr) {
-  decltype(auto) B = bufOf<MP>(T);
-  if (modelOf<MP>() == MemModel::PSO && !B.emptyFor(Addr)) {
+  auto &B = bufOf<Model>(T);
+  if (Model == MemModel::PSO && !B.emptyFor(Addr)) {
     BufferEntry E = B.popOldestFor(Addr);
     ++Result->Stats.Flushes;
     if (!checkAddr(E.Addr, "flush of buffered store", E.Label))
@@ -427,10 +390,10 @@ void ExecContext::drainForAtomicT(Thread &T, Word Addr) {
     Mem.write(E.Addr, E.Val);
     return;
   }
-  flushOneT<MP>(T, false, 0);
+  flushOneT<Model>(T, false, 0);
 }
 
-template <class MP>
+template <MemModel Model>
 bool ExecContext::stepThreadT(Thread &T, uint32_t Grant) {
   if (T.Frames.empty()) {
     if (T.Script && T.ScriptPos < T.Script->Calls.size()) {
@@ -447,7 +410,7 @@ bool ExecContext::stepThreadT(Thread &T, uint32_t Grant) {
   const Module &M = P->module();
   const Function &Fn = M.Funcs[F.F];
   const PreparedFunc &PF = P->func(F.F);
-  decltype(auto) B = bufOf<MP>(T);
+  auto &B = bufOf<Model>(T);
   obs::ProfilerShard *PS = PShard;
 
   // Dispatch off the prepared OpIdx stream (one dense byte per Body
@@ -472,8 +435,8 @@ Dispatch:
   assert(F.Ip < Fn.Body.size() && "instruction pointer out of range");
   const Instr &I = Fn.Body[F.Ip];
   // Flight recorder: per-opcode step counts come straight off the
-  // prepared dispatch stream — one array increment, both dispatch modes
-  // (they share this template). Null shard = no work at all.
+  // prepared dispatch stream — one array increment. Null shard = no work
+  // at all.
   if (PS)
     ++PS->OpSteps[PF.OpIdx[F.Ip]];
 #if DFENCE_COMPUTED_GOTO
@@ -514,7 +477,7 @@ Dispatch:
 
   DF_CASE(Load) {
     Word Addr = T.reg(F, I.Ops[0]);
-    collectRepairsT<MP>(T, I.Id, Addr, /*IsLoad=*/true);
+    collectRepairsT<Model>(T, I.Id, Addr, /*IsLoad=*/true);
     if (!checkAddr(Addr, "load", I.Id))
       return true;
     Word V;
@@ -530,16 +493,10 @@ Dispatch:
   DF_CASE(Store) {
     Word Addr = T.reg(F, I.Ops[0]);
     Word Val = T.reg(F, I.Ops[1]);
-    collectRepairsT<MP>(T, I.Id, Addr, /*IsLoad=*/false);
-    // Buffering keys off the *thread's* model, not Cfg.Model: the init
-    // thread always runs SC (specialized mode steps it through the SC
-    // policy, so BufModel folds to a constant in every instantiation).
-    MemModel BufModel;
-    if constexpr (MP::Specialized)
-      BufModel = MP::Model;
-    else
-      BufModel = T.Buf.model();
-    if (BufModel == MemModel::SC) {
+    collectRepairsT<Model>(T, I.Id, Addr, /*IsLoad=*/false);
+    // Buffering keys off the instantiation's model, not Cfg.Model: the
+    // init thread always steps through the SC instantiation.
+    if constexpr (Model == MemModel::SC) {
       if (!checkAddr(Addr, "store", I.Id))
         return true;
       Mem.write(Addr, Val);
@@ -548,7 +505,7 @@ Dispatch:
       // before the new store can be buffered (as real hardware would).
       if (Cfg.Faults && Cfg.Faults->BufferCapacity > 0) {
         while (B.size() >= Cfg.Faults->BufferCapacity && !Halted)
-          flushOneT<MP>(T, false, 0);
+          flushOneT<Model>(T, false, 0);
         if (Halted)
           return true;
       }
@@ -566,10 +523,10 @@ Dispatch:
     // CAS premise: the buffer of the accessed variable must be empty
     // (TSO: the whole per-thread buffer). Make progress by draining.
     if (!B.emptyFor(Addr)) {
-      drainForAtomicT<MP>(T, Addr);
+      drainForAtomicT<Model>(T, Addr);
       return true;
     }
-    collectRepairsT<MP>(T, I.Id, Addr, /*IsLoad=*/false);
+    collectRepairsT<Model>(T, I.Id, Addr, /*IsLoad=*/false);
     if (!checkAddr(Addr, "cas", I.Id))
       return true;
     Word Expected = T.reg(F, I.Ops[1]);
@@ -586,7 +543,7 @@ Dispatch:
   DF_CASE(Fence) {
     // FENCE rule: blocks until all of the thread's buffers are empty.
     if (!B.empty()) {
-      flushOneT<MP>(T, false, 0);
+      flushOneT<Model>(T, false, 0);
       return true;
     }
     goto Advance;
@@ -595,7 +552,7 @@ Dispatch:
   DF_CASE(Lock) {
     // Lock acquire is a CAS loop surrounded by full fences (paper §5.2).
     if (!B.empty()) {
-      flushOneT<MP>(T, false, 0);
+      flushOneT<Model>(T, false, 0);
       return true;
     }
     Word Addr = T.reg(F, I.Ops[0]);
@@ -609,7 +566,7 @@ Dispatch:
 
   DF_CASE(Unlock) {
     if (!B.empty()) {
-      flushOneT<MP>(T, false, 0);
+      flushOneT<Model>(T, false, 0);
       return true;
     }
     Word Addr = T.reg(F, I.Ops[0]);
@@ -681,7 +638,7 @@ Dispatch:
     // [pending-store ≺ return] so enforcement can place a fence at the
     // end of the method (the paper's "(m, line:-)" inter-op fences).
     if (WasTopLevel && Cfg.CollectRepairs && Cfg.InterOpPredicates &&
-        !B.empty() && modelOf<MP>() != MemModel::SC) {
+        !B.empty() && Model != MemModel::SC) {
       LabelScratch.clear();
       B.pendingLabelsExcept(static_cast<Word>(-1), LabelScratch);
       for (InstrId L : LabelScratch)
@@ -711,7 +668,7 @@ Dispatch:
     for (size_t A = 0; A != I.Ops.size(); ++A)
       ArgScratch.push_back(T.reg(F, I.Ops[A]));
     uint32_t NewTid = static_cast<uint32_t>(LiveThreads);
-    Thread &NewT = acquireThread(NewTid, Cfg.Model);
+    Thread &NewT = acquireThread(NewTid);
     Thread::Frame &NewF =
         NewT.pushFrame(I.Callee, P->frameSize(I.Callee));
     for (size_t A = 0; A != ArgScratch.size(); ++A)
@@ -733,11 +690,11 @@ Dispatch:
     }
     Thread &U = *Threads[Target];
     // JOIN rule: target finished and its buffers drained. The target is
-    // a client thread, so it steps under the same policy as T.
+    // a client thread, so it steps under the same model as T.
     if (U.hasWork())
       return false;
-    if (!bufOf<MP>(U).empty()) {
-      flushOneT<MP>(U, false, 0);
+    if (!bufOf<Model>(U).empty()) {
+      flushOneT<Model>(U, false, 0);
       ViewsStale = true; // U's buffer shrank, not only T's state.
       return true;
     }
@@ -774,9 +731,9 @@ Continue:
   goto Dispatch;
 }
 
-template <class MP> bool ExecContext::refreshViewT(size_t TI) {
+template <MemModel Model> bool ExecContext::refreshViewT(size_t TI) {
   Thread &T = *Threads[TI];
-  decltype(auto) B = bufOf<MP>(T);
+  auto &B = bufOf<Model>(T);
   sched::ThreadView &V = Views[TI];
   V.Tid = T.Tid;
   V.Runnable = T.hasWork();
@@ -798,7 +755,7 @@ template <class MP> bool ExecContext::refreshViewT(size_t TI) {
   return true;
 }
 
-template <class MP> void ExecContext::mainLoopT() {
+template <MemModel Model> void ExecContext::mainLoopT() {
   // Flight-recorder phase attribution. A null shard (the default) costs
   // exactly these pointer tests per iteration — zero clock reads; an
   // attached shard brackets the three sections of an iteration (view
@@ -838,12 +795,12 @@ template <class MP> void ExecContext::mainLoopT() {
       Views.resize(LiveThreads);
       Schedulable = 0;
       for (size_t TI = 0; TI != LiveThreads; ++TI)
-        Schedulable += refreshViewT<MP>(TI);
+        Schedulable += refreshViewT<Model>(TI);
       ViewsStale = false;
     } else {
       const sched::ThreadView &V = Views[Acted];
       Schedulable -= V.Runnable || V.PendingStores > 0;
-      Schedulable += refreshViewT<MP>(Acted);
+      Schedulable += refreshViewT<Model>(Acted);
     }
     if (PS) {
       PT1 = ProfClock::now();
@@ -853,7 +810,7 @@ template <class MP> void ExecContext::mainLoopT() {
     if (Schedulable == 0)
       return; // Completed.
 
-    if (maybeFlushStormT<MP>()) {
+    if (maybeFlushStormT<Model>()) {
       if (PS)
         PS->addNs(obs::Phase::BufferFlush,
                   obs::ProfilerShard::elapsedNs(PT1, ProfClock::now()));
@@ -885,7 +842,7 @@ template <class MP> void ExecContext::mainLoopT() {
 
     bool Progress;
     if (A.Kind == sched::Action::Flush) {
-      decltype(auto) B = bufOf<MP>(T);
+      auto &B = bufOf<Model>(T);
       if (B.empty()) {
         violate(Outcome::Deadlock,
                 strformat("scheduler flushed empty buffer of thread %u "
@@ -895,10 +852,10 @@ template <class MP> void ExecContext::mainLoopT() {
       }
       // A per-variable flush of a variable with nothing pending (possible
       // only with a foreign trace) degrades to a positional flush.
-      if (A.HasVar && modelOf<MP>() == MemModel::PSO &&
+      if (A.HasVar && Model == MemModel::PSO &&
           B.emptyFor(A.Var))
         A.HasVar = false;
-      flushOneT<MP>(T, A.HasVar, A.Var);
+      flushOneT<Model>(T, A.HasVar, A.Var);
       ++Result->Stats.SchedFlushes;
       Progress = true;
       if (PS)
@@ -915,7 +872,7 @@ template <class MP> void ExecContext::mainLoopT() {
                               1023 & (1024 - (Next & 1023))}));
       }
       size_t Before = Steps;
-      Progress = stepThreadT<MP>(T, Grant);
+      Progress = stepThreadT<Model>(T, Grant);
       size_t Local = Steps - Before;
       if (Local) {
         OwnedSched.tookLocal(static_cast<uint32_t>(Local));
@@ -938,31 +895,31 @@ template <class MP> void ExecContext::mainLoopT() {
   }
 }
 
-template <class MP> void ExecContext::finalDrainT() {
+template <MemModel Model> void ExecContext::finalDrainT() {
   using ProfClock = std::chrono::steady_clock;
   ProfClock::time_point PT0{};
   if (PShard)
     PT0 = ProfClock::now();
   for (size_t TI = 0; TI != LiveThreads; ++TI) {
     Thread &T = *Threads[TI];
-    while (!bufOf<MP>(T).empty() && !Halted)
-      flushOneT<MP>(T, false, 0);
+    while (!bufOf<Model>(T).empty() && !Halted)
+      flushOneT<Model>(T, false, 0);
   }
   if (PShard)
     PShard->addNs(obs::Phase::BufferFlush,
                   obs::ProfilerShard::elapsedNs(PT0, ProfClock::now()));
 }
 
-template <class MP> void ExecContext::runLoops() {
+template <MemModel Model> void ExecContext::runLoops() {
   Sched->reset();
   layoutGlobals();
   if (PC->HasInit && !Halted)
-    runInitT<MP>();
+    runInit();
   createClientThreads();
   if (!Halted)
-    mainLoopT<MP>();
+    mainLoopT<Model>();
   if (!Halted)
-    finalDrainT<MP>();
+    finalDrainT<Model>();
 }
 
 void ExecContext::run(const PreparedProgram &Prog, size_t ClientIdx,
@@ -1018,18 +975,11 @@ void ExecContext::run(const PreparedProgram &Prog, size_t ClientIdx,
     Sched = &OwnedSched;
   }
 
-  // Bind the interpreter once per execution: specialized dispatch picks
-  // the model's monomorphized instantiation, generic runs the runtime-
-  // dispatched one. Identical semantics either way (the loops are one
-  // template); only the machine code differs.
-  if (Cfg.Dispatch == DispatchMode::Specialized) {
-    switch (Cfg.Model) {
-    case MemModel::SC:  runLoops<ScPolicy>(); break;
-    case MemModel::TSO: runLoops<TsoPolicy>(); break;
-    case MemModel::PSO: runLoops<PsoPolicy>(); break;
-    }
-  } else {
-    runLoops<GenericPolicy>();
+  // Bind the model's instantiation once per execution.
+  switch (Cfg.Model) {
+  case MemModel::SC:  runLoops<MemModel::SC>(); break;
+  case MemModel::TSO: runLoops<MemModel::TSO>(); break;
+  case MemModel::PSO: runLoops<MemModel::PSO>(); break;
   }
   Out.Steps = Steps;
 

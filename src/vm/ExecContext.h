@@ -16,7 +16,7 @@
 // byte-for-byte the same.
 //
 // A context is single-threaded: callers running executions in parallel
-// give each worker its own context (see exec::ExecPool::workerContext).
+// give each worker its own context (see exec::PoolSlice::workerContext).
 //
 //===----------------------------------------------------------------------===//
 
@@ -76,45 +76,40 @@ private:
   struct Thread;
 
   // Per-run driver steps (the old per-execution engine, now operating on
-  // reset-in-place state). The loops are templated over a memory-model
-  // policy `MP` (see ExecContext.cpp): the specialized policies carry a
-  // constexpr model so every store-buffer call inlines against one policy
-  // class and every model comparison constant-folds; the generic policy
-  // reads Cfg.Model / the thread's buffer tag at runtime, reproducing
-  // the pre-monomorphization interpreter exactly. run() binds the policy
-  // once per execution from (Cfg.Dispatch, Cfg.Model).
-  template <class MP> void runLoops();
+  // reset-in-place state). The loops are templated over the memory model
+  // `Model` (see ExecContext.cpp): every store-buffer call inlines against
+  // the model's buffer class and every model comparison constant-folds.
+  // run() binds the instantiation once per execution from Cfg.Model.
+  template <MemModel Model> void runLoops();
   void layoutGlobals();
-  template <class MP> void runInitT();
+  /// Runs the client's init function alone, under SC.
+  void runInit();
   void createClientThreads();
-  template <class MP> void mainLoopT();
+  template <MemModel Model> void mainLoopT();
   /// Re-reads Views[TI] from thread TI; true when the thread is
   /// schedulable (runnable or holding buffered stores).
-  template <class MP> bool refreshViewT(size_t TI);
-  template <class MP> void finalDrainT();
+  template <MemModel Model> bool refreshViewT(size_t TI);
+  template <MemModel Model> void finalDrainT();
   void startNextCall(Thread &T);
   /// Steps \p T once, then takes up to \p Grant more of its steps while
   /// its next instruction is thread-local (a local run); each counts in
   /// Steps.
-  template <class MP> bool stepThreadT(Thread &T, uint32_t Grant = 0);
-  template <class MP> void flushOneT(Thread &T, bool HasVar, Word Var);
-  template <class MP> void drainForAtomicT(Thread &T, Word Addr);
-  template <class MP>
+  template <MemModel Model> bool stepThreadT(Thread &T, uint32_t Grant = 0);
+  template <MemModel Model> void flushOneT(Thread &T, bool HasVar, Word Var);
+  template <MemModel Model> void drainForAtomicT(Thread &T, Word Addr);
+  template <MemModel Model>
   void collectRepairsT(Thread &T, ir::InstrId K, Word Addr, bool IsLoad);
   bool deadlineExpired();
   bool allocFaultFires();
-  template <class MP> bool maybeFlushStormT();
+  template <MemModel Model> bool maybeFlushStormT();
   sched::Action applyForcedSwitch(sched::Action A);
   bool checkAddr(Word Addr, const char *What, ir::InstrId Label);
   void violate(Outcome O, std::string Msg);
-  Thread &acquireThread(uint32_t Tid, MemModel Model);
+  Thread &acquireThread(uint32_t Tid);
 
-  /// The buffer the policy steps against: the matching policy object
-  /// under a specialized policy, the runtime facade under the generic
-  /// one. Defined (and only used) in ExecContext.cpp.
-  template <class MP> static decltype(auto) bufOf(Thread &T);
-  /// Cfg.Model, constant-folded under a specialized policy.
-  template <class MP> MemModel modelOf() const;
+  /// The thread's buffer of model \p Model. Defined (and only used) in
+  /// ExecContext.cpp.
+  template <MemModel Model> static auto &bufOf(Thread &T);
 
   // Long-lived state, reset (not reallocated) per run.
   Memory Mem;

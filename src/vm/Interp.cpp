@@ -31,14 +31,6 @@ const char *vm::outcomeName(Outcome O) {
   dfenceUnreachable("invalid outcome");
 }
 
-const char *vm::dispatchModeName(DispatchMode D) {
-  switch (D) {
-  case DispatchMode::Generic:     return "generic";
-  case DispatchMode::Specialized: return "specialized";
-  }
-  dfenceUnreachable("invalid dispatch mode");
-}
-
 std::string History::str() const {
   std::string S;
   for (const OpRecord &Op : Ops) {

@@ -42,23 +42,17 @@ enum class Outcome : uint8_t {
 
 const char *outcomeName(Outcome O);
 
-/// How the interpreter binds its memory model. Specialized (the default)
-/// runs the per-model monomorphized step loop: store-buffer operations
-/// inline against the model's policy class and opcode dispatch goes
-/// through a pre-translated jump table (computed goto where the compiler
-/// supports it). Generic runs the single runtime-dispatched loop that
-/// switches on the model tag per operation — the debugging/A-B escape
-/// hatch (`--dispatch generic`). The two are semantically identical:
-/// step counts, histories and repair sets are byte-for-byte the same
-/// (DispatchDifferentialTest pins this), so the mode is deliberately
-/// *not* part of any cache key.
-enum class DispatchMode : uint8_t { Generic, Specialized };
-
-const char *dispatchModeName(DispatchMode D);
+/// The interpreter has one dispatch: the per-model instantiation of its
+/// step loop. This one-value type and ExecConfig::Dispatch (and
+/// synth::SynthConfig::Dispatch) remain only because perfbench/driver.cpp
+/// assigns the field and changes only together with the benchmark; no
+/// code reads either field.
+enum class DispatchMode : uint8_t { Specialized };
 
 /// Per-execution configuration.
 struct ExecConfig {
   MemModel Model = DefaultMemModel;
+  /// Unread; see DispatchMode.
   DispatchMode Dispatch = DispatchMode::Specialized;
   uint64_t Seed = 1;
   size_t MaxSteps = 1 << 20;

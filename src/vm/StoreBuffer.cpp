@@ -1,8 +1,8 @@
 //===- StoreBuffer.cpp ----------------------------------------------------===//
 //
-// The buffer implementations themselves live in the header so both the
-// monomorphized interpreter and the runtime facade inline them; only the
-// name tables stay out of line.
+// The buffer implementations themselves live in the header so the
+// per-model interpreter inlines them; only the name table stays out of
+// line.
 //
 //===----------------------------------------------------------------------===//
 

@@ -10,15 +10,14 @@
 // — the auxiliary map B-hat of the paper's instrumented semantics
 // (Semantics 2) used to derive ordering predicates for repair.
 //
-// Each model is its own policy class (ScBuffer / TsoBuffer / PsoBuffer)
-// with a fully inline implementation and zero model branches — the
-// monomorphized interpreter (ExecContext) binds one policy per execution
-// and every forward/push/emptyFor/popOldest call inlines against concrete
-// flat-vector state. StoreBufferSet remains as a thin runtime facade that
-// switches on a model tag per call: it is the generic-dispatch path
-// (`--dispatch generic`), the API every existing test pins, and the
-// reference the policy classes are differentially tested against. A new
-// memory model is one new policy class plus a facade case.
+// Each model is its own buffer class (ScBuffer / TsoBuffer / PsoBuffer)
+// with a fully inline implementation and zero model branches. The
+// interpreter (ExecContext) is instantiated once per model: each VM
+// thread holds a TsoBuffer and a PsoBuffer directly, and the model's
+// instantiation binds the matching one (SC binds the stateless
+// ScBuffer), so every forward/push/emptyFor/popOldest call inlines
+// against concrete flat-vector state. A new memory model is one new
+// buffer class plus one instantiation.
 //
 //===----------------------------------------------------------------------===//
 
@@ -65,11 +64,11 @@ struct BufferEntry {
 };
 
 //===----------------------------------------------------------------------===//
-// Policy classes
+// Buffer classes
 //
 // All three expose the same surface (reset/forward/push/empty/size/
 // emptyFor/popOldest/popOldestFor/nonEmptyVars/pendingLabelsExcept) so
-// the templated interpreter and the policy-contract tests are written
+// the templated interpreter and the buffer-contract tests are written
 // once against it. reset() revives a buffer for a new execution with all
 // vector capacities — and address-slot layouts — retained: the bump
 // allocator recycles the same addresses run after run, so a reused buffer
@@ -357,140 +356,6 @@ private:
   size_t Count = 0;
   std::vector<VarFifo> PerVar; ///< Sorted by Addr; drained slots kept.
   std::vector<Word> Active;    ///< Sorted addresses with pending stores.
-};
-
-//===----------------------------------------------------------------------===//
-// Runtime facade
-//===----------------------------------------------------------------------===//
-
-/// The write-buffer state of a single thread, dispatching on a runtime
-/// model tag: the generic interpreter path and the model-agnostic API the
-/// rest of the system (tests, litmus driver) programs against. Only the
-/// active policy ever holds entries; the inactive ones stay empty, so the
-/// per-thread footprint matches the old single-class layout.
-class StoreBufferSet {
-public:
-  explicit StoreBufferSet(MemModel M) : Model(M) {}
-
-  /// Revives the buffer for a new execution under \p M: logically empty,
-  /// every vector capacity (including per-variable FIFOs and address
-  /// indexes) retained.
-  void reset(MemModel M) {
-    Model = M;
-    TsoB.reset();
-    PsoB.reset();
-  }
-
-  MemModel model() const { return Model; }
-
-  /// The policy objects, for the monomorphized interpreter (and the
-  /// policy-contract tests). Callers must touch only the policy matching
-  /// model() — the facade's aggregate queries read the active one.
-  ScBuffer &sc() { return ScB; }
-  TsoBuffer &tso() { return TsoB; }
-  PsoBuffer &pso() { return PsoB; }
-  const ScBuffer &sc() const { return ScB; }
-  const TsoBuffer &tso() const { return TsoB; }
-  const PsoBuffer &pso() const { return PsoB; }
-
-  /// Store-to-load forwarding: returns true and sets \p Out to the newest
-  /// buffered value for \p Addr if one exists (LOAD-B rule).
-  bool forward(Word Addr, Word &Out) const {
-    switch (Model) {
-    case MemModel::SC:  return ScB.forward(Addr, Out);
-    case MemModel::TSO: return TsoB.forward(Addr, Out);
-    case MemModel::PSO: return PsoB.forward(Addr, Out);
-    }
-    dfenceUnreachable("invalid memory model");
-  }
-
-  /// Buffers a store (STORE rule). Must not be called under SC.
-  void push(Word Addr, Word Val, InstrId Label) {
-    assert(Model != MemModel::SC && "SC never buffers stores");
-    if (Model == MemModel::PSO)
-      PsoB.push(Addr, Val, Label);
-    else
-      TsoB.push(Addr, Val, Label);
-  }
-
-  bool empty() const { return size() == 0; }
-  size_t size() const {
-    switch (Model) {
-    case MemModel::SC:  return ScB.size();
-    case MemModel::TSO: return TsoB.size();
-    case MemModel::PSO: return PsoB.size();
-    }
-    dfenceUnreachable("invalid memory model");
-  }
-
-  /// True when no store to \p Addr is pending. Under TSO this is the
-  /// whole-buffer emptiness (the TSO CAS/fence premise quantifies over the
-  /// single per-thread buffer).
-  bool emptyFor(Word Addr) const {
-    switch (Model) {
-    case MemModel::SC:  return ScB.emptyFor(Addr);
-    case MemModel::TSO: return TsoB.emptyFor(Addr);
-    case MemModel::PSO: return PsoB.emptyFor(Addr);
-    }
-    dfenceUnreachable("invalid memory model");
-  }
-
-  /// Pops the oldest pending entry (TSO: of the FIFO; PSO: of the lowest-
-  /// addressed non-empty variable buffer). Buffer must be non-empty.
-  BufferEntry popOldest() {
-    if (Model == MemModel::PSO)
-      return PsoB.popOldest();
-    return TsoB.popOldest();
-  }
-
-  /// Pops the oldest pending entry for \p Addr (PSO flush of a particular
-  /// variable). Under TSO, pops the oldest entry regardless of \p Addr to
-  /// preserve FIFO order. Buffer must have a pending store to \p Addr
-  /// (PSO) / be non-empty (TSO).
-  BufferEntry popOldestFor(Word Addr) {
-    if (Model == MemModel::PSO)
-      return PsoB.popOldestFor(Addr);
-    return TsoB.popOldestFor(Addr);
-  }
-
-  /// Variables with pending stores. PSO: the distinct addresses in
-  /// ascending order; TSO: a singleton {0} marker when non-empty (the
-  /// flush choice is positional).
-  std::vector<Word> nonEmptyVars() const {
-    std::vector<Word> Vars;
-    nonEmptyVars(Vars);
-    return Vars;
-  }
-
-  /// Allocation-free variant for the per-step scheduler views: clears
-  /// \p Out and fills it with the same content nonEmptyVars() returns.
-  void nonEmptyVars(std::vector<Word> &Out) const {
-    switch (Model) {
-    case MemModel::SC:  ScB.nonEmptyVars(Out); return;
-    case MemModel::TSO: TsoB.nonEmptyVars(Out); return;
-    case MemModel::PSO: PsoB.nonEmptyVars(Out); return;
-    }
-    dfenceUnreachable("invalid memory model");
-  }
-
-  /// Labels of pending stores to variables other than \p ExcludeAddr —
-  /// the candidate "earlier store" sides of ordering predicates
-  /// (Semantics 2). Deduplicated, deterministic order.
-  void pendingLabelsExcept(Word ExcludeAddr,
-                           std::vector<InstrId> &Out) const {
-    switch (Model) {
-    case MemModel::SC:  ScB.pendingLabelsExcept(ExcludeAddr, Out); return;
-    case MemModel::TSO: TsoB.pendingLabelsExcept(ExcludeAddr, Out); return;
-    case MemModel::PSO: PsoB.pendingLabelsExcept(ExcludeAddr, Out); return;
-    }
-    dfenceUnreachable("invalid memory model");
-  }
-
-private:
-  MemModel Model;
-  ScBuffer ScB;
-  TsoBuffer TsoB;
-  PsoBuffer PsoB;
 };
 
 } // namespace dfence::vm

@@ -30,8 +30,8 @@ TEST(ExecPoolTest, SingleJobSpawnsNoThreadsAndRunsAll) {
   ExecPool Pool(1);
   EXPECT_EQ(Pool.jobs(), 1u);
   std::vector<int> Hits(50, 0);
-  size_t Cut = Pool.runOrdered(Hits.size(),
-                               [&](size_t I) { ++Hits[I]; });
+  size_t Cut =
+      Pool.slice(0).runOrdered(Hits.size(), [&](size_t I) { ++Hits[I]; });
   EXPECT_EQ(Cut, 50u);
   for (int H : Hits)
     EXPECT_EQ(H, 1);
@@ -42,7 +42,7 @@ TEST(ExecPoolTest, RunsEveryIndexExactlyOnce) {
   EXPECT_EQ(Pool.jobs(), 4u);
   std::vector<std::atomic<int>> Hits(200);
   size_t Cut =
-      Pool.runOrdered(Hits.size(), [&](size_t I) { ++Hits[I]; });
+      Pool.slice(0).runOrdered(Hits.size(), [&](size_t I) { ++Hits[I]; });
   EXPECT_EQ(Cut, 200u);
   for (const std::atomic<int> &H : Hits)
     EXPECT_EQ(H.load(), 1);
@@ -50,7 +50,7 @@ TEST(ExecPoolTest, RunsEveryIndexExactlyOnce) {
 
 TEST(ExecPoolTest, ZeroCountReturnsZero) {
   ExecPool Pool(3);
-  size_t Cut = Pool.runOrdered(0, [&](size_t) { FAIL(); });
+  size_t Cut = Pool.slice(0).runOrdered(0, [&](size_t) { FAIL(); });
   EXPECT_EQ(Cut, 0u);
 }
 
@@ -58,7 +58,7 @@ TEST(ExecPoolTest, PoolIsReusableAcrossBatches) {
   ExecPool Pool(4);
   for (int Round = 0; Round != 5; ++Round) {
     std::atomic<size_t> Done{0};
-    size_t Cut = Pool.runOrdered(64, [&](size_t) { ++Done; });
+    size_t Cut = Pool.slice(0).runOrdered(64, [&](size_t) { ++Done; });
     EXPECT_EQ(Cut, 64u);
     EXPECT_EQ(Done.load(), 64u);
   }
@@ -68,7 +68,7 @@ TEST(ExecPoolTest, CancellationTruncatesToExecutedPrefix) {
   ExecPool Pool(4);
   std::vector<std::atomic<int>> Hits(10000);
   std::atomic<size_t> Done{0};
-  size_t Cut = Pool.runOrdered(
+  size_t Cut = Pool.slice(0).runOrdered(
       Hits.size(),
       [&](size_t I) {
         ++Hits[I];
@@ -85,7 +85,7 @@ TEST(ExecPoolTest, CancellationTruncatesToExecutedPrefix) {
 
 TEST(ExecPoolTest, ImmediateStopRunsNothing) {
   ExecPool Pool(4);
-  size_t Cut = Pool.runOrdered(
+  size_t Cut = Pool.slice(0).runOrdered(
       100, [&](size_t) { FAIL(); }, [] { return true; });
   EXPECT_EQ(Cut, 0u);
 }

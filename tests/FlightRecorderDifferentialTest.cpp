@@ -13,10 +13,9 @@
 //     when it is on and (for the per-opcode step counters) are not
 //     exec-cache-invariant, hence the dedicated prefix,
 //
-// at jobs 1 and 8, with the caches on and off, under both interpreter
-// dispatch modes. The obs_* counters themselves are jobs-invariant (the
-// multiset of executed slots does not depend on the pool width), which
-// the cache-off comparison pins.
+// at jobs 1 and 8, with the caches on and off. The obs_* counters
+// themselves are jobs-invariant (the multiset of executed slots does not
+// depend on the pool width), which the cache-off comparison pins.
 //
 //===----------------------------------------------------------------------===//
 
@@ -34,7 +33,6 @@
 using namespace dfence;
 using namespace dfence::programs;
 using namespace dfence::synth;
-using vm::DispatchMode;
 using vm::MemModel;
 
 namespace {
@@ -59,15 +57,14 @@ struct RunOutput {
   std::string RoundLogText;
 };
 
-RunOutput run(const Benchmark &B, MemModel Model, DispatchMode Dispatch,
-              unsigned Jobs, bool CacheOn, bool Recorder) {
+RunOutput run(const Benchmark &B, MemModel Model, unsigned Jobs,
+              bool CacheOn, bool Recorder) {
   auto CR = frontend::compileMiniC(B.Source);
   EXPECT_TRUE(CR.Ok) << B.Name << ": " << CR.Error;
   SynthConfig Cfg;
   Cfg.Model = Model;
   Cfg.Spec = strictestSpec(B);
   Cfg.Factory = B.Factory;
-  Cfg.Dispatch = Dispatch;
   Cfg.ExecsPerRound = 150;
   Cfg.MaxRounds = 8;
   Cfg.MaxRepairRounds = 8;
@@ -136,27 +133,20 @@ TEST_P(FlightRecorderDifferentialTest, RecorderNeverChangesResults) {
   for (MemModel Model : {MemModel::TSO, MemModel::PSO}) {
     std::string What =
         B.Name + std::string("/") + vm::memModelName(Model);
-    auto Spec = DispatchMode::Specialized;
 
-    // Each axis of the matrix at least once: jobs 8, cache off, generic
-    // dispatch — always recorder-on against the same-config recorder-off.
-    RunOutput On1 = run(B, Model, Spec, 1, true, true);
-    RunOutput Off1 = run(B, Model, Spec, 1, true, false);
-    expectInvisible(On1, Off1, What + " jobs1/cache-on/spec");
+    // Each axis of the matrix at least once: jobs 8, cache off — always
+    // recorder-on against the same-config recorder-off.
+    RunOutput On1 = run(B, Model, 1, true, true);
+    RunOutput Off1 = run(B, Model, 1, true, false);
+    expectInvisible(On1, Off1, What + " jobs1/cache-on");
 
-    RunOutput On8 = run(B, Model, Spec, 8, true, true);
-    RunOutput Off8 = run(B, Model, Spec, 8, true, false);
-    expectInvisible(On8, Off8, What + " jobs8/cache-on/spec");
+    RunOutput On8 = run(B, Model, 8, true, true);
+    RunOutput Off8 = run(B, Model, 8, true, false);
+    expectInvisible(On8, Off8, What + " jobs8/cache-on");
 
-    RunOutput OnNc = run(B, Model, Spec, 1, false, true);
-    RunOutput OffNc = run(B, Model, Spec, 1, false, false);
-    expectInvisible(OnNc, OffNc, What + " jobs1/cache-off/spec");
-
-    RunOutput OnGen =
-        run(B, Model, DispatchMode::Generic, 1, true, true);
-    RunOutput OffGen =
-        run(B, Model, DispatchMode::Generic, 1, true, false);
-    expectInvisible(OnGen, OffGen, What + " jobs1/cache-on/generic");
+    RunOutput OnNc = run(B, Model, 1, false, true);
+    RunOutput OffNc = run(B, Model, 1, false, false);
+    expectInvisible(OnNc, OffNc, What + " jobs1/cache-off");
 
     // The round log drains one line per round, recorder-on only, and
     // the recorder does not change how many rounds a run takes.
@@ -170,14 +160,9 @@ TEST_P(FlightRecorderDifferentialTest, RecorderNeverChangesResults) {
     // exec cache cannot skew them (cache hits skip execution, and how
     // many accrue before a hit is jobs-independent only with the cache
     // off): the cache-off obs_* snapshot must not depend on pool width.
-    RunOutput OnNc8 = run(B, Model, Spec, 8, false, true);
+    RunOutput OnNc8 = run(B, Model, 8, false, true);
     EXPECT_EQ(OnNc.ObsCounters, OnNc8.ObsCounters)
         << What << " obs counters jobs-variant";
-
-    // Both dispatch modes count opcode steps the same way (one shared
-    // interpreter template): identical obs_* snapshots mode-to-mode.
-    EXPECT_EQ(On1.ObsCounters, OnGen.ObsCounters)
-        << What << " obs counters dispatch-variant";
   }
 }
 

@@ -10,8 +10,8 @@
 // every ExecResult must match the local-run engine's — outcome, message,
 // Steps, ExecStats, repairs, history and action trace.
 //
-// Covered: the schedule corpus under SC, TSO and PSO (seeds 1–5, both
-// dispatch modes) and under every fault plan; the reduction and trace
+// Covered: the schedule corpus under SC, TSO and PSO (seeds 1–5) and
+// under every fault plan; the reduction and trace
 // recording switched off; a MaxSteps sweep that ends executions inside
 // local runs; a local loop far longer than the 128-step streak cap. And
 // the deadline: a run stops at every 1024-step tick, so a wall-clock
@@ -117,14 +117,8 @@ TEST(LocalRunDifferential, ScheduleCorpus) {
     vm::PreparedProgram P(S.M, S.Clients);
     for (MemModel Model : {MemModel::SC, MemModel::TSO, MemModel::PSO})
       for (uint64_t Seed = 1; Seed <= 5; ++Seed)
-        for (size_t C = 0; C != S.Clients.size(); ++C) {
-          vm::ExecConfig Cfg = baseConfig(Model, Seed);
-          expectSame(P, C, Cfg, label(S, Model, Seed));
-          if (Seed == 1) {
-            Cfg.Dispatch = vm::DispatchMode::Generic;
-            expectSame(P, C, Cfg, label(S, Model, Seed) + "/generic");
-          }
-        }
+        for (size_t C = 0; C != S.Clients.size(); ++C)
+          expectSame(P, C, baseConfig(Model, Seed), label(S, Model, Seed));
   }
 }
 

@@ -1,7 +1,7 @@
 //===- SchedulePinTest.cpp - Cross-commit schedule pins -------------------===//
 //
-// The differential tests compare two paths of one build (dispatch modes,
-// job widths, caches), so a schedule change both paths share passes them
+// The differential tests compare two paths of one build (job widths,
+// caches, local runs), so a schedule change both paths share passes them
 // all. These pins were recorded once, from the interpreter as it stood
 // before its scheduler views became incremental, and are compared
 // unchanged: an engine change that moves any scheduling decision, flush,
@@ -12,8 +12,8 @@
 // client, all run on one reused context — covering the outcome, the
 // recorded action trace, Steps, ExecStats, the repairs and the history
 // hash. Groups: the flush-delaying scheduler as is, under each
-// scheduler-visible fault plan, the round-robin scheduler, replay of the
-// recorded trace, and generic dispatch.
+// scheduler-visible fault plan, the round-robin scheduler, and replay of
+// the recorded trace.
 //
 // A mismatch message carries the digest now computed in table form. Only
 // re-record when a change is meant to move schedules, and say why in
@@ -172,14 +172,6 @@ TEST(SchedulePinTest, ReplayScheduler) {
   });
 }
 
-TEST(SchedulePinTest, GenericDispatch) {
-  checkGroup("generic", [](vm::ExecContext &Ctx, const vm::PreparedProgram &P,
-                           size_t C, vm::ExecConfig Cfg, vm::ExecResult &Out) {
-    Cfg.Dispatch = vm::DispatchMode::Generic;
-    Ctx.run(P, C, Cfg, Out);
-  });
-}
-
 namespace {
 
 const std::map<std::string, uint64_t> &pins() {
@@ -208,30 +200,6 @@ const std::map<std::string, uint64_t> &pins() {
       {"capacity/litmus-sb-reseeded", 0xc2ae4644c1c457edULL},
       {"capacity/litmus-sb-twice", 0x3fb6eb369d9d3402ULL},
       {"capacity/litmus-wrc", 0xdce42d8013ef1f53ULL},
-      {"generic/Anchor WSQ", 0x3c0ac7afef454e52ULL},
-      {"generic/Anchor iWSQ", 0x2b78b794f1fff630ULL},
-      {"generic/Chase-Lev Full", 0xe068c34a6e63be4cULL},
-      {"generic/Chase-Lev WSQ", 0xf53c53b42f4195f9ULL},
-      {"generic/Cilk THE WSQ", 0x132922cb90ac5c65ULL},
-      {"generic/FIFO WSQ", 0xec39b23a252b8463ULL},
-      {"generic/FIFO iWSQ", 0xa6eca67908a61f8bULL},
-      {"generic/Harris Set", 0x07ebcbd762f859ebULL},
-      {"generic/LIFO WSQ", 0x6b47cefd8a9451b0ULL},
-      {"generic/LIFO iWSQ", 0xdf9e1ff393a21ea1ULL},
-      {"generic/Lamport Ring", 0xb22ec6fa129d105bULL},
-      {"generic/LazyList Set", 0x8dd164ecd93853b0ULL},
-      {"generic/MS2 Queue", 0x81c577024dada516ULL},
-      {"generic/MSN Queue", 0x6d4a58da36667e0aULL},
-      {"generic/Michael Allocator", 0xbe707ef6946ecbfaULL},
-      {"generic/Peterson Lock", 0x74fc9f57fae52ce4ULL},
-      {"generic/Treiber Stack", 0x76bdf9e692284dd2ULL},
-      {"generic/litmus-iriw", 0xcdd7f5418c4fa248ULL},
-      {"generic/litmus-lb", 0xd0e099376a82b0aeULL},
-      {"generic/litmus-mp", 0xd5479c13cb23a203ULL},
-      {"generic/litmus-sb", 0xfa830d702601e1a5ULL},
-      {"generic/litmus-sb-reseeded", 0xfa830d702601e1a5ULL},
-      {"generic/litmus-sb-twice", 0xd8bd060f22969968ULL},
-      {"generic/litmus-wrc", 0x199222fd6d19bc82ULL},
       {"random/Anchor WSQ", 0x3c0ac7afef454e52ULL},
       {"random/Anchor iWSQ", 0x2b78b794f1fff630ULL},
       {"random/Chase-Lev Full", 0xe068c34a6e63be4cULL},

@@ -128,6 +128,16 @@ TEST(ServeProtocol, CacheAcceptsOnlyOnOrOff) {
   }
 }
 
+TEST(ServeProtocol, UnknownKeysAreIgnored) {
+  // "dispatch" chose between two interpreter loops; with one left it is
+  // an unknown key like any other, whatever its value.
+  for (const char *Extra : {",\"dispatch\":\"generic\"",
+                            ",\"dispatch\":\"bogus\"",
+                            ",\"noSuchKnob\":7"})
+    EXPECT_EQ(prepareError(PubSource, "writer()|reader()", Extra), "")
+        << Extra;
+}
+
 TEST(ServeProtocol, FaultPlanTravelsInBundleVocabulary) {
   std::string Error;
   auto R = parseRequest(

@@ -1,4 +1,4 @@
-//===- StoreBufferTest.cpp - StoreBufferSet contract coverage -------------===//
+//===- StoreBufferTest.cpp - Store-buffer contract coverage ---------------===//
 //
 // Pins the behavioral contracts of the per-thread write buffers that the
 // flat-vector storage must preserve (these are the contracts the
@@ -6,15 +6,14 @@
 // on): TSO popOldestFor ignores the address to keep FIFO order, PSO
 // popOldest drains the lowest-addressed non-empty variable buffer,
 // forward() returns the newest buffered value, and pendingLabelsExcept
-// dedups in deterministic (ascending address, then FIFO) order.
-// The policy classes behind the facade (ScBuffer / TsoBuffer /
-// PsoBuffer — what the monomorphized interpreter binds directly) are
-// additionally pinned on their own: the same contracts exercised against
-// the concrete types, the store-forwarding index and active-address list
-// (the structures replacing the old linear scans) stressed through their
-// invalidation edges, reuse across reset(), and a randomized differential
-// driving a policy object and a facade through identical operation
-// sequences.
+// dedups in deterministic (ascending address, then FIFO) order. Every
+// case runs against the buffer classes the interpreter binds (ScBuffer /
+// TsoBuffer / PsoBuffer). The store-forwarding index and active-address
+// list (the structures replacing the old linear scans) are stressed
+// through their invalidation edges and reuse across reset(), and a
+// randomized differential drives each class and a naive reference model
+// (one vector of pending entries, every query a linear scan) through
+// identical operation sequences.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,22 +22,32 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 using namespace dfence;
 using namespace dfence::vm;
 
 namespace {
 
+/// The buffered variables, through the out-parameter API.
+template <class Buffer> std::vector<Word> vars(const Buffer &B) {
+  std::vector<Word> Out;
+  B.nonEmptyVars(Out);
+  return Out;
+}
+
 TEST(StoreBufferTest, ScNeverBuffersOrForwards) {
-  StoreBufferSet B(MemModel::SC);
+  ScBuffer B;
   EXPECT_TRUE(B.empty());
   EXPECT_TRUE(B.emptyFor(8));
   Word V = 0;
   EXPECT_FALSE(B.forward(8, V));
-  EXPECT_TRUE(B.nonEmptyVars().empty());
+  EXPECT_TRUE(vars(B).empty());
 }
 
 TEST(StoreBufferTest, TsoIsOneFifoAcrossVariables) {
-  StoreBufferSet B(MemModel::TSO);
+  TsoBuffer B;
   B.push(/*Addr=*/16, /*Val=*/1, /*Label=*/100);
   B.push(/*Addr=*/8, /*Val=*/2, /*Label=*/101);
   B.push(/*Addr=*/16, /*Val=*/3, /*Label=*/102);
@@ -63,7 +72,7 @@ TEST(StoreBufferTest, TsoIsOneFifoAcrossVariables) {
 }
 
 TEST(StoreBufferTest, TsoForwardReturnsNewestForAddress) {
-  StoreBufferSet B(MemModel::TSO);
+  TsoBuffer B;
   B.push(8, 1, 100);
   B.push(16, 7, 101);
   B.push(8, 2, 102); // Newer store to 8 shadows the first.
@@ -76,17 +85,17 @@ TEST(StoreBufferTest, TsoForwardReturnsNewestForAddress) {
 }
 
 TEST(StoreBufferTest, TsoNonEmptyVarsIsPositionalMarker) {
-  StoreBufferSet B(MemModel::TSO);
-  EXPECT_TRUE(B.nonEmptyVars().empty());
+  TsoBuffer B;
+  EXPECT_TRUE(vars(B).empty());
   B.push(8, 1, 100);
   B.push(16, 2, 101);
   // One FIFO, so the flush choice is positional: a singleton {0} marker,
   // not the set of buffered addresses.
-  EXPECT_EQ(B.nonEmptyVars(), std::vector<Word>({0}));
+  EXPECT_EQ(vars(B), std::vector<Word>({0}));
 }
 
 TEST(StoreBufferTest, PsoPopOldestTakesLowestAddressedBuffer) {
-  StoreBufferSet B(MemModel::PSO);
+  PsoBuffer B;
   B.push(24, 1, 100); // Arrival order deliberately not address order.
   B.push(8, 2, 101);
   B.push(16, 3, 102);
@@ -107,7 +116,7 @@ TEST(StoreBufferTest, PsoPopOldestTakesLowestAddressedBuffer) {
 }
 
 TEST(StoreBufferTest, PsoPopOldestForDrainsPerVariableFifo) {
-  StoreBufferSet B(MemModel::PSO);
+  PsoBuffer B;
   B.push(8, 1, 100);
   B.push(16, 9, 101);
   B.push(8, 2, 102);
@@ -124,7 +133,7 @@ TEST(StoreBufferTest, PsoPopOldestForDrainsPerVariableFifo) {
 }
 
 TEST(StoreBufferTest, PsoForwardReturnsNewestPerVariable) {
-  StoreBufferSet B(MemModel::PSO);
+  PsoBuffer B;
   B.push(8, 1, 100);
   B.push(8, 2, 101);
   Word V = 0;
@@ -139,21 +148,21 @@ TEST(StoreBufferTest, PsoForwardReturnsNewestPerVariable) {
 }
 
 TEST(StoreBufferTest, PsoNonEmptyVarsAscendingAfterPartialDrain) {
-  StoreBufferSet B(MemModel::PSO);
+  PsoBuffer B;
   B.push(32, 1, 100);
   B.push(8, 2, 101);
   B.push(16, 3, 102);
-  EXPECT_EQ(B.nonEmptyVars(), std::vector<Word>({8, 16, 32}));
+  EXPECT_EQ(vars(B), std::vector<Word>({8, 16, 32}));
   // Draining a variable to empty removes it from the set; the rest stay
   // in ascending address order.
   (void)B.popOldestFor(16);
-  EXPECT_EQ(B.nonEmptyVars(), std::vector<Word>({8, 32}));
+  EXPECT_EQ(vars(B), std::vector<Word>({8, 32}));
   (void)B.popOldest(); // Drains 8 (lowest).
-  EXPECT_EQ(B.nonEmptyVars(), std::vector<Word>({32}));
+  EXPECT_EQ(vars(B), std::vector<Word>({32}));
 }
 
 TEST(StoreBufferTest, PsoReusedAddressAfterDrainIsFresh) {
-  StoreBufferSet B(MemModel::PSO);
+  PsoBuffer B;
   B.push(8, 1, 100);
   (void)B.popOldestFor(8);
   EXPECT_TRUE(B.emptyFor(8));
@@ -166,7 +175,7 @@ TEST(StoreBufferTest, PsoReusedAddressAfterDrainIsFresh) {
 }
 
 TEST(StoreBufferTest, PendingLabelsExceptDedupsAndExcludes) {
-  StoreBufferSet B(MemModel::PSO);
+  PsoBuffer B;
   B.push(16, 1, 200); // Same label twice (e.g. a store in a loop).
   B.push(16, 2, 200);
   B.push(8, 3, 201);
@@ -184,7 +193,7 @@ TEST(StoreBufferTest, PendingLabelsExceptDedupsAndExcludes) {
 }
 
 TEST(StoreBufferTest, PendingLabelsExceptTsoFifoOrder) {
-  StoreBufferSet B(MemModel::TSO);
+  TsoBuffer B;
   B.push(16, 1, 300);
   B.push(8, 2, 301);
   B.push(16, 3, 300); // Dup label.
@@ -200,7 +209,7 @@ TEST(StoreBufferTest, PendingLabelsExceptTsoFifoOrder) {
 }
 
 //===----------------------------------------------------------------------===//
-// Policy-class contracts (the types the specialized interpreter binds)
+// Buffer-class internals: forwarding index, active list, reuse
 //===----------------------------------------------------------------------===//
 
 TEST(StoreBufferPolicyTest, ScBufferIsAlwaysEmpty) {
@@ -326,13 +335,109 @@ TEST(StoreBufferPolicyTest, PsoBufferReuseAfterReset) {
   EXPECT_TRUE(B.empty());
 }
 
-/// Drives \p Policy and a facade set to the same model through an
-/// identical random operation sequence, comparing every observable after
-/// every operation. The facade is the reference the policy classes must
-/// not drift from (it is also what `--dispatch generic` executes).
-template <class Policy>
-void runDifferential(Policy &B, MemModel Model, uint64_t Seed) {
-  StoreBufferSet Ref(Model);
+/// The reference model: the paper's buffer semantics written as plainly
+/// as possible — the pending entries of either model in one vector in
+/// arrival order, every query a linear scan over it.
+class NaiveBuffer {
+public:
+  explicit NaiveBuffer(MemModel M) : Model(M) {}
+
+  void reset() { Pending.clear(); }
+  void push(Word A, Word V, InstrId L) { Pending.push_back({A, V, L}); }
+  bool empty() const { return Pending.empty(); }
+  size_t size() const { return Pending.size(); }
+
+  /// TSO: whole-buffer emptiness. PSO: no pending store to \p A.
+  bool emptyFor(Word A) const {
+    if (Model == MemModel::TSO)
+      return empty();
+    for (const BufferEntry &E : Pending)
+      if (E.Addr == A)
+        return false;
+    return true;
+  }
+
+  /// The newest pending value for \p A.
+  bool forward(Word A, Word &Out) const {
+    for (size_t I = Pending.size(); I-- > 0;)
+      if (Pending[I].Addr == A) {
+        Out = Pending[I].Val;
+        return true;
+      }
+    return false;
+  }
+
+  /// TSO: the oldest entry. PSO: the oldest entry of the lowest pending
+  /// address.
+  BufferEntry popOldest() {
+    if (Model == MemModel::TSO)
+      return take(0);
+    return popOldestFor(vars().front());
+  }
+
+  /// TSO: the oldest entry whatever \p A. PSO: the oldest entry for \p A.
+  BufferEntry popOldestFor(Word A) {
+    if (Model == MemModel::TSO)
+      return take(0);
+    for (size_t I = 0; I != Pending.size(); ++I)
+      if (Pending[I].Addr == A)
+        return take(I);
+    ADD_FAILURE() << "no pending store to " << A;
+    return {};
+  }
+
+  /// TSO: the positional marker {0} when non-empty. PSO: the distinct
+  /// pending addresses, ascending.
+  std::vector<Word> vars() const {
+    std::vector<Word> Out;
+    if (Model == MemModel::TSO) {
+      if (!empty())
+        Out.push_back(0);
+      return Out;
+    }
+    for (const BufferEntry &E : Pending)
+      Out.push_back(E.Addr);
+    std::sort(Out.begin(), Out.end());
+    Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
+    return Out;
+  }
+
+  /// Labels of pending stores not to \p X, appended to \p Out unless
+  /// already there. TSO: arrival order. PSO: ascending address, arrival
+  /// order within an address.
+  void pendingLabelsExcept(Word X, std::vector<InstrId> &Out) const {
+    auto Add = [&](const BufferEntry &E) {
+      if (E.Addr != X &&
+          std::find(Out.begin(), Out.end(), E.Label) == Out.end())
+        Out.push_back(E.Label);
+    };
+    if (Model == MemModel::TSO) {
+      for (const BufferEntry &E : Pending)
+        Add(E);
+      return;
+    }
+    for (Word A : vars())
+      for (const BufferEntry &E : Pending)
+        if (E.Addr == A)
+          Add(E);
+  }
+
+private:
+  BufferEntry take(size_t I) {
+    BufferEntry E = Pending[I];
+    Pending.erase(Pending.begin() + static_cast<std::ptrdiff_t>(I));
+    return E;
+  }
+
+  MemModel Model;
+  std::vector<BufferEntry> Pending;
+};
+
+/// Drives \p B and a naive model of \p Model through an identical random
+/// operation sequence, comparing every observable after every operation.
+template <class Buffer>
+void runDifferential(Buffer &B, MemModel Model, uint64_t Seed) {
+  NaiveBuffer Ref(Model);
   Rng R(Seed);
   const Word Addrs[] = {8, 16, 24, 32, 40};
   size_t Pending = 0;
@@ -375,7 +480,7 @@ void runDifferential(Policy &B, MemModel Model, uint64_t Seed) {
       if (R.next() % 64 != 0)
         break;
       B.reset();
-      Ref.reset(Model);
+      Ref.reset();
       Pending = 0;
       break;
     }
@@ -389,25 +494,27 @@ void runDifferential(Policy &B, MemModel Model, uint64_t Seed) {
     bool F1 = B.forward(A, V1);
     bool F2 = Ref.forward(A, V2);
     EXPECT_EQ(F1, F2);
-    if (F1)
+    if (F1) {
       EXPECT_EQ(V1, V2);
-    std::vector<Word> Vars1, Vars2;
-    B.nonEmptyVars(Vars1);
-    Ref.nonEmptyVars(Vars2);
-    EXPECT_EQ(Vars1, Vars2);
+    }
+    EXPECT_EQ(vars(B), Ref.vars());
     std::vector<InstrId> L1, L2;
     B.pendingLabelsExcept(A, L1);
     Ref.pendingLabelsExcept(A, L2);
     EXPECT_EQ(L1, L2);
+    // Past the first divergence the two states no longer correspond (a
+    // pop could hit an address one side does not hold).
+    if (::testing::Test::HasFailure())
+      return;
   }
 }
 
-TEST(StoreBufferPolicyTest, TsoPolicyMatchesFacadeDifferentially) {
+TEST(StoreBufferPolicyTest, TsoBufferMatchesNaiveModel) {
   TsoBuffer B;
   runDifferential(B, MemModel::TSO, 0x75f0);
 }
 
-TEST(StoreBufferPolicyTest, PsoPolicyMatchesFacadeDifferentially) {
+TEST(StoreBufferPolicyTest, PsoBufferMatchesNaiveModel) {
   PsoBuffer B;
   runDifferential(B, MemModel::PSO, 0x9b50);
 }

@@ -1,10 +1,14 @@
 //===- SynthTest.cpp - Dynamic synthesis driver tests ---------------------===//
 
+#include "exec/ExecPool.h"
 #include "frontend/Compiler.h"
+#include "obs/Obs.h"
 #include "spec/Specs.h"
 #include "synth/Synthesizer.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
 
 using namespace dfence;
 using namespace dfence::synth;
@@ -236,6 +240,45 @@ TEST(SynthTest, DeterministicAcrossRuns) {
   EXPECT_EQ(A.Rounds, B.Rounds);
   EXPECT_EQ(A.TotalExecutions, B.TotalExecutions);
   EXPECT_EQ(A.ViolatingExecutions, B.ViolatingExecutions);
+}
+
+TEST(SynthTest, TraceAndLogReportThePoolWidth) {
+  // Jobs is ignored when the caller supplies the pool, so the synthesize
+  // span and the "starting synthesis" line must report the pool's width.
+  auto M = frontend::compileOrDie(PublishSrc);
+  SynthConfig Cfg = baseConfig(MemModel::PSO, SpecKind::MemorySafety);
+  Cfg.Jobs = 1;
+  exec::ExecPool Pool(3);
+  Cfg.Pool = &Pool;
+  obs::TraceSink Trace;
+  FILE *LogFile = std::tmpfile();
+  ASSERT_NE(LogFile, nullptr);
+  obs::Logger Log(obs::LogLevel::Info, /*JsonLines=*/false, LogFile);
+  obs::ObsContext Obs;
+  Obs.Trace = &Trace;
+  Obs.Log = &Log;
+  Cfg.Obs = &Obs;
+  synthesize(M, {publishClient()}, Cfg);
+
+  const Json *Span = nullptr;
+  Json Doc = Trace.toJson();
+  for (const Json &E : Doc.find("traceEvents")->items())
+    if (const Json *Name = E.find("name"))
+      if (Name->asString() == "synthesize")
+        Span = E.find("args");
+  ASSERT_NE(Span, nullptr);
+  ASSERT_NE(Span->find("jobs"), nullptr);
+  EXPECT_EQ(Span->find("jobs")->asU64(), 3u);
+
+  std::fflush(LogFile);
+  std::rewind(LogFile);
+  std::string Text;
+  char Buf[512];
+  while (std::fgets(Buf, sizeof Buf, LogFile))
+    Text += Buf;
+  std::fclose(LogFile);
+  EXPECT_NE(Text.find("starting synthesis"), std::string::npos) << Text;
+  EXPECT_NE(Text.find("jobs=3"), std::string::npos) << Text;
 }
 
 TEST(SynthTest, RoundLogIsConsistent) {

@@ -94,7 +94,7 @@ TEST(MemoryTest, LiveHeapBlockCount) {
 //===----------------------------------------------------------------------===//
 
 TEST(StoreBufferTest, ScNeverBuffers) {
-  StoreBufferSet B(MemModel::SC);
+  ScBuffer B;
   EXPECT_TRUE(B.empty());
   EXPECT_TRUE(B.emptyFor(5));
   Word Out;
@@ -102,7 +102,7 @@ TEST(StoreBufferTest, ScNeverBuffers) {
 }
 
 TEST(StoreBufferTest, TsoFifoOrder) {
-  StoreBufferSet B(MemModel::TSO);
+  TsoBuffer B;
   B.push(10, 1, 100);
   B.push(20, 2, 101);
   B.push(10, 3, 102);
@@ -118,7 +118,7 @@ TEST(StoreBufferTest, TsoFifoOrder) {
 }
 
 TEST(StoreBufferTest, TsoForwardingNewestWins) {
-  StoreBufferSet B(MemModel::TSO);
+  TsoBuffer B;
   B.push(10, 1, 100);
   B.push(10, 9, 101);
   Word Out = 0;
@@ -128,13 +128,13 @@ TEST(StoreBufferTest, TsoForwardingNewestWins) {
 }
 
 TEST(StoreBufferTest, TsoEmptyForIsWholeBuffer) {
-  StoreBufferSet B(MemModel::TSO);
+  TsoBuffer B;
   B.push(10, 1, 100);
   EXPECT_FALSE(B.emptyFor(99)) << "TSO CAS premise covers whole buffer";
 }
 
 TEST(StoreBufferTest, PsoPerVariableBuffers) {
-  StoreBufferSet B(MemModel::PSO);
+  PsoBuffer B;
   B.push(10, 1, 100);
   B.push(20, 2, 101);
   EXPECT_FALSE(B.emptyFor(10));
@@ -147,7 +147,7 @@ TEST(StoreBufferTest, PsoPerVariableBuffers) {
 }
 
 TEST(StoreBufferTest, PsoPerVariableFifo) {
-  StoreBufferSet B(MemModel::PSO);
+  PsoBuffer B;
   B.push(10, 1, 100);
   B.push(10, 2, 101);
   EXPECT_EQ(B.popOldestFor(10).Val, 1u);
@@ -155,7 +155,7 @@ TEST(StoreBufferTest, PsoPerVariableFifo) {
 }
 
 TEST(StoreBufferTest, PsoForwarding) {
-  StoreBufferSet B(MemModel::PSO);
+  PsoBuffer B;
   B.push(10, 1, 100);
   B.push(10, 5, 101);
   Word Out = 0;
@@ -164,20 +164,23 @@ TEST(StoreBufferTest, PsoForwarding) {
 }
 
 TEST(StoreBufferTest, NonEmptyVars) {
-  StoreBufferSet P(MemModel::PSO);
+  PsoBuffer P;
   P.push(10, 1, 100);
   P.push(20, 2, 101);
-  auto Vars = P.nonEmptyVars();
+  std::vector<Word> Vars;
+  P.nonEmptyVars(Vars);
   EXPECT_EQ(Vars.size(), 2u);
 
-  StoreBufferSet T(MemModel::TSO);
-  EXPECT_TRUE(T.nonEmptyVars().empty());
+  TsoBuffer T;
+  T.nonEmptyVars(Vars);
+  EXPECT_TRUE(Vars.empty());
   T.push(10, 1, 100);
-  EXPECT_EQ(T.nonEmptyVars().size(), 1u);
+  T.nonEmptyVars(Vars);
+  EXPECT_EQ(Vars.size(), 1u);
 }
 
 TEST(StoreBufferTest, PendingLabelsExcludeTargetVariable) {
-  StoreBufferSet B(MemModel::PSO);
+  PsoBuffer B;
   B.push(10, 1, 100);
   B.push(20, 2, 101);
   B.push(20, 3, 102);

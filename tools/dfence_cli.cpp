@@ -168,11 +168,6 @@ void printHelp(FILE *Out) {
       "keeps no\n"
       "                      execution cache, so its round-log "
       "execMisses read 0\n"
-      "  --dispatch MODE     specialized|generic interpreter dispatch "
-      "(default\n"
-      "                      specialized: monomorphized per-model loop; "
-      "results\n"
-      "                      are byte-identical either way)\n"
       "  --exec-ms N         per-execution wall-clock watchdog\n"
       "  --retries N         retry budget for discarded executions "
       "(default 2)\n"
@@ -187,7 +182,7 @@ void printHelp(FILE *Out) {
       "\n"
       "serve flags:\n"
       "  --jobs N            total worker pool width (0 = hardware)\n"
-      "  --slots N           concurrent dispatcher slots, each leasing "
+      "  --slots N           concurrent dispatcher slots, each with "
       "its own\n"
       "                      pool slice (default 1 = serial dispatch)\n"
       "  --jobs-per-slot N   pool-slice width per slot (default: --jobs "
@@ -207,9 +202,6 @@ void printHelp(FILE *Out) {
       "  --cache on|off      shared cross-request execution cache\n"
       "  --cache-capacity N  executions the shared cache stores "
       "(default 32768)\n"
-      "  --dispatch MODE     specialized|generic default interpreter "
-      "dispatch for\n"
-      "                      requests that do not choose one\n"
       "  --crash-dir DIR     where crash reports and repro bundles are "
       "written\n"
       "  --listen PORT       accept JSON-lines connections on "
@@ -247,7 +239,6 @@ void printHelp(FILE *Out) {
       "  --jobs N            worker threads (0 = hardware; results are\n"
       "                      bit-identical at any N)\n"
       "  --cache on|off      result caches (default on)\n"
-      "  --dispatch MODE     specialized|generic interpreter dispatch\n"
       "  --report FILE       write the JSONL campaign report (one line "
       "per\n"
       "                      scenario plus a summary line)\n"
@@ -288,12 +279,12 @@ const std::map<std::string, std::vector<const char *>> &knownFlags() {
       {"synth",
        {"client", "init", "model", "spec", "seq-spec", "k", "rounds",
         "flush", "enforce", "=no-merge", "=dump", "jobs", "cache",
-        "dispatch", "exec-ms", "retries", "round-ms", "total-ms",
+        "exec-ms", "retries", "round-ms", "total-ms",
         "wall-clock", "repro", "metrics-out", "trace-out", "round-log",
         "log-level", "=log-json"}},
       {"bench",
        {"model", "spec", "seq-spec", "k", "rounds", "flush", "enforce",
-        "=no-merge", "=dump", "jobs", "cache", "dispatch", "exec-ms",
+        "=no-merge", "=dump", "jobs", "cache", "exec-ms",
         "retries", "round-ms", "total-ms", "wall-clock", "repro",
         "metrics-out", "trace-out", "round-log", "log-level",
         "=log-json"}},
@@ -304,16 +295,15 @@ const std::map<std::string, std::vector<const char *>> &knownFlags() {
       {"serve",
        {"jobs", "slots", "jobs-per-slot", "queue", "deadline-ms",
         "request-retries",
-        "retry-backoff-ms", "cache", "cache-capacity", "dispatch",
-        "crash-dir",
+        "retry-backoff-ms", "cache", "cache-capacity", "crash-dir",
         "listen", "socket", "metrics-port", "=no-stdio", "metrics-out",
         "slow-ms", "log-level", "=log-json"}},
       // fuzz owns --fuzz-seed; the strict per-command tables are what
       // reject it on every other command (CliObsSmokeTest pins that).
       {"fuzz",
        {"fuzz-seed", "count", "ops", "threads", "families", "=no-litmus",
-        "via-serve", "model", "k", "rounds", "jobs", "cache", "dispatch",
-        "report", "metrics-out", "log-level", "=log-json"}},
+        "via-serve", "model", "k", "rounds", "jobs", "cache", "report",
+        "metrics-out", "log-level", "=log-json"}},
   };
   return Table;
 }
@@ -486,7 +476,6 @@ int runSynthesis(const Options &Opt, serve::ServeRequest Req) {
     return 1;
   }
   Req.CacheOn = CacheMode == "on";
-  Req.Dispatch = Opt.get("dispatch");
   Req.ExecMs = static_cast<uint32_t>(Opt.getInt("exec-ms", Req.ExecMs));
   Req.Retries = static_cast<unsigned>(Opt.getInt("retries", Req.Retries));
   Req.RoundMs = static_cast<uint32_t>(Opt.getInt("round-ms", Req.RoundMs));
@@ -805,14 +794,6 @@ int cmdServe(const Options &Opt) {
   SC.CacheEnabled = CacheMode == "on";
   SC.CacheCapacity =
       static_cast<size_t>(Opt.getInt("cache-capacity", 1 << 15));
-  std::string Dispatch = Opt.get("dispatch", "specialized");
-  if (Dispatch == "generic")
-    SC.Dispatch = vm::DispatchMode::Generic;
-  else if (Dispatch != "specialized") {
-    std::fprintf(stderr,
-                 "error: --dispatch must be 'specialized' or 'generic'\n");
-    return 2;
-  }
   SC.CrashDir = Opt.get("crash-dir");
   SC.SlowMs = static_cast<uint32_t>(Opt.getInt("slow-ms", 0));
 
@@ -941,13 +922,6 @@ int cmdFuzz(const Options &Opt) {
     return 2;
   }
   CC.CacheOn = CacheMode == "on";
-  std::string Dispatch = Opt.get("dispatch", "specialized");
-  if (Dispatch != "specialized" && Dispatch != "generic") {
-    std::fprintf(stderr,
-                 "error: --dispatch must be 'specialized' or 'generic'\n");
-    return 2;
-  }
-  CC.Dispatch = Dispatch;
   if (Opt.has("via-serve")) {
     long Slots = Opt.getInt("via-serve", 0);
     if (Slots < 1) {
