@@ -3,10 +3,10 @@
 // Measures the per-execution cost of the execution core in isolation: no
 // SAT, no enforcement, no checking — just the interpreter running the
 // synthesis hot-path configuration (CollectRepairs on, per-model flush
-// probability) over the parallel_scale workload subjects. Every
-// (subject, model) cell is timed over identical seeds in several
-// repetitions, each after an untimed warm-up run of the same cell, and
-// reported as the median with its interquartile range.
+// probability) over four Table-2 subjects. Every (subject, model) cell is
+// timed over identical seeds in several repetitions, each after an
+// untimed warm-up run of the same cell, and reported as the median with
+// its interquartile range.
 // Step counts must agree exactly across every timing of a cell (the
 // seeds repeat and the interpreter is deterministic; a mismatch is a
 // bug), and the binary exits nonzero if they don't. The step counts
@@ -42,8 +42,8 @@ using vm::MemModel;
 
 namespace {
 
-// The parallel_scale workload subjects (minus the spec dimension, which
-// the raw core never sees).
+// Four Table-2 subjects: two work-stealing queues, a queue and an
+// idempotent queue (the raw core never sees their specs).
 const char *const Subjects[] = {
     "Chase-Lev WSQ",
     "Cilk THE WSQ",

@@ -8,17 +8,16 @@
 # workflows (verify-default, verify-sanitize, verify-tsan) defined in
 # CMakePresets.json. Run from the repository root. Everything labelled
 # tier1 rides along automatically — including the result-cache suite
-# (history_hash_test, cache_differential_test, bench_cache_smoke), which
-# the tsan leg exercises with pool workers reading the shared execution
-# cache concurrently, and the serve-daemon suite
-# (serve_protocol_test, server_test, serve_concurrency_test,
-# serve_smoke_test), whose smoke test the tsan leg runs against the real
-# `dfence serve` binary: submit / dispatcher-slot / transport threads
-# plus SIGTERM drain under TSan. serve_concurrency_test is the
-# concurrent-dispatcher gate on that leg — slots running on their own
-# pool slices, sharded-cache locking and the interleaved byte-identity
-# differential all execute under TSan (bench_serve_smoke rides the default leg and
-# exercises the same paths through the real binary). The
+# (history_hash_test, cache_differential_test), which the tsan leg
+# exercises with pool workers reading the shared execution cache
+# concurrently, and the serve-daemon suite (serve_protocol_test,
+# server_test, serve_concurrency_test, serve_smoke_test), whose smoke
+# tests the tsan leg runs against the real `dfence serve` binary, over
+# pipes and over a unix socket through the tools/dfence_client library:
+# submit / dispatcher-slot / transport threads plus SIGTERM drain under
+# TSan. serve_concurrency_test is the concurrent-dispatcher gate on that
+# leg — slots running on their own pool slices, sharded-cache locking and
+# the interleaved byte-identity differential all execute under TSan. The
 # flight-recorder suite rides along the same way: the
 # flight_recorder_differential_test read-only gate and bench_obs_smoke
 # (obs_overhead --smoke, which validates BENCH_obs.json; the <=2%
@@ -35,12 +34,13 @@
 # After the three workflows, the repair-selection tests
 # (MinimalModelsTest, MinModelDifferentialTest, MinModelPropertyTest,
 # MinModelTest), the serve-daemon tests (Server*), the daemon smoke
-# tests (ServeSmoke*) and the bench smoke gates (bench_*_smoke) run 20
-# more times on the default build (`ctest --repeat until-fail:20`). The
-# differential is seeded, both deadline tests stall their executions
-# with a fault plan, and every bench smoke gate checks deterministic
-# invariants only (schemas, step counts, fingerprint sets; no timing
-# bar), so any failure there is a defect, not noise.
+# tests (ServeSmoke*) and the bench smoke gates (bench_*_smoke:
+# bench_exec_smoke, bench_obs_smoke, bench_fuzz_smoke) run 20 more times
+# on the default build (`ctest --repeat until-fail:20`). The
+# differential is seeded, every deadline and wall-budget test stalls its
+# executions with a fault plan, and every bench smoke gate checks
+# deterministic invariants only (schemas, step counts, fingerprint sets;
+# no timing bar), so any failure there is a defect, not noise.
 
 foreach(preset IN ITEMS verify-default verify-sanitize verify-tsan)
   message(STATUS "==== workflow: ${preset} ====")

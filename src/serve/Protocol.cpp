@@ -8,6 +8,7 @@
 #include "harness/ReproBundle.h"
 #include "ir/Printer.h"
 #include "programs/Benchmark.h"
+#include "spec/Checkers.h"
 #include "support/StringUtils.h"
 #include "vm/Interp.h"
 #include "vm/Prepared.h"
@@ -155,6 +156,12 @@ static bool fillConfig(const ServeRequest &R, vm::MemModel Model,
                        synth::SpecKind Spec,
                        const spec::SpecFactory &Factory,
                        synth::SynthConfig &Cfg, std::string &Error) {
+  // K = 0 runs no executions, so a clean "round" would claim a verified
+  // program without looking at one.
+  if (R.K < 1) {
+    Error = "k must be at least 1";
+    return false;
+  }
   Cfg.Model = Model;
   Cfg.Spec = Spec;
   Cfg.Factory = Factory;
@@ -235,6 +242,21 @@ std::optional<SynthJob> serve::prepareJob(const ServeRequest &R,
       if (!Factory) {
         Error = "spec sc/lin needs seqSpec (one of " +
                 join(driver::knownSpecNames(), ", ") + ")";
+        return std::nullopt;
+      }
+    }
+    // The sc/lin checkers abort on a history longer than their limit,
+    // and every call of the client is one operation of the history.
+    if (*Spec == synth::SpecKind::SequentialConsistency ||
+        *Spec == synth::SpecKind::Linearizability) {
+      size_t Calls = 0;
+      for (const vm::ThreadScript &T : Client->Threads)
+        Calls += T.Calls.size();
+      size_t Limit = spec::CheckerLimits().MaxOps;
+      if (Calls > Limit) {
+        Error = strformat("client: %zu calls exceed the sc/lin checker "
+                          "limit of %zu",
+                          Calls, Limit);
         return std::nullopt;
       }
     }

@@ -27,8 +27,11 @@ namespace dfence::spec {
 
 /// Limits for the exponential searches.
 struct CheckerLimits {
-  size_t MaxOps = 40;           ///< Histories longer than this are rejected
-                                ///< by reportFatalError (client too big).
+  /// Histories longer than this are rejected by reportFatalError (client
+  /// too big). serve::prepareJob, the request path of `dfence serve`,
+  /// `dfence synth` and `dfence bench`, rejects an sc/lin client with more
+  /// calls than this before the checker sees it.
+  size_t MaxOps = 40;
   size_t MaxVisitedStates = 4u << 20; ///< Search budget; exceeding it
                                       ///< conservatively reports "ok".
 };

@@ -13,6 +13,7 @@
 
 #include "frontend/Compiler.h"
 #include "harness/ReproBundle.h"
+#include "spec/Checkers.h"
 #include "support/Json.h"
 #include "vm/Prepared.h"
 
@@ -258,6 +259,48 @@ TEST(ServeProtocol, PrepareJobErrorsAreStructuredNotFatal) {
       Error);
   ASSERT_TRUE(R) << Error;
   EXPECT_FALSE(prepareJob(*R, Error));
+}
+
+TEST(ServeProtocol, PrepareJobRejectsZeroK) {
+  // K = 0 runs nothing, so the result would read "converged" on an
+  // unfenced program that needs fences.
+  std::string Error;
+  auto R = parseRequest(
+      parseOrDie("{\"op\":\"bench\",\"bench\":\"Chase-Lev WSQ\","
+                 "\"model\":\"pso\",\"k\":0}"),
+      Error);
+  ASSERT_TRUE(R) << Error;
+  EXPECT_FALSE(prepareJob(*R, Error));
+  EXPECT_EQ(Error, "k must be at least 1");
+  EXPECT_EQ(prepareError("int f() { return 0; }", "f()", ",\"k\":0"),
+            "k must be at least 1");
+  EXPECT_EQ(prepareError("int f() { return 0; }", "f()", ",\"k\":1"), "");
+}
+
+TEST(ServeProtocol, PrepareJobRejectsClientOverCheckerLimit) {
+  // Every call is one history operation; the sc/lin checkers abort past
+  // CheckerLimits::MaxOps, so the request must be refused up front.
+  const char *Src = "int enqueue(int v) { return v; }";
+  size_t Limit = spec::CheckerLimits().MaxOps;
+  auto Client = [](size_t PerThread) {
+    std::string T;
+    for (size_t I = 0; I != PerThread; ++I)
+      T += (I ? ";" : "") + std::string("enqueue(1)");
+    return T + "|" + T;
+  };
+  std::string AtLimit = Client(Limit / 2), Over = Client(Limit / 2 + 1);
+  for (const char *Spec : {"sc", "lin"}) {
+    std::string Extra =
+        std::string(",\"spec\":\"") + Spec + "\",\"seqSpec\":\"queue\"";
+    EXPECT_EQ(prepareError(Src, AtLimit, Extra), "") << Spec;
+    EXPECT_EQ(prepareError(Src, Over, Extra),
+              "client: " + std::to_string(Limit + 2) +
+                  " calls exceed the sc/lin checker limit of " +
+                  std::to_string(Limit))
+        << Spec;
+  }
+  // Specs that never sequentialize a history take any client size.
+  EXPECT_EQ(prepareError(Src, Over, ",\"spec\":\"safety\""), "");
 }
 
 TEST(ServeProtocol, BenchJobUsesTheBenchmarksOwnSpec) {

@@ -7,11 +7,16 @@
 // not a dropped connection), and a SIGTERM that drains gracefully —
 // every admitted request answered, exit code 0.
 //
+// A second daemon listens on a unix socket only and is driven through the
+// tools/dfence_client library: one pipelined connection, answers matched
+// by id, and the socket file removed on SIGTERM.
+//
 // This is the tier-1 gate for the serve subsystem (also run under the
 // tsan preset; see CMakePresets.json / scripts/verify-all.cmake).
 //
 //===----------------------------------------------------------------------===//
 
+#include "dfence_client/Client.h"
 #include "support/Json.h"
 
 #include <gtest/gtest.h>
@@ -24,6 +29,7 @@
 
 #include <poll.h>
 #include <signal.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -233,6 +239,70 @@ TEST(ServeSmoke, StdinEofDrainsAdmittedWork) {
   EXPECT_EQ(R.find("id")->asString(), "tail");
   EXPECT_EQ(R.find("status")->asString(), "ok");
   EXPECT_EQ(D.wait(), 0);
+}
+
+/// A `bench` request on LIFO WSQ: cheap, or bounded by a 50 ms wall
+/// budget that a 5 ms stall per execution always exhausts.
+Json lifoRequest(const std::string &Id, bool Bounded) {
+  Json J = Json::object();
+  J.set("op", Json::string("bench"));
+  J.set("id", Json::string(Id));
+  J.set("bench", Json::string("LIFO WSQ"));
+  J.set("model", Json::string("pso"));
+  if (Bounded) {
+    J.set("k", Json::number(static_cast<uint64_t>(20000)));
+    J.set("rounds", Json::number(static_cast<uint64_t>(16)));
+    J.set("totalMs", Json::number(static_cast<uint64_t>(50)));
+    J.set("cache", Json::string("off"));
+    Json Faults = Json::object();
+    Faults.set("stallMs", Json::number(static_cast<uint64_t>(5)));
+    J.set("faults", std::move(Faults));
+  } else {
+    J.set("k", Json::number(static_cast<uint64_t>(60)));
+    J.set("rounds", Json::number(static_cast<uint64_t>(2)));
+  }
+  return J;
+}
+
+TEST(ServeSmoke, UnixSocketClientRoundTrip) {
+  std::string Path = ::testing::TempDir() + "dfence_smoke_" +
+                     std::to_string(::getpid()) + ".sock";
+  ::unlink(Path.c_str());
+  Daemon D;
+  ASSERT_TRUE(D.start({"--socket", Path, "--no-stdio", "--slots", "2",
+                       "--jobs-per-slot", "1"}));
+  struct stat St;
+  for (int I = 0; I != 6000 && ::stat(Path.c_str(), &St) != 0; ++I)
+    ::usleep(5000);
+  ASSERT_EQ(::stat(Path.c_str(), &St), 0) << "daemon never listened";
+
+  std::string Error;
+  auto C = client::ServeClient::connectUnix(Path, Error);
+  ASSERT_TRUE(C) << Error;
+  EXPECT_EQ(C->hello().find("proto")->asString(), "dfence-serve-v1");
+
+  // Everything pipelined on one connection; answers may come in any
+  // order, so they are matched by id.
+  Json Ping = Json::object();
+  Ping.set("op", Json::string("ping"));
+  Ping.set("id", Json::string("p1"));
+  ASSERT_TRUE(C->send(Ping, Error)) << Error;
+  ASSERT_TRUE(C->send(lifoRequest("bounded", true), Error)) << Error;
+  ASSERT_TRUE(C->send(lifoRequest("cheap1", false), Error)) << Error;
+  ASSERT_TRUE(C->send(lifoRequest("cheap2", false), Error)) << Error;
+
+  const std::pair<const char *, const char *> Expected[] = {
+      {"p1", "ok"}, {"cheap1", "ok"}, {"cheap2", "ok"}, {"bounded", "timeout"}};
+  for (auto [Id, Status] : Expected) {
+    auto Resp = C->waitFor(Id, Error);
+    ASSERT_TRUE(Resp) << Id << " unanswered: " << Error;
+    EXPECT_EQ(Resp->find("status")->asString(), Status) << Id;
+  }
+
+  // Graceful drain: exit 0, and the listening socket is unlinked.
+  EXPECT_EQ(D.terminate(), 0);
+  bool Gone = ::stat(Path.c_str(), &St) != 0 && errno == ENOENT;
+  EXPECT_TRUE(Gone) << "socket file left behind: " << Path;
 }
 
 } // namespace

@@ -471,13 +471,22 @@ TEST(Server, MalformedAndUnpreparableRequestsAreIsolated) {
   S.submit("{\"op\":\"synth\",\"id\":\"a\",\"source\":\"int f(int a) { "
            "return a; }\",\"client\":\"f()\"}",
            Col.fn());
-  ASSERT_TRUE(Col.waitFor(5, 60000));
-  EXPECT_EQ(Col.withStatus("error").size(), 5u);
+  // 42 calls: more operations than the lin checker accepts.
+  std::string Long = "enqueue(1)";
+  for (int I = 1; I != 21; ++I)
+    Long += ";enqueue(1)";
+  S.submit("{\"op\":\"synth\",\"id\":\"l\",\"source\":\"int enqueue(int "
+           "v) { return v; }\",\"spec\":\"lin\",\"seqSpec\":\"queue\","
+           "\"client\":\"" +
+               Long + "|" + Long + "\"}",
+           Col.fn());
+  ASSERT_TRUE(Col.waitFor(6, 60000));
+  EXPECT_EQ(Col.withStatus("error").size(), 6u);
   // Still serving after the errors, inline and on the dispatcher.
   S.submit("{\"op\":\"ping\",\"id\":\"alive\"}", Col.fn());
   EXPECT_EQ(Col.byId("alive").find("status")->asString(), "ok");
   S.submit(pubRequest("next", ",\"k\":10,\"rounds\":1"), Col.fn());
-  ASSERT_TRUE(Col.waitFor(7, 60000));
+  ASSERT_TRUE(Col.waitFor(8, 60000));
   EXPECT_EQ(Col.byId("next").find("status")->asString(), "ok");
   S.drain();
 }

@@ -8,7 +8,7 @@
 // responses may arrive in any order, and call()/waitFor() reorder them
 // for the caller by stashing non-matching lines.
 //
-// Intended consumers: bench/serve_load (the load generator), tests, and
+// Intended consumers: tests (ServeSmoke.UnixSocketClientRoundTrip) and
 // ad-hoc tooling. Deliberately not a general RPC framework — no TLS, no
 // reconnect, no timeouts beyond the socket's, exactly one in-flight
 // reader thread (the caller's).
@@ -46,8 +46,8 @@ public:
   const Json &hello() const { return Hello; }
 
   /// Sends one request object as one JSON line. Does not wait for the
-  /// response — pipelining requests is how the load generator keeps
-  /// every dispatcher slot busy.
+  /// response — pipelining requests is how a caller keeps every
+  /// dispatcher slot busy.
   bool send(const Json &Request, std::string &Error);
 
   /// Blocks for the next response line in arrival order, skipping any
