@@ -13,7 +13,7 @@ using namespace dfence::exec;
 RoundResult exec::runRound(PoolSlice &Slice, const vm::PreparedProgram &P,
                            const RoundPlan &Plan,
                            const harness::ExecPolicy &Policy,
-                           const ViolationCheck &Check,
+                           const SlotJudge &Judge,
                            const std::function<bool()> &Stop,
                            const obs::ObsContext *Obs,
                            const harness::Deadline &DL) {
@@ -61,11 +61,11 @@ RoundResult exec::runRound(PoolSlice &Slice, const vm::PreparedProgram &P,
         // Discarded executions are counted, never judged; everything else
         // is judged here so the (possibly exponential) spec check also
         // runs off the merge thread.
-        if (!S.SE.Discarded && Check) {
+        if (!S.SE.Discarded && Judge) {
           std::chrono::steady_clock::time_point CheckT0{};
           if (Shard)
             CheckT0 = std::chrono::steady_clock::now();
-          S.Violation = Check(S.SE.Result);
+          Judge(S.SE.Result, S);
           if (Shard)
             Shard->addNs(obs::Phase::SpecCheck,
                          obs::ProfilerShard::elapsedNs(
@@ -87,4 +87,20 @@ RoundResult exec::runRound(PoolSlice &Slice, const vm::PreparedProgram &P,
       },
       Stop);
   return RR;
+}
+
+RoundResult exec::runRound(PoolSlice &Slice, const vm::PreparedProgram &P,
+                           const RoundPlan &Plan,
+                           const harness::ExecPolicy &Policy,
+                           const ViolationCheck &Check,
+                           const std::function<bool()> &Stop,
+                           const obs::ObsContext *Obs,
+                           const harness::Deadline &DL) {
+  SlotJudge Judge;
+  if (Check)
+    Judge = [&Check](const vm::ExecResult &R, RoundSlot &S) {
+      S.Violation = Check(R);
+      S.Violating = !S.Violation.empty();
+    };
+  return runRound(Slice, P, Plan, Policy, Judge, Stop, Obs, DL);
 }

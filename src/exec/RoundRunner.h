@@ -51,8 +51,14 @@ struct RoundPlan {
 /// What one slot produced.
 struct RoundSlot {
   harness::SupervisedExec SE;
-  /// Violation diagnostics from the caller-supplied check; empty when the
-  /// execution was acceptable or discarded.
+  /// The check judged the execution a violation.
+  bool Violating = false;
+  /// The check's search ran out of its state budget and accepted the
+  /// execution (spec::CheckResult::OutOfBudget).
+  bool CheckOutOfBudget = false;
+  /// Violation diagnostics; empty when the execution was acceptable or
+  /// discarded, and also for a violating slot whose judge left the
+  /// description to the caller (see SlotJudge).
   std::string Violation;
 };
 
@@ -69,6 +75,14 @@ struct RoundResult {
 /// must be thread-safe (the synthesizer's checkExecution is: it only
 /// reads the config and builds local checker state).
 using ViolationCheck = std::function<std::string(const vm::ExecResult &)>;
+
+/// Judges one (non-discarded) execution into its slot: sets Violating and
+/// CheckOutOfBudget, and Violation only if it describes the violation
+/// itself. The synthesizer's judge describes nothing on the workers (bar
+/// traced runs, whose slot spans carry the text); its merge thread
+/// describes the few violations a result reports. Same thread-safety
+/// contract as ViolationCheck.
+using SlotJudge = std::function<void(const vm::ExecResult &, RoundSlot &)>;
 
 /// Runs \p Plan against prepared program \p P (read-only for the whole
 /// round; its module and clients must stay alive and unmodified until
@@ -88,6 +102,16 @@ using ViolationCheck = std::function<std::string(const vm::ExecResult &)>;
 /// the time remaining, so cancellation fires mid-round — a slot that is
 /// already running times out instead of overrunning. Completed slots
 /// stay bit-identical (the watchdog only decides timeout-vs-complete).
+RoundResult runRound(PoolSlice &Slice, const vm::PreparedProgram &P,
+                     const RoundPlan &Plan,
+                     const harness::ExecPolicy &Policy,
+                     const SlotJudge &Judge,
+                     const std::function<bool()> &Stop = nullptr,
+                     const obs::ObsContext *Obs = nullptr,
+                     const harness::Deadline &DL = {});
+
+/// runRound with a check that describes every violation it finds (a slot
+/// is violating when its description is non-empty).
 RoundResult runRound(PoolSlice &Slice, const vm::PreparedProgram &P,
                      const RoundPlan &Plan,
                      const harness::ExecPolicy &Policy,

@@ -357,6 +357,10 @@ Json serve::resultToJson(const synth::SynthResult &R, bool IncludeModule) {
   J.set("fences", std::move(Fences));
   if (!R.FirstViolation.empty())
     J.set("firstViolation", Json::string(R.FirstViolation));
+  // Only when non-zero, so results of runs that never hit the budget
+  // keep their bytes.
+  if (R.SpecCheckBudgetHits)
+    J.set("specCheckBudgetHits", Json::number(R.SpecCheckBudgetHits));
   Json Rounds = Json::array();
   for (const synth::RoundStats &S : R.RoundLog) {
     // Only the deterministic, cache-invariant subset of RoundStats may

@@ -3,9 +3,11 @@
 #include "spec/Checkers.h"
 
 #include "support/Diagnostics.h"
+#include "support/FlatKeySet.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
+#include <typeinfo>
 #include <unordered_set>
 
 using namespace dfence;
@@ -16,141 +18,191 @@ using vm::OpRecord;
 
 namespace {
 
+bool isEmptyWsqOp(const OpRecord &Op) {
+  return (Op.Func == "take" || Op.Func == "steal") && Op.Completed &&
+         Op.Ret == EmptyVal;
+}
+
+/// One thread's reusable search storage. A check resets what it uses and
+/// keeps every capacity, so steady-state checks on a worker allocate
+/// nothing here.
+struct SearchScratch {
+  /// The history ops the search orders (indices into History::Ops);
+  /// mask bit I stands for View[I].
+  std::vector<uint32_t> View;
+  /// Operation-level SC: each thread's view positions in program order.
+  std::vector<std::vector<uint32_t>> PerThread;
+  /// Depth D's candidates live at [D * View.size(), (D + 1) * View.size()).
+  std::vector<uint32_t> Candidates;
+  /// States[D] is the spec state after D ops; each depth assigns into it.
+  std::vector<std::unique_ptr<SpecState>> States;
+  /// Memo of (linearized-set, spec-state) keys known to fail.
+  FlatKeySet Failed;
+};
+
 /// Shared DFS over sequentializations. Candidate generation is the only
-/// difference between the two criteria.
+/// difference between the two orders.
 class SequentializationSearch {
 public:
   SequentializationSearch(const History &H, const SpecFactory &Factory,
-                          const CheckerLimits &Limits, bool RealTime)
-      : Ops(H.Ops), Limits(Limits), RealTime(RealTime) {
-    if (Ops.size() > Limits.MaxOps)
+                          const CheckerLimits &Limits, Criterion C,
+                          SearchScratch &S)
+      : Ops(H.Ops), Limits(Limits),
+        RealTime(C != Criterion::SequentialConsistency), S(S) {
+    S.View.clear();
+    for (size_t I = 0; I != Ops.size(); ++I)
+      if (C != Criterion::RelaxedLinearizability ||
+          !isConcurrentEmptyWsqOp(H, I))
+        S.View.push_back(static_cast<uint32_t>(I));
+    N = S.View.size();
+    if (N > Limits.MaxOps)
       reportFatalError(
           strformat("history of %zu operations exceeds checker limit %zu",
-                    Ops.size(), Limits.MaxOps));
-    for (const OpRecord &Op : Ops)
-      if (!Op.Completed)
+                    N, Limits.MaxOps));
+    for (uint32_t I : S.View)
+      if (!Ops[I].Completed)
         reportFatalError("checker requires a complete history");
     if (!RealTime) {
       // Per-thread program order, by invocation time.
-      for (size_t I = 0; I != Ops.size(); ++I) {
-        uint32_t T = Ops[I].Thread;
-        if (T >= PerThread.size())
-          PerThread.resize(T + 1);
-        PerThread[T].push_back(I);
+      for (auto &Seq : S.PerThread)
+        Seq.clear();
+      for (size_t I = 0; I != N; ++I) {
+        uint32_t T = op(I).Thread;
+        if (T >= S.PerThread.size())
+          S.PerThread.resize(T + 1);
+        NumThreads = std::max<size_t>(NumThreads, T + 1);
+        S.PerThread[T].push_back(static_cast<uint32_t>(I));
       }
-      for (auto &Seq : PerThread)
-        std::sort(Seq.begin(), Seq.end(), [&](size_t A, size_t B) {
-          return Ops[A].InvokeSeq < Ops[B].InvokeSeq;
-        });
+      for (size_t T = 0; T != NumThreads; ++T)
+        std::sort(S.PerThread[T].begin(), S.PerThread[T].end(),
+                  [&](uint32_t A, uint32_t B) {
+                    return op(A).InvokeSeq < op(B).InvokeSeq;
+                  });
     }
-    Initial = Factory();
+    S.Candidates.resize(N * N);
+    S.Failed.clear();
+    // One state per depth, reused across checks while the spec type
+    // stays the same (a serve worker sees many specs in turn).
+    std::unique_ptr<SpecState> Initial = Factory();
+    if (S.States.size() < N + 1)
+      S.States.resize(N + 1);
+    for (size_t D = 1; D <= N; ++D)
+      if (!S.States[D] || typeid(*S.States[D]) != typeid(*Initial))
+        S.States[D] = Initial->clone();
+    S.States[0] = std::move(Initial);
   }
 
-  bool search() {
-    if (Ops.empty())
-      return true;
-    return dfs(0, *Initial);
+  CheckResult search() {
+    CheckResult R;
+    if (N != 0)
+      R.Ok = dfs(0, 0);
+    R.OutOfBudget = OutOfBudget;
+    return R;
   }
 
 private:
-  bool dfs(uint64_t Mask, SpecState &State) {
-    uint64_t Full = Ops.size() == 64
-                        ? ~0ULL
-                        : ((1ULL << Ops.size()) - 1);
+  const OpRecord &op(size_t ViewIdx) const { return Ops[S.View[ViewIdx]]; }
+
+  bool dfs(uint64_t Mask, size_t Depth) {
+    uint64_t Full = N == 64 ? ~0ULL : ((1ULL << N) - 1);
     if (Mask == Full)
       return true;
-    if (++Visited > Limits.MaxVisitedStates)
-      return true; // Budget exhausted: conservatively accept.
+    if (++Visited > Limits.MaxVisitedStates) {
+      OutOfBudget = true;
+      return true; // Budget exhausted: accept, and report it.
+    }
+    const SpecState &State = *S.States[Depth];
     uint64_t Key = hashCombine(Mask, State.hash());
-    if (Failed.count(Key))
+    if (S.Failed.contains(Key))
       return false;
 
-    std::vector<size_t> Candidates;
-    collectCandidates(Mask, Candidates);
-    for (size_t I : Candidates) {
-      std::unique_ptr<SpecState> Next = State.clone();
-      if (!Next->apply(Ops[I]))
+    uint32_t *Cands = S.Candidates.data() + Depth * N;
+    size_t NumCands = collectCandidates(Mask, Cands);
+    SpecState &Next = *S.States[Depth + 1];
+    for (size_t C = 0; C != NumCands; ++C) {
+      uint32_t I = Cands[C];
+      Next.assign(State);
+      if (!Next.apply(op(I)))
         continue;
-      if (dfs(Mask | (1ULL << I), *Next))
+      if (dfs(Mask | (1ULL << I), Depth + 1))
         return true;
     }
-    Failed.insert(Key);
+    S.Failed.insert(Key);
     return false;
   }
 
-  void collectCandidates(uint64_t Mask, std::vector<size_t> &Out) const {
+  size_t collectCandidates(uint64_t Mask, uint32_t *Out) const {
+    size_t Num = 0;
     if (RealTime) {
       // Linearizability: an op is schedulable when no other pending op
       // responded strictly before it was invoked. With MinResp the
       // minimum response among pending ops, that is InvokeSeq <= MinResp
       // (equality is an overlap, not a precedence).
       uint64_t MinResp = ~0ULL;
-      for (size_t I = 0; I != Ops.size(); ++I)
+      for (size_t I = 0; I != N; ++I)
         if (!(Mask & (1ULL << I)))
-          MinResp = std::min(MinResp, Ops[I].RespondSeq);
-      for (size_t I = 0; I != Ops.size(); ++I)
-        if (!(Mask & (1ULL << I)) && Ops[I].InvokeSeq <= MinResp)
-          Out.push_back(I);
-      return;
+          MinResp = std::min(MinResp, op(I).RespondSeq);
+      for (size_t I = 0; I != N; ++I)
+        if (!(Mask & (1ULL << I)) && op(I).InvokeSeq <= MinResp)
+          Out[Num++] = static_cast<uint32_t>(I);
+      return Num;
     }
     // Operation-level SC: the next pending op of each thread.
-    for (const std::vector<size_t> &Seq : PerThread) {
-      for (size_t I : Seq) {
+    for (size_t T = 0; T != NumThreads; ++T) {
+      for (uint32_t I : S.PerThread[T]) {
         if (Mask & (1ULL << I))
           continue;
-        Out.push_back(I);
+        Out[Num++] = I;
         break;
       }
     }
+    return Num;
   }
 
   const std::vector<OpRecord> &Ops;
-  CheckerLimits Limits;
+  const CheckerLimits &Limits;
   bool RealTime;
-  std::vector<std::vector<size_t>> PerThread;
-  std::unique_ptr<SpecState> Initial;
-  std::unordered_set<uint64_t> Failed;
+  SearchScratch &S;
+  size_t N = 0;
+  size_t NumThreads = 0;
   size_t Visited = 0;
+  bool OutOfBudget = false;
 };
 
 } // namespace
 
+CheckResult spec::checkHistory(const History &H, const SpecFactory &Factory,
+                               Criterion C, const CheckerLimits &Limits) {
+  thread_local SearchScratch Scratch;
+  SequentializationSearch S(H, Factory, Limits, C, Scratch);
+  return S.search();
+}
+
 bool spec::isLinearizable(const History &H, const SpecFactory &Factory,
                           const CheckerLimits &Limits) {
-  SequentializationSearch S(H, Factory, Limits, /*RealTime=*/true);
-  return S.search();
+  return checkHistory(H, Factory, Criterion::Linearizability, Limits).Ok;
 }
 
 bool spec::isSequentiallyConsistent(const History &H,
                                     const SpecFactory &Factory,
                                     const CheckerLimits &Limits) {
-  SequentializationSearch S(H, Factory, Limits, /*RealTime=*/false);
-  return S.search();
+  return checkHistory(H, Factory, Criterion::SequentialConsistency, Limits)
+      .Ok;
 }
 
-History spec::relaxConcurrentEmptyOps(const History &H) {
-  History Out;
-  for (size_t I = 0; I != H.Ops.size(); ++I) {
-    const OpRecord &Op = H.Ops[I];
-    bool IsEmptyWsqOp = (Op.Func == "take" || Op.Func == "steal") &&
-                        Op.Completed && Op.Ret == EmptyVal;
-    if (!IsEmptyWsqOp) {
-      Out.Ops.push_back(Op);
+bool spec::isConcurrentEmptyWsqOp(const History &H, size_t I) {
+  const OpRecord &Op = H.Ops[I];
+  if (!isEmptyWsqOp(Op))
+    return false;
+  for (size_t K = 0; K != H.Ops.size(); ++K) {
+    if (K == I)
       continue;
-    }
-    bool Overlaps = false;
-    for (size_t K = 0; K != H.Ops.size() && !Overlaps; ++K) {
-      if (K == I)
-        continue;
-      const OpRecord &Other = H.Ops[K];
-      // Overlap = neither strictly precedes the other.
-      if (!Other.precedes(Op) && !Op.precedes(Other))
-        Overlaps = true;
-    }
-    if (!Overlaps)
-      Out.Ops.push_back(Op); // Must be justified by an empty queue.
+    const OpRecord &Other = H.Ops[K];
+    // Overlap = neither strictly precedes the other.
+    if (!Other.precedes(Op) && !Op.precedes(Other))
+      return true;
   }
-  return Out;
+  return false;
 }
 
 std::string spec::checkNoGarbageTasks(const History &H) {

@@ -36,6 +36,11 @@ public:
   virtual uint64_t hash() const = 0;
 
   virtual std::unique_ptr<SpecState> clone() const = 0;
+
+  /// Makes this state a copy of \p From, which must have the same
+  /// dynamic type, reusing this state's storage. The checkers' search
+  /// assigns into one state per depth instead of cloning per candidate.
+  virtual void assign(const SpecState &From) = 0;
 };
 
 /// Creates fresh initial spec states.

@@ -1,12 +1,19 @@
 //===- Specs.h - Specs for the paper's benchmark families -------*- C++ -*-===//
+//
+// Every state is a value type over one std::vector (a deque is a vector
+// with a head offset, a set a sorted vector), so the checker's per-depth
+// assign() is a copy into capacity the search already owns. hash() folds
+// the live contents front to back (the sets in ascending order), whatever
+// the head offset, so equal contents give equal memo keys.
+//
+//===----------------------------------------------------------------------===//
 
 #ifndef DFENCE_SPEC_SPECS_H
 #define DFENCE_SPEC_SPECS_H
 
 #include "spec/Spec.h"
 
-#include <deque>
-#include <set>
+#include <vector>
 
 namespace dfence::spec {
 
@@ -26,6 +33,7 @@ public:
   bool apply(const vm::OpRecord &Op) override;
   uint64_t hash() const override;
   std::unique_ptr<SpecState> clone() const override;
+  void assign(const SpecState &From) override;
 
   /// Default deque shape: take from the tail, steal from the head.
   static SpecFactory factory();
@@ -34,7 +42,8 @@ public:
 private:
   DequeEnd TakeEnd;
   DequeEnd StealEnd;
-  std::deque<vm::Word> Items;
+  std::vector<vm::Word> Items; ///< [Head, size()) is the deque.
+  size_t Head = 0;
 };
 
 /// FIFO queue spec: enqueue(v)/dequeue() with EMPTY on empty.
@@ -43,11 +52,13 @@ public:
   bool apply(const vm::OpRecord &Op) override;
   uint64_t hash() const override;
   std::unique_ptr<SpecState> clone() const override;
+  void assign(const SpecState &From) override;
 
   static SpecFactory factory();
 
 private:
-  std::deque<vm::Word> Items;
+  std::vector<vm::Word> Items; ///< [Head, size()) is the queue.
+  size_t Head = 0;
 };
 
 /// Sorted-set spec: add(v)->1 if inserted else 0; remove(v)->1 if removed
@@ -57,11 +68,12 @@ public:
   bool apply(const vm::OpRecord &Op) override;
   uint64_t hash() const override;
   std::unique_ptr<SpecState> clone() const override;
+  void assign(const SpecState &From) override;
 
   static SpecFactory factory();
 
 private:
-  std::set<vm::Word> Items;
+  std::vector<vm::Word> Items; ///< Sorted, distinct.
 };
 
 /// Stack spec: push(v)/pop() with EMPTY on empty (Treiber-style stacks).
@@ -70,11 +82,12 @@ public:
   bool apply(const vm::OpRecord &Op) override;
   uint64_t hash() const override;
   std::unique_ptr<SpecState> clone() const override;
+  void assign(const SpecState &From) override;
 
   static SpecFactory factory();
 
 private:
-  std::deque<vm::Word> Items;
+  std::vector<vm::Word> Items; ///< Top at the back.
 };
 
 /// Shared-counter spec: inc() returns the new counter value. Mutual-
@@ -85,6 +98,7 @@ public:
   bool apply(const vm::OpRecord &Op) override;
   uint64_t hash() const override;
   std::unique_ptr<SpecState> clone() const override;
+  void assign(const SpecState &From) override;
 
   static SpecFactory factory();
 
@@ -100,11 +114,12 @@ public:
   bool apply(const vm::OpRecord &Op) override;
   uint64_t hash() const override;
   std::unique_ptr<SpecState> clone() const override;
+  void assign(const SpecState &From) override;
 
   static SpecFactory factory();
 
 private:
-  std::set<vm::Word> Live;
+  std::vector<vm::Word> Live; ///< Sorted, distinct.
 };
 
 } // namespace dfence::spec

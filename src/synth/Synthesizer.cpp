@@ -15,6 +15,7 @@
 #include "synth/StaticBaseline.h"
 #include "vm/Prepared.h"
 
+#include <cassert>
 #include <cctype>
 #include <chrono>
 #include <cstring>
@@ -57,63 +58,86 @@ std::string SynthResult::fenceSummary() const {
   return join(Parts, " ");
 }
 
-std::string synth::checkExecution(const vm::ExecResult &R,
-                                  const SynthConfig &Cfg) {
+namespace {
+
+/// What checking one execution decided, before any description.
+struct Judgement {
+  bool Violating = false;
+  /// The checker's search budget ran out and it accepted the history.
+  bool OutOfBudget = false;
+};
+
+/// Judges \p R against \p Cfg's spec without describing a violation: the
+/// per-execution hot path (K executions per round, and on some cells most
+/// of them violate) neither formats nor copies the history.
+/// Called concurrently by the round engine's workers; it only reads Cfg
+/// and the checker's per-thread scratch.
+Judgement judgeExecution(const vm::ExecResult &R, const SynthConfig &Cfg) {
   switch (R.Out) {
   case vm::Outcome::MemSafety:
   case vm::Outcome::AssertFail:
-    return R.Message.empty() ? "memory safety violation" : R.Message;
+    return {true, false};
   case vm::Outcome::StepLimit:
   case vm::Outcome::Deadlock:
   case vm::Outcome::Timeout:
-    return std::string(); // Discarded, never treated as a violation.
+    return {}; // Discarded, never treated as a violation.
   case vm::Outcome::Completed:
     break;
   }
-
-  // The accept path below is the per-execution hot path (K executions per
-  // round, the overwhelming majority clean): it must return before any
-  // diagnostic string or history copy is built. This function is called
-  // concurrently by the round engine's workers; it only reads Cfg and
-  // builds checker-local state.
   switch (Cfg.Spec) {
   case SpecKind::MemorySafety:
-    return std::string();
+    return {};
+  case SpecKind::NoGarbage:
+    return {!spec::checkNoGarbageTasks(R.Hist).empty(), false};
+  case SpecKind::SequentialConsistency:
+  case SpecKind::Linearizability: {
+    if (!Cfg.Factory)
+      return {true, false};
+    // Work-stealing relaxation for linearizability: concurrent EMPTY
+    // take/steal are aborts (spec::isConcurrentEmptyWsqOp); only
+    // non-overlapping EMPTY answers must be justified by an empty queue
+    // (the paper's Fig. 2c).
+    spec::CheckResult C = spec::checkHistory(
+        R.Hist, Cfg.Factory,
+        Cfg.Spec == SpecKind::Linearizability
+            ? spec::Criterion::RelaxedLinearizability
+            : spec::Criterion::SequentialConsistency);
+    return {!C.Ok, C.OutOfBudget};
+  }
+  }
+  dfenceUnreachable("invalid spec kind");
+}
+
+/// The diagnostic of an execution judgeExecution found violating.
+std::string describeViolation(const vm::ExecResult &R,
+                              const SynthConfig &Cfg) {
+  if (R.Out != vm::Outcome::Completed)
+    return R.Message.empty() ? "memory safety violation" : R.Message;
+  switch (Cfg.Spec) {
+  case SpecKind::MemorySafety:
+    break;
   case SpecKind::NoGarbage:
     return spec::checkNoGarbageTasks(R.Hist);
   case SpecKind::SequentialConsistency:
     if (!Cfg.Factory)
       return "configuration error: sequential-consistency checking "
              "requires a sequential specification";
-    if (spec::isSequentiallyConsistent(R.Hist, Cfg.Factory))
-      return std::string();
     return "history is not sequentially consistent:\n" + R.Hist.str();
-  case SpecKind::Linearizability: {
+  case SpecKind::Linearizability:
     if (!Cfg.Factory)
       return "configuration error: linearizability checking requires a "
              "sequential specification";
-    // Work-stealing relaxation: concurrent EMPTY take/steal are aborts
-    // (see relaxConcurrentEmptyOps); only non-overlapping EMPTY answers
-    // must be justified by an empty queue (the paper's Fig. 2c). The
-    // relaxation is the identity on histories without EMPTY take/steal
-    // answers — the common case — so skip the copy for those.
-    bool HasEmptyWsqOp = false;
-    for (const vm::OpRecord &Op : R.Hist.Ops)
-      if ((Op.Func == "take" || Op.Func == "steal") && Op.Completed &&
-          Op.Ret == vm::EmptyVal) {
-        HasEmptyWsqOp = true;
-        break;
-      }
-    bool Ok = HasEmptyWsqOp
-                  ? spec::isLinearizable(
-                        spec::relaxConcurrentEmptyOps(R.Hist), Cfg.Factory)
-                  : spec::isLinearizable(R.Hist, Cfg.Factory);
-    if (Ok)
-      return std::string();
     return "history is not linearizable:\n" + R.Hist.str();
   }
-  }
-  dfenceUnreachable("invalid spec kind");
+  dfenceUnreachable("described an execution that does not violate");
+}
+
+} // namespace
+
+std::string synth::checkExecution(const vm::ExecResult &R,
+                                  const SynthConfig &Cfg) {
+  return judgeExecution(R, Cfg).Violating ? describeViolation(R, Cfg)
+                                          : std::string();
 }
 
 /// Plans round \p Round (1-based) of a run: one ExecPlan per slot, every
@@ -264,6 +288,8 @@ SynthResult synth::synthesize(const ir::Module &M,
   obs::Counter *SatNodesC = obs::counterOrNull(Cfg.Obs, "sat_nodes_total");
   obs::Counter *SatTruncatedC =
       obs::counterOrNull(Cfg.Obs, "sat_truncated_total");
+  obs::Counter *SpecBudgetC =
+      obs::counterOrNull(Cfg.Obs, "spec_check_budget_hits_total");
   // Cache counters count merge-thread events only (see the fold loop), so
   // they are jobs-invariant like every other counter.
   obs::Counter *CacheCheckHitsC =
@@ -433,9 +459,19 @@ SynthResult synth::synthesize(const ir::Module &M,
       std::function<bool()> StopFn;
       if (RoundDL.armed())
         StopFn = [&] { return RoundDL.expired(); };
+      // Workers only judge. Slot spans of a traced run carry the
+      // violation text, so those describe on the worker too.
+      bool DescribeOnWorker = Trace != nullptr;
       RR = exec::runRound(
           Slice, *Prepared, Plan, Cfg.Exec,
-          [&Cfg](const vm::ExecResult &R) { return checkExecution(R, Cfg); },
+          [&Cfg, DescribeOnWorker](const vm::ExecResult &R,
+                                   exec::RoundSlot &S) {
+            Judgement J = judgeExecution(R, Cfg);
+            S.Violating = J.Violating;
+            S.CheckOutOfBudget = J.OutOfBudget;
+            if (J.Violating && DescribeOnWorker)
+              S.Violation = describeViolation(R, Cfg);
+          },
           StopFn, Cfg.Obs, RoundDL);
     }
     const std::vector<exec::RoundSlot> &Slots = Hit ? *Hit : RR.Slots;
@@ -508,30 +544,45 @@ SynthResult synth::synthesize(const ir::Module &M,
         OBS_COUNT(DiscardedC, 1);
         continue;
       }
-      const std::string &Violation = Slots[I].Violation;
-      if (Violation.empty())
+      if (Slots[I].CheckOutOfBudget) {
+        ++Result.SpecCheckBudgetHits;
+        OBS_COUNT(SpecBudgetC, 1);
+      }
+      if (!Slots[I].Violating)
         continue;
       ++Result.ViolatingExecutions;
       ++Stats.Violations;
       OBS_COUNT(ViolationsC, 1);
-      if (Trace && Stats.Violations == 1) {
-        Json A = Json::object();
-        A.set("round", Json::number(static_cast<uint64_t>(Round)));
-        A.set("index", Json::number(static_cast<uint64_t>(I)));
-        Trace->instant("first_violation", "synth", 0, std::move(A));
+      if (Stats.Violations == 1) {
+        if (Trace) {
+          Json A = Json::object();
+          A.set("round", Json::number(static_cast<uint64_t>(Round)));
+          A.set("index", Json::number(static_cast<uint64_t>(I)));
+          Trace->instant("first_violation", "synth", 0, std::move(A));
+        }
+        // The round's first violation is the only one a result reports,
+        // so it is the one described; a stored round keeps the text
+        // (stored slots carry no history to describe from).
+        if (!Hit && RR.Slots[I].Violation.empty())
+          RR.Slots[I].Violation = describeViolation(R, Cfg);
+        assert(!Slots[I].Violation.empty() &&
+               "stored round lost its first violation's text");
+        Stats.SampleViolation = Slots[I].Violation;
+        if (Result.FirstViolation.empty())
+          Result.FirstViolation = Stats.SampleViolation;
       }
-      if (Stats.SampleViolation.empty())
-        Stats.SampleViolation = Violation;
-      if (Result.FirstViolation.empty())
-        Result.FirstViolation = Violation;
       // Spec-level violations complete normally in the VM, so the
       // supervisor cannot capture them on its own (it captures VM-level
-      // violations); do it here, with the attempt that actually ran.
-      if (Sup.capturing() && R.Out == vm::Outcome::Completed) {
+      // violations); do it here, with the attempt that actually ran, and
+      // describe only the violations a bundle will keep.
+      if (Sup.capturing() && Sup.bundles().size() < Cfg.MaxBundles &&
+          R.Out == vm::Outcome::Completed) {
         vm::ExecConfig CapEC = P.EC;
         CapEC.Seed = SE.UsedSeed;
         CapEC.MaxSteps = SE.UsedMaxSteps;
-        Sup.capture(Cur, Client, CapEC, R, Violation);
+        Sup.capture(Cur, Client, CapEC, R,
+                    Slots[I].Violation.empty() ? describeViolation(R, Cfg)
+                                               : Slots[I].Violation);
       }
       for (const OrderingPredicate &Pr : R.Repairs)
         if (auto F = Cur.functionOfLabel(Pr.Before))

@@ -270,6 +270,9 @@ struct SynthResult {
   /// enforced an inclusion-minimal predicate set that may not be of
   /// minimum size.
   unsigned SatTruncated = 0;
+  /// Executions whose spec check ran out of spec::CheckerLimits'
+  /// MaxVisitedStates and accepted without a verdict.
+  uint64_t SpecCheckBudgetHits = 0;
   ir::Module FencedModule;
   std::string FirstViolation; ///< Diagnostics of the first violation.
   std::vector<RoundStats> RoundLog;
@@ -308,6 +311,11 @@ SynthResult synthesize(const ir::Module &M,
 /// description of the violation. Step-limited/deadlocked/timed-out
 /// executions are reported as acceptable ("discarded") per the synthesis
 /// loop's policy; the caller distinguishes them via the outcome.
+/// synthesize() itself judges on its workers without describing, and
+/// describes on the merge thread only what a result carries: each
+/// round's first violation and captured bundles' messages. Both paths
+/// share one verdict and one description, so this returns exactly the
+/// text a result reports for the same execution.
 std::string checkExecution(const vm::ExecResult &R, const SynthConfig &Cfg);
 
 } // namespace dfence::synth

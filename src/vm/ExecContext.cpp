@@ -3,8 +3,8 @@
 // The per-run driver ported from the old one-shot Engine (Interp.cpp),
 // restructured so every piece of state is reset in place: frames live in a
 // flat stack indexing a shared per-thread register arena, threads are
-// pooled and revived, repairs collect into a flat vector deduped once at
-// the end, and the scheduler views persist across steps: each iteration
+// pooled and revived, repairs collect into a flat vector deduped as they
+// are emitted and sorted once at the end, and the scheduler views persist across steps: each iteration
 // re-reads only the view of the thread that acted, and all of them only
 // after an action that reached another thread. Under the engine's own
 // scheduler a step is followed by a local run: the interpreter keeps
@@ -280,7 +280,12 @@ void ExecContext::collectRepairsT(Thread &T, InstrId K, Word Addr,
   LabelScratch.clear();
   bufOf<Model>(T).pendingLabelsExcept(Addr, LabelScratch);
   for (InstrId L : LabelScratch)
-    Repairs.push_back(OrderingPredicate{L, K, IsLoad});
+    addRepair(L, K, IsLoad);
+}
+
+void ExecContext::addRepair(InstrId Before, InstrId After, bool AfterIsLoad) {
+  if (RepairSeen.insert(static_cast<uint64_t>(Before) << 32 | After))
+    Repairs.push_back(OrderingPredicate{Before, After, AfterIsLoad});
 }
 
 bool ExecContext::deadlineExpired() {
@@ -642,8 +647,7 @@ Dispatch:
       LabelScratch.clear();
       B.pendingLabelsExcept(static_cast<Word>(-1), LabelScratch);
       for (InstrId L : LabelScratch)
-        Repairs.push_back(
-            OrderingPredicate{L, I.Id, /*AfterIsLoad=*/false});
+        addRepair(L, I.Id, /*AfterIsLoad=*/false);
     }
     size_t OpIndex = F.OpIndex;
     Reg RetDst = F.RetDst;
@@ -949,6 +953,7 @@ void ExecContext::run(const PreparedProgram &Prog, size_t ClientIdx,
   GlobalAddrs.clear();
   LiveThreads = 0;
   Repairs.clear();
+  RepairSeen.clear();
   DeferredAt.clear();
   Seq = 0;
   Steps = 0;
@@ -983,14 +988,11 @@ void ExecContext::run(const PreparedProgram &Prog, size_t ClientIdx,
   }
   Out.Steps = Steps;
 
-  // Repairs were collected without dedup; sort-and-unique here produces
-  // exactly the order the old std::set gave: sorted by (Before, After),
-  // first-inserted kept among predicates equal under that key (stable
-  // sort preserves insertion order; operator== ignores AfterIsLoad just
-  // like operator<).
-  std::stable_sort(Repairs.begin(), Repairs.end());
-  Repairs.erase(std::unique(Repairs.begin(), Repairs.end()),
-                Repairs.end());
+  // Repairs were deduplicated on (Before, After) as they were emitted, so
+  // one sort yields the list sorted by (Before, After) with one predicate
+  // per pair. Which emission of a pair was kept cannot show, because
+  // AfterIsLoad is a function of After's opcode.
+  std::sort(Repairs.begin(), Repairs.end());
   Out.Repairs.assign(Repairs.begin(), Repairs.end());
 
   if (LiveThreads > CStats.ThreadHighWater)

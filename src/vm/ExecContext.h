@@ -24,6 +24,7 @@
 #define DFENCE_VM_EXECCONTEXT_H
 
 #include "sched/RandomFlushScheduler.h"
+#include "support/FlatKeySet.h"
 #include "vm/Interp.h"
 #include "vm/Prepared.h"
 
@@ -99,6 +100,8 @@ private:
   template <MemModel Model> void drainForAtomicT(Thread &T, Word Addr);
   template <MemModel Model>
   void collectRepairsT(Thread &T, ir::InstrId K, Word Addr, bool IsLoad);
+  /// Appends [Before ≺ After] unless this run already emitted the pair.
+  void addRepair(ir::InstrId Before, ir::InstrId After, bool AfterIsLoad);
   bool deadlineExpired();
   bool allocFaultFires();
   template <MemModel Model> bool maybeFlushStormT();
@@ -117,7 +120,11 @@ private:
   std::vector<std::unique_ptr<Thread>> Threads; ///< Pool; [0, LiveThreads) live.
   size_t LiveThreads = 0;
   std::unique_ptr<Thread> InitThread;
-  std::vector<OrderingPredicate> Repairs; ///< Deduped at run end.
+  std::vector<OrderingPredicate> Repairs; ///< Distinct; sorted at run end.
+  /// The (Before, After) pairs in Repairs. Its size is bounded by the
+  /// prepared program's store × access label pairs, and each run empties
+  /// just the slots the previous one filled.
+  FlatKeySet RepairSeen;
   std::vector<ir::InstrId> LabelScratch;
   std::vector<Word> ArgScratch;
   std::vector<sched::ThreadView> Views;

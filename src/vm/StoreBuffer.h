@@ -213,13 +213,13 @@ private:
 };
 
 /// PSO: one FIFO per variable, slots sorted by address. Fully-drained
-/// slots are retained (capacity and layout kept) — but unlike the old
-/// implementation they are never *scanned*: a sorted Active list of the
-/// addresses with pending stores answers popOldest (lowest active
-/// address, no walk over permanently-drained slots) and nonEmptyVars
-/// (the per-step scheduler view, previously a full PerVar scan per live
-/// thread per step), so a buffer reused across a long round does not
-/// degrade with the number of addresses it has ever seen.
+/// slots are retained (capacity and layout kept) but never *scanned*: a
+/// sorted Active list of the addresses with pending stores answers
+/// popOldest (lowest active address), nonEmptyVars (the per-step
+/// scheduler view) and pendingLabelsExcept (the repair collection at
+/// every later access) without touching a drained slot. So a buffer
+/// reused across a long round does not degrade with the number of
+/// addresses it has ever seen.
 class PsoBuffer {
 public:
   static constexpr MemModel Model = MemModel::PSO;
@@ -282,9 +282,10 @@ public:
   /// stores to \p ExcludeAddr skipped. Appends without clearing.
   void pendingLabelsExcept(Word ExcludeAddr,
                            std::vector<InstrId> &Out) const {
-    for (const VarFifo &V : PerVar) {
-      if (V.Addr == ExcludeAddr)
+    for (Word Addr : Active) {
+      if (Addr == ExcludeAddr)
         continue;
+      const VarFifo &V = *findVar(Addr);
       for (size_t I = V.Head, E = V.Q.size(); I != E; ++I) {
         InstrId L = V.Q[I].Label;
         if (std::find(Out.begin(), Out.end(), L) == Out.end())

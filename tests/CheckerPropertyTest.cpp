@@ -180,11 +180,8 @@ TEST(RelaxEmptyTest, DropsOnlyOverlappingEmptyWsqOps) {
       mkOp("steal", {}, 1, 1, 13, 14),        // successful: keep
       mkOp("dequeue", {}, EmptyVal, 1, 4, 5), // not a WSQ op: keep
   };
-  History Out = relaxConcurrentEmptyOps(H);
-  ASSERT_EQ(Out.Ops.size(), 4u);
-  for (const OpRecord &Op : Out.Ops)
-    EXPECT_FALSE(Op.Func == "steal" && Op.Ret == EmptyVal &&
-                 Op.InvokeSeq == 2);
+  for (size_t I = 0; I != H.Ops.size(); ++I)
+    EXPECT_EQ(isConcurrentEmptyWsqOp(H, I), I == 1) << "op " << I;
 }
 
 TEST(RelaxEmptyTest, Fig2cViolationSurvivesRelaxation) {
@@ -192,9 +189,10 @@ TEST(RelaxEmptyTest, Fig2cViolationSurvivesRelaxation) {
   History H;
   H.Ops = {mkOp("put", {1}, 0, 0, 1, 2),
            mkOp("steal", {}, EmptyVal, 1, 3, 4)};
-  History Out = relaxConcurrentEmptyOps(H);
-  ASSERT_EQ(Out.Ops.size(), 2u);
-  EXPECT_FALSE(isLinearizable(Out, WsqSpec::factory()));
+  EXPECT_FALSE(isConcurrentEmptyWsqOp(H, 1));
+  EXPECT_FALSE(checkHistory(H, WsqSpec::factory(),
+                            Criterion::RelaxedLinearizability)
+                   .Ok);
 }
 
 TEST(RelaxEmptyTest, OverlappingEmptyStealAccepted) {
@@ -202,7 +200,8 @@ TEST(RelaxEmptyTest, OverlappingEmptyStealAccepted) {
   History H;
   H.Ops = {mkOp("put", {1}, 0, 0, 1, 4),
            mkOp("steal", {}, EmptyVal, 1, 2, 3)};
-  History Out = relaxConcurrentEmptyOps(H);
-  EXPECT_EQ(Out.Ops.size(), 1u);
-  EXPECT_TRUE(isLinearizable(Out, WsqSpec::factory()));
+  EXPECT_TRUE(isConcurrentEmptyWsqOp(H, 1));
+  EXPECT_TRUE(checkHistory(H, WsqSpec::factory(),
+                           Criterion::RelaxedLinearizability)
+                  .Ok);
 }

@@ -289,6 +289,7 @@ TEST(CliObsSmokeTest, FuzzBadValuesExitTwo) {
     const char *Needle;
   } Cases[] = {
       {"--count 0", "--count"},
+      {"--k 0", "--k"},
       {"--threads 0", "--threads"},
       {"--ops 9-2", "--ops"},
       {"--via-serve 0", "--via-serve"},

@@ -93,6 +93,13 @@ struct Case {
   SpecKind Spec;
 };
 
+// Print the bench and the spec, not the raw struct bytes: gtest's default
+// dump of the `const char *` member is an address that moves with ASLR,
+// and the printed value is part of the test name ctest discovers.
+void PrintTo(const Case &C, std::ostream *OS) {
+  *OS << '"' << C.Bench << "\" " << specKindName(C.Spec);
+}
+
 class ParallelDeterminismTest
     : public ::testing::TestWithParam<std::tuple<Case, MemModel>> {};
 

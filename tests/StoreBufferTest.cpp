@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <vector>
 
 using namespace dfence;
@@ -517,6 +518,41 @@ TEST(StoreBufferPolicyTest, TsoBufferMatchesNaiveModel) {
 TEST(StoreBufferPolicyTest, PsoBufferMatchesNaiveModel) {
   PsoBuffer B;
   runDifferential(B, MemModel::PSO, 0x9b50);
+}
+
+TEST(StoreBufferPolicyTest, PsoPendingLabelsSkipDrainedAddresses) {
+  // The buffer keeps a slot for every address it has ever held, across
+  // reset()s too; pendingLabelsExcept walks only the addresses with
+  // pending stores and must still answer exactly as the naive model does
+  // once well over 100 addresses have been held and drained.
+  PsoBuffer B;
+  NaiveBuffer Ref(MemModel::PSO);
+  Rng R(0x1abe1);
+  std::set<Word> Held;
+  for (int Epoch = 0; Epoch != 6; ++Epoch) {
+    for (int Op = 0; Op != 300; ++Op) {
+      if (R.next() % 2 != 0) {
+        Word A = 8 * (1 + R.next() % 200);
+        InstrId L = static_cast<InstrId>(100 + R.next() % 30);
+        B.push(A, 0, L);
+        Ref.push(A, 0, L);
+        Held.insert(A);
+      } else if (!Ref.empty()) {
+        BufferEntry E1 = B.popOldest();
+        BufferEntry E2 = Ref.popOldest();
+        ASSERT_EQ(E1.Addr, E2.Addr);
+        ASSERT_EQ(E1.Label, E2.Label);
+      }
+      std::vector<InstrId> L1, L2;
+      Word X = 8 * (1 + R.next() % 200);
+      B.pendingLabelsExcept(X, L1);
+      Ref.pendingLabelsExcept(X, L2);
+      ASSERT_EQ(L1, L2) << "epoch " << Epoch << " op " << Op;
+    }
+    B.reset();
+    Ref.reset();
+  }
+  EXPECT_GE(Held.size(), 100u);
 }
 
 } // namespace

@@ -1,5 +1,6 @@
 //===- SupportTest.cpp - Tests for the support library --------------------===//
 
+#include "support/FlatKeySet.h"
 #include "support/Json.h"
 #include "support/Rng.h"
 #include "support/StringUtils.h"
@@ -95,6 +96,29 @@ TEST(StringUtilsTest, HashCombineSpreads) {
 //===----------------------------------------------------------------------===//
 // Json
 //===----------------------------------------------------------------------===//
+
+TEST(FlatKeySetTest, MatchesStdSetAcrossGrowthAndClears) {
+  // Keys include the all-ones value the slot array uses for "free", and
+  // clear() must forget every key while keeping the set reusable.
+  FlatKeySet S;
+  Rng R(0xf1a7);
+  for (int Round = 0; Round != 4; ++Round) {
+    std::set<uint64_t> Ref;
+    for (int I = 0; I != 3000; ++I) {
+      uint64_t K = R.nextBelow(4) == 0 ? ~0ULL - R.nextBelow(3)
+                                       : R.nextBelow(2000);
+      EXPECT_EQ(S.insert(K), Ref.insert(K).second) << K;
+      uint64_t Q = R.nextBelow(2000);
+      EXPECT_EQ(S.contains(Q), Ref.count(Q) != 0) << Q;
+    }
+    EXPECT_EQ(S.size(), Ref.size());
+    EXPECT_TRUE(S.contains(~0ULL) == (Ref.count(~0ULL) != 0));
+    S.clear();
+    EXPECT_EQ(S.size(), 0u);
+    for (uint64_t K : Ref)
+      EXPECT_FALSE(S.contains(K)) << K;
+  }
+}
 
 TEST(JsonTest, ParsesScalarsAndContainers) {
   std::string Error;

@@ -577,6 +577,10 @@ int runSynthesis(const Options &Opt, serve::ServeRequest Req) {
     std::printf("sat: %u repair solve(s) hit the search budget; their "
                 "predicate sets are minimal, not necessarily minimum\n",
                 R.SatTruncated);
+  if (R.SpecCheckBudgetHits)
+    std::printf("check: %llu execution(s) ran out of the checker's "
+                "search budget and were accepted without a verdict\n",
+                static_cast<unsigned long long>(R.SpecCheckBudgetHits));
   if (R.Status == synth::SynthStatus::CannotFix)
     std::printf("result: violations not caused by reordering — cannot "
                 "be fixed with fences\nfirst violation: %s\n",
@@ -913,7 +917,12 @@ int cmdFuzz(const Options &Opt) {
                  "error: --model must be tso or pso for fuzzing\n");
     return 2;
   }
-  CC.K = static_cast<unsigned>(Opt.getInt("k", 60));
+  long K = Opt.getInt("k", 60);
+  if (K < 1) {
+    std::fprintf(stderr, "error: --k must be at least 1\n");
+    return 2;
+  }
+  CC.K = static_cast<unsigned>(K);
   CC.Rounds = static_cast<unsigned>(Opt.getInt("rounds", 6));
   CC.Jobs = static_cast<unsigned>(Opt.getInt("jobs", 0));
   std::string CacheMode = Opt.get("cache", "on");
