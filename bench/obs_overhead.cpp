@@ -5,10 +5,11 @@
 //
 //   base — no ObsContext at all (the library-embedding default),
 //   off  — a metrics Registry attached but no Profiler: the engine's
-//          counters tick, the VM hot loop sees a null ProfilerShard* and
-//          performs zero clock reads per step (the null-sink contract),
-//   on   — the full flight recorder: Profiler + per-round convergence
-//          log draining into a sink.
+//          counters tick, the VM counts no opcode steps and no execution
+//          is timed (the null-sink contract),
+//   on   — the full flight recorder: Profiler (two clock reads around
+//          each execution and its check, per-opcode step counts) +
+//          per-round convergence log draining into a sink.
 //
 // Every (subject, model) cell runs the identical deterministic synthesis
 // under each posture at --jobs 1; execution counts must agree exactly
@@ -18,8 +19,10 @@
 //
 //   * off-posture overhead <= 2% vs base — the price of leaving metrics
 //     on in production must stay negligible;
-//   * the sum property: at jobs 1 the obs_phase_*_us histogram sums add
-//     up to the recorded round wall time (RoundOther absorbs the
+//   * on-posture overhead <= 25% vs base — the recorder must stay cheap
+//     enough that the phases it reports are the run's, not its own;
+//   * the sum property: at jobs 1 the six obs_phase_*_us histogram sums
+//     add up to the recorded round wall time (RoundOther absorbs the
 //     remainder by construction; tolerance covers clock granularity).
 //
 // Pass a number to scale executions per round (default 400); pass
@@ -32,7 +35,6 @@
 #include "ir/Instr.h"
 #include "obs/Convergence.h"
 #include "obs/Obs.h"
-#include "obs/Profiler.h"
 #include "support/Json.h"
 
 #include <chrono>
@@ -52,6 +54,10 @@ namespace {
 
 enum class Posture { Base, Off, On };
 
+// v2: six phases (exec, spec_check, sat_solve, enforce, fold,
+// round_other) and the on-posture gate.
+const char *const SchemaName = "dfence-obs-overhead-v2";
+
 struct Subject {
   const char *Bench;
   MemModel Model;
@@ -69,13 +75,6 @@ synth::SpecKind strictestSpec(const programs::Benchmark &B) {
     return synth::SpecKind::NoGarbage;
   return B.Factory ? synth::SpecKind::Linearizability
                    : synth::SpecKind::MemorySafety;
-}
-
-std::vector<std::string> opcodeNames() {
-  std::vector<std::string> Names;
-  for (unsigned I = 0; I <= static_cast<unsigned>(ir::Opcode::Nop); ++I)
-    Names.push_back(ir::opcodeName(static_cast<ir::Opcode>(I)));
-  return Names;
 }
 
 struct ModeRun {
@@ -108,7 +107,7 @@ ModeRun runPosture(const programs::Benchmark &B, MemModel Model,
     Cfg.Obs = &Obs;
   }
   if (P == Posture::On) {
-    Prof.emplace(Reg, opcodeNames());
+    Prof.emplace(Reg, ir::opcodeNames());
     Obs.Prof = &*Prof;
     RoundLog.emplace(RoundLogOS);
     Cfg.RoundLog = &*RoundLog;
@@ -252,8 +251,8 @@ int main(int Argc, char **Argv) {
               static_cast<unsigned long long>(TotalExecs), AggOff, AggOn);
 
   Json Doc = Json::object();
-  Doc.set("schema", Json::string("dfence-obs-overhead-v1"));
-  Doc.set("schema_version", Json::number(uint64_t(1)));
+  Doc.set("schema", Json::string(SchemaName));
+  Doc.set("schema_version", Json::number(uint64_t(2)));
   Doc.set("smoke", Json::boolean(Smoke));
   Doc.set("execs_per_round", Json::number(uint64_t(ExecsPer)));
   Doc.set("subjects", std::move(JSubjects));
@@ -282,6 +281,13 @@ int main(int Argc, char **Argv) {
                    AggOff);
       return 1;
     }
+    if (AggOn > 25.0) {
+      std::fprintf(stderr,
+                   "recorder-on overhead %.2f%% exceeds the 25%% "
+                   "flight-recorder budget\n",
+                   AggOn);
+      return 1;
+    }
     if (SumViolated)
       return 1;
   }
@@ -302,11 +308,12 @@ int main(int Argc, char **Argv) {
   const Json *Schema = Parsed->find("schema");
   const Json *SubjectsJ = Parsed->find("subjects");
   const Json *AggJ = Parsed->find("aggregate");
-  if (!Schema || Schema->asString() != "dfence-obs-overhead-v1" ||
+  if (!Schema || Schema->asString() != SchemaName ||
       !SubjectsJ || !SubjectsJ->isArray() ||
       SubjectsJ->items().size() !=
           sizeof(Subjects) / sizeof(Subjects[0]) ||
-      !AggJ || !AggJ->find("off_overhead_pct")) {
+      !AggJ || !AggJ->find("off_overhead_pct") ||
+      !AggJ->find("on_overhead_pct")) {
     std::fprintf(stderr, "BENCH_obs.json is malformed\n");
     return 1;
   }

@@ -29,50 +29,36 @@ RoundResult exec::runRound(PoolSlice &Slice, const vm::PreparedProgram &P,
         RoundSlot &S = RR.Slots[I];
         unsigned Worker = currentWorker();
         // Pool-global identity for anything shared across concurrently
-        // running slices: profiler shards and trace tracks must not
-        // collide between slices, while counter shards and worker
-        // contexts stay slice-relative.
+        // running slices: trace tracks and profiler counter shards must
+        // not collide between slices, while worker contexts stay
+        // slice-relative.
         unsigned GWorker = Slice.base() + Worker;
         OBS_SPAN(SlotSpan, Trace, "slot", "exec", GWorker);
-        // Flight recorder: attach (or detach) this worker's phase shard
-        // before every slot — the persistent context outlives rounds, so
-        // a run without a profiler must clear a previously attached
-        // shard. Exec wall time is measured here; the in-loop phases
-        // accumulate inside run(), and ExecOther absorbs the remainder
-        // at flush so the per-execution attribution is total.
-        vm::ExecContext &EC = Slice.workerContext(Worker);
-        obs::ProfilerShard *Shard =
-            Prof ? &Prof->shard(GWorker) : nullptr;
-        EC.setProfilerShard(Shard);
-        std::chrono::steady_clock::time_point ProfT0{};
-        if (Shard) {
-          Shard->reset();
-          ProfT0 = std::chrono::steady_clock::now();
-        }
         // Each slot runs on its pool worker's persistent context; the
         // context carries the arenas across executions, so steady-state
-        // slots are reset-and-go rather than build-and-tear-down.
+        // slots are reset-and-go rather than build-and-tear-down. The
+        // context outlives rounds, so every slot sets its step counting,
+        // on or off.
+        vm::ExecContext &EC = Slice.workerContext(Worker);
+        EC.countOpSteps(Prof != nullptr);
+        auto ExecT0 = Prof ? std::chrono::steady_clock::now()
+                           : std::chrono::steady_clock::time_point{};
         S.SE = harness::runSupervised(P, EP.ClientIdx, EC, EP.EC, Policy,
                                       DL);
-        uint64_t ExecWallNs =
-            Shard ? obs::ProfilerShard::elapsedNs(
-                        ProfT0, std::chrono::steady_clock::now())
-                  : 0;
+        uint64_t ExecNs = Prof ? obs::nsSince(ExecT0) : 0;
         // Discarded executions are counted, never judged; everything else
         // is judged here so the (possibly exponential) spec check also
         // runs off the merge thread.
+        uint64_t CheckNs = 0;
         if (!S.SE.Discarded && Judge) {
-          std::chrono::steady_clock::time_point CheckT0{};
-          if (Shard)
-            CheckT0 = std::chrono::steady_clock::now();
+          auto CheckT0 = Prof ? std::chrono::steady_clock::now()
+                              : std::chrono::steady_clock::time_point{};
           Judge(S.SE.Result, S);
-          if (Shard)
-            Shard->addNs(obs::Phase::SpecCheck,
-                         obs::ProfilerShard::elapsedNs(
-                             CheckT0, std::chrono::steady_clock::now()));
+          if (Prof)
+            CheckNs = obs::nsSince(CheckT0);
         }
-        if (Shard)
-          Prof->flushExec(*Shard, ExecWallNs, GWorker);
+        if (Prof)
+          Prof->flushExec(ExecNs, CheckNs, EC.opSteps(), GWorker);
         if (Trace) {
           SlotSpan.arg("index", static_cast<uint64_t>(I));
           SlotSpan.arg("seed", EP.EC.Seed);

@@ -15,10 +15,13 @@ bool harness::isDiscardedOutcome(vm::Outcome O) {
          O == vm::Outcome::Timeout;
 }
 
+/// Mixed into the seed on each retry so the schedule actually changes.
+static constexpr uint64_t RetrySeedSalt = 0x9e3779b97f4a7c15ULL;
+
 /// Seed remix for retry attempt \p Attempt (1-based): splitmix-style so
 /// nearby seeds do not produce correlated schedules.
-static uint64_t remixSeed(uint64_t Seed, uint64_t Salt, unsigned Attempt) {
-  uint64_t Z = Seed + Salt * Attempt;
+static uint64_t remixSeed(uint64_t Seed, unsigned Attempt) {
+  uint64_t Z = Seed + RetrySeedSalt * Attempt;
   Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebULL;
   return Z ^ (Z >> 31);
@@ -44,7 +47,7 @@ SupervisedExec harness::runSupervised(const vm::PreparedProgram &P,
   size_t BaseSteps = EC.MaxSteps;
   for (unsigned Attempt = 0;; ++Attempt) {
     if (Attempt > 0) {
-      EC.Seed = remixSeed(BaseSeed, Policy.RetrySeedSalt, Attempt);
+      EC.Seed = remixSeed(BaseSeed, Attempt);
       double Grown = static_cast<double>(BaseSteps) *
                      std::pow(Policy.StepBudgetGrowth, Attempt);
       EC.MaxSteps = Grown > static_cast<double>(BaseSteps)

@@ -47,8 +47,6 @@ struct ExecPolicy {
   /// Step-budget multiplier applied on each retry (a StepLimit discard is
   /// often just a budget that was a bit too tight for a long schedule).
   double StepBudgetGrowth = 2.0;
-  /// Mixed into the seed on each retry so the schedule actually changes.
-  uint64_t RetrySeedSalt = 0x9e3779b97f4a7c15ULL;
 };
 
 /// Monotonic elapsed-time measurement.

@@ -35,6 +35,13 @@ const char *ir::opcodeName(Opcode Op) {
   dfenceUnreachable("invalid opcode");
 }
 
+std::vector<std::string> ir::opcodeNames() {
+  std::vector<std::string> Names;
+  for (unsigned I = 0; I != NumOpcodes; ++I)
+    Names.push_back(opcodeName(static_cast<Opcode>(I)));
+  return Names;
+}
+
 const char *ir::fenceKindName(FenceKind Kind) {
   switch (Kind) {
   case FenceKind::Full:       return "full";

@@ -80,8 +80,14 @@ enum class BinOpKind : uint8_t {
 /// later access is a store, store-load when it is a load).
 enum class FenceKind : uint8_t { Full, StoreStore, StoreLoad };
 
+/// Number of opcodes; dispatch-stream bytes are below it.
+constexpr unsigned NumOpcodes = static_cast<unsigned>(Opcode::Nop) + 1;
+
 /// Returns a printable name for \p Op.
 const char *opcodeName(Opcode Op);
+
+/// Every opcodeName, indexed by opcode byte.
+std::vector<std::string> opcodeNames();
 
 /// Returns a printable name for \p Kind ("st-st", "st-ld", "full").
 const char *fenceKindName(FenceKind Kind);

@@ -33,9 +33,9 @@ struct ObsContext {
   TraceSink *Trace = nullptr;
   Logger *Log = nullptr;
   /// The flight recorder's phase profiler (see Profiler.h). Null — the
-  /// default — keeps every phase hook at a branch on a null shard
-  /// pointer: no clock reads. Requires Metrics (the profiler's series
-  /// live in that registry).
+  /// default — keeps every phase hook at a null-pointer branch: no clock
+  /// reads and no opcode step counting. Requires Metrics (the profiler's
+  /// series live in that registry).
   Profiler *Prof = nullptr;
 };
 

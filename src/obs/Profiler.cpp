@@ -2,23 +2,19 @@
 
 #include "obs/Profiler.h"
 
-#include <cassert>
+#include <algorithm>
 
 using namespace dfence;
 using namespace dfence::obs;
 
 const char *obs::phaseName(Phase P) {
   switch (P) {
-  case Phase::ViewRefresh: return "view_refresh";
-  case Phase::SchedPick:   return "sched_pick";
-  case Phase::OpDispatch:  return "op_dispatch";
-  case Phase::BufferFlush: return "buffer_flush";
-  case Phase::SpecCheck:   return "spec_check";
-  case Phase::SatSolve:    return "sat_solve";
-  case Phase::Enforce:     return "enforce";
-  case Phase::Fold:        return "fold";
-  case Phase::ExecOther:   return "exec_other";
-  case Phase::RoundOther:  return "round_other";
+  case Phase::Exec:       return "exec";
+  case Phase::SpecCheck:  return "spec_check";
+  case Phase::SatSolve:   return "sat_solve";
+  case Phase::Enforce:    return "enforce";
+  case Phase::Fold:       return "fold";
+  case Phase::RoundOther: return "round_other";
   }
   return "unknown";
 }
@@ -29,44 +25,23 @@ Profiler::Profiler(Registry &Reg, const std::vector<std::string> &OpNames) {
         &Reg.histogram(std::string("obs_phase_") +
                            phaseName(static_cast<Phase>(I)) + "_us",
                        Histogram::defaultTimeBoundsUs());
-  assert(OpNames.size() <= ProfilerMaxOps &&
-         "opcode space exceeds the profiler's per-opcode counter table");
-  for (unsigned I = 0; I != OpNames.size() && I != ProfilerMaxOps; ++I)
-    OpC[I] = &Reg.counter("obs_op_" + OpNames[I] + "_steps_total");
+  for (const std::string &Name : OpNames)
+    OpC.push_back(&Reg.counter("obs_op_" + Name + "_steps_total"));
   ExecsProfiledC = &Reg.counter("obs_execs_profiled_total");
 }
 
-void Profiler::flushExec(ProfilerShard &S, uint64_t ExecWallNs,
+void Profiler::flushExec(uint64_t ExecNs, uint64_t CheckNs,
+                         std::span<const uint64_t> OpSteps,
                          unsigned Worker) {
-  // The exec-side phases: observed per execution even when zero so every
-  // exec-phase histogram carries one sample per profiled execution and
-  // their sums stay comparable.
-  uint64_t ExecAttr = 0;
-  constexpr Phase ExecPhases[] = {Phase::ViewRefresh, Phase::SchedPick,
-                                  Phase::OpDispatch, Phase::BufferFlush};
-  for (Phase P : ExecPhases) {
-    uint64_t Ns = S.PhaseNs[static_cast<unsigned>(P)];
-    ExecAttr += Ns;
-    PhaseH[static_cast<unsigned>(P)]->observe(static_cast<double>(Ns) /
-                                              1000.0);
-  }
-  uint64_t Other = ExecWallNs > ExecAttr ? ExecWallNs - ExecAttr : 0;
-  PhaseH[static_cast<unsigned>(Phase::ExecOther)]->observe(
-      static_cast<double>(Other) / 1000.0);
-  // SpecCheck is timed by the round runner outside the execution wall, so
-  // it is not part of the ExecOther remainder; observe it only when the
-  // check actually ran (cached or discarded slots skip it).
-  uint64_t SpecNs = S.PhaseNs[static_cast<unsigned>(Phase::SpecCheck)];
-  if (SpecNs)
-    PhaseH[static_cast<unsigned>(Phase::SpecCheck)]->observe(
-        static_cast<double>(SpecNs) / 1000.0);
-  TotalNs.fetch_add(ExecAttr + Other + SpecNs, std::memory_order_relaxed);
-
-  for (unsigned I = 0; I != ProfilerMaxOps; ++I)
-    if (S.OpSteps[I] && OpC[I])
-      OpC[I]->add(S.OpSteps[I], Worker);
+  observePhaseNs(Phase::Exec, ExecNs);
+  // Cached or discarded slots skip the check; observe it only when it
+  // ran.
+  if (CheckNs)
+    observePhaseNs(Phase::SpecCheck, CheckNs);
+  for (size_t I = 0, E = std::min(OpSteps.size(), OpC.size()); I != E; ++I)
+    if (OpSteps[I])
+      OpC[I]->add(OpSteps[I], Worker);
   ExecsProfiledC->add(1, Worker);
-  S.reset();
 }
 
 void Profiler::observePhaseNs(Phase P, uint64_t Ns) {

@@ -199,7 +199,6 @@ static uint64_t runFingerprint(const SynthConfig &Cfg,
   H = vm::hashCombine(H, Cfg.Exec.ExecWallMs);
   H = vm::hashCombine(H, Cfg.Exec.MaxRetries);
   H = vm::hashCombine(H, Bits(Cfg.Exec.StepBudgetGrowth));
-  H = vm::hashCombine(H, Cfg.Exec.RetrySeedSalt);
   H = vm::hashCombine(H, static_cast<uint64_t>(Cfg.Model));
   H = vm::hashCombine(H, Cfg.InterOpPredicates);
   H = vm::hashCombine(H, Cfg.PartialOrderReduction);
@@ -300,9 +299,9 @@ SynthResult synth::synthesize(const ir::Module &M,
       obs::counterOrNull(Cfg.Obs, "cache_exec_hits");
   obs::Counter *CacheExecMissesC =
       obs::counterOrNull(Cfg.Obs, "cache_exec_misses");
-  // Flight recorder (optional). Exec-side phases accumulate on the round
-  // workers; the merge-thread phases (sat_solve, enforce, fold) and the
-  // per-round remainder are observed below. Phase times are wall-clock
+  // Flight recorder (optional). The round workers time each execution
+  // and its check; the merge-thread phases (sat_solve, enforce, fold) and
+  // the per-round remainder are observed below. Phase times are wall-clock
   // and live in histograms only — never counters — so the deterministic
   // counter snapshot stays byte-identical with the recorder on or off.
   obs::Profiler *Prof = obs::profilerOrNull(Cfg.Obs);
@@ -608,10 +607,7 @@ SynthResult synth::synthesize(const ir::Module &M,
     }
     Stats.Truncated = Truncated;
     if (Prof)
-      Prof->observePhaseNs(
-          obs::Phase::Fold,
-          obs::ProfilerShard::elapsedNs(
-              FoldT0, std::chrono::steady_clock::now()));
+      Prof->observePhaseNs(obs::Phase::Fold, obs::nsSince(FoldT0));
     RoundSpan.arg("executions", Stats.Executions);
     RoundSpan.arg("violations", Stats.Violations);
     if (Log)
@@ -743,10 +739,7 @@ SynthResult synth::synthesize(const ir::Module &M,
       if (ExecC)
         ModuleFp = cache::fingerprintModule(Cur);
       if (Prof)
-        Prof->observePhaseNs(
-            obs::Phase::Enforce,
-            obs::ProfilerShard::elapsedNs(
-                EnforceT0, std::chrono::steady_clock::now()));
+        Prof->observePhaseNs(obs::Phase::Enforce, obs::nsSince(EnforceT0));
     }
     ++RepairRounds;
     OBS_COUNT(RepairRoundsC, 1);

@@ -27,11 +27,15 @@
 // SchedulePinTest pins every instantiation's schedules, step counts,
 // repairs and histories across commits.
 //
+// The loops read no clock but the watchdog's, once per 1024 steps when
+// one is armed. The flight recorder times whole executions from outside
+// (exec::runRound); its only hook here is the optional per-opcode step
+// count (countOpSteps), one array increment per dispatched instruction.
+//
 //===----------------------------------------------------------------------===//
 
 #include "vm/ExecContext.h"
 
-#include "obs/Profiler.h"
 #include "support/Diagnostics.h"
 #include "support/StringUtils.h"
 
@@ -67,8 +71,7 @@ constexpr bool SharedStep[] = {
     /*Self=*/false,       /*Spawn=*/true,  /*Join=*/true,
     /*Lock=*/true,        /*Unlock=*/true, /*Assert=*/false,
     /*Nop=*/false};
-static_assert(sizeof(SharedStep) ==
-                  static_cast<size_t>(Opcode::Nop) + 1,
+static_assert(sizeof(SharedStep) == NumOpcodes,
               "shared-step table must cover every opcode");
 static_assert(SharedStep[static_cast<size_t>(Opcode::Load)] &&
                   SharedStep[static_cast<size_t>(Opcode::Unlock)] &&
@@ -416,7 +419,7 @@ bool ExecContext::stepThreadT(Thread &T, uint32_t Grant) {
   const Function &Fn = M.Funcs[F.F];
   const PreparedFunc &PF = P->func(F.F);
   auto &B = bufOf<Model>(T);
-  obs::ProfilerShard *PS = PShard;
+  const bool Count = CountOps;
 
   // Dispatch off the prepared OpIdx stream (one dense byte per Body
   // position) instead of the fat Instr record. The jump-table order must
@@ -431,19 +434,17 @@ bool ExecContext::stepThreadT(Thread &T, uint32_t Grant) {
       &&Op_Free,  &&Op_Br,    &&Op_CondBr, &&Op_Call,  &&Op_Ret,
       &&Op_Self,  &&Op_Spawn, &&Op_Join,   &&Op_Lock,  &&Op_Unlock,
       &&Op_Assert, &&Op_Nop};
-  static_assert(sizeof(Table) / sizeof(Table[0]) ==
-                    static_cast<size_t>(Opcode::Nop) + 1,
+  static_assert(sizeof(Table) / sizeof(Table[0]) == NumOpcodes,
                 "jump table must cover every opcode");
 #endif
 
 Dispatch:
   assert(F.Ip < Fn.Body.size() && "instruction pointer out of range");
   const Instr &I = Fn.Body[F.Ip];
-  // Flight recorder: per-opcode step counts come straight off the
-  // prepared dispatch stream — one array increment. Null shard = no work
-  // at all.
-  if (PS)
-    ++PS->OpSteps[PF.OpIdx[F.Ip]];
+  // Per-opcode step counts come straight off the prepared dispatch
+  // stream: one array increment, and no work at all when counting is off.
+  if (Count)
+    ++OpSteps[PF.OpIdx[F.Ip]];
 #if DFENCE_COMPUTED_GOTO
   goto *Table[PF.OpIdx[F.Ip]];
 #define DF_CASE(Name) Op_##Name:
@@ -760,13 +761,6 @@ template <MemModel Model> bool ExecContext::refreshViewT(size_t TI) {
 }
 
 template <MemModel Model> void ExecContext::mainLoopT() {
-  // Flight-recorder phase attribution. A null shard (the default) costs
-  // exactly these pointer tests per iteration — zero clock reads; an
-  // attached shard brackets the three sections of an iteration (view
-  // refresh, scheduler pick, step-or-flush) with steady-clock reads.
-  using ProfClock = std::chrono::steady_clock;
-  obs::ProfilerShard *PS = PShard;
-  ProfClock::time_point PT0{}, PT1{}, PT2{};
   // The internal scheduler is called directly (RandomFlushScheduler is
   // final), an external one through the interface.
   const bool OwnSched = Sched == &OwnedSched;
@@ -788,8 +782,6 @@ template <MemModel Model> void ExecContext::mainLoopT() {
     }
     if ((Steps & 1023) == 0 && deadlineExpired())
       return;
-    if (PS)
-      PT0 = ProfClock::now();
 
     // Views[Tid] describes thread Tid and stays valid across iterations:
     // an action changes only the state of the thread that took it, so
@@ -806,20 +798,11 @@ template <MemModel Model> void ExecContext::mainLoopT() {
       Schedulable -= V.Runnable || V.PendingStores > 0;
       Schedulable += refreshViewT<Model>(Acted);
     }
-    if (PS) {
-      PT1 = ProfClock::now();
-      PS->addNs(obs::Phase::ViewRefresh,
-                obs::ProfilerShard::elapsedNs(PT0, PT1));
-    }
     if (Schedulable == 0)
       return; // Completed.
 
-    if (maybeFlushStormT<Model>()) {
-      if (PS)
-        PS->addNs(obs::Phase::BufferFlush,
-                  obs::ProfilerShard::elapsedNs(PT1, ProfClock::now()));
+    if (maybeFlushStormT<Model>())
       continue;
-    }
 
     sched::Action A =
         OwnSched ? OwnedSched.pick(Views, R) : Sched->pick(Views, R);
@@ -827,11 +810,6 @@ template <MemModel Model> void ExecContext::mainLoopT() {
       A = applyForcedSwitch(A);
     if (Cfg.RecordTrace)
       Result->Trace.push_back(A);
-    if (PS) {
-      PT2 = ProfClock::now();
-      PS->addNs(obs::Phase::SchedPick,
-                obs::ProfilerShard::elapsedNs(PT1, PT2));
-    }
     // Validate the action for real (not assert-only): a stale or corrupt
     // replay trace must end the execution, not corrupt the engine.
     if (A.Tid >= LiveThreads) {
@@ -862,9 +840,6 @@ template <MemModel Model> void ExecContext::mainLoopT() {
       flushOneT<Model>(T, A.HasVar, A.Var);
       ++Result->Stats.SchedFlushes;
       Progress = true;
-      if (PS)
-        PS->addNs(obs::Phase::BufferFlush,
-                  obs::ProfilerShard::elapsedNs(PT2, ProfClock::now()));
     } else {
       // The run ends where this loop would next stop on its own: at the
       // step limit and at the 1024-step deadline tick.
@@ -884,9 +859,6 @@ template <MemModel Model> void ExecContext::mainLoopT() {
           Result->Trace.insert(Result->Trace.end(), Local, A);
       }
       Result->Stats.SchedSteps += 1 + Local;
-      if (PS)
-        PS->addNs(obs::Phase::OpDispatch,
-                  obs::ProfilerShard::elapsedNs(PT2, ProfClock::now()));
     }
     ++Steps;
 
@@ -900,18 +872,11 @@ template <MemModel Model> void ExecContext::mainLoopT() {
 }
 
 template <MemModel Model> void ExecContext::finalDrainT() {
-  using ProfClock = std::chrono::steady_clock;
-  ProfClock::time_point PT0{};
-  if (PShard)
-    PT0 = ProfClock::now();
   for (size_t TI = 0; TI != LiveThreads; ++TI) {
     Thread &T = *Threads[TI];
     while (!bufOf<Model>(T).empty() && !Halted)
       flushOneT<Model>(T, false, 0);
   }
-  if (PShard)
-    PShard->addNs(obs::Phase::BufferFlush,
-                  obs::ProfilerShard::elapsedNs(PT0, ProfClock::now()));
 }
 
 template <MemModel Model> void ExecContext::runLoops() {

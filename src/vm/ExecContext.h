@@ -28,13 +28,10 @@
 #include "vm/Interp.h"
 #include "vm/Prepared.h"
 
+#include <array>
 #include <chrono>
 #include <memory>
 #include <vector>
-
-namespace dfence::obs {
-struct ProfilerShard;
-} // namespace dfence::obs
 
 namespace dfence::vm {
 
@@ -63,15 +60,19 @@ public:
 
   const ContextStats &stats() const { return CStats; }
 
-  /// Attaches (or detaches, with null) the flight recorder's per-worker
-  /// phase accumulator. Null — the default — keeps the hot loop free of
-  /// clock reads (the recorder-off contract); non-null adds steady-clock
-  /// phase attribution per scheduler iteration and one array increment
-  /// per dispatched opcode. Profiling never changes an execution's
-  /// observable result, and the shard is never part of any cache key.
-  /// The shard must outlive every run() that observes it; the caller
-  /// (exec::runRound) resets and flushes it around each execution.
-  void setProfilerShard(obs::ProfilerShard *S) { PShard = S; }
+  /// Per-opcode interpreter step counts, indexed by opcode byte.
+  using OpStepCounts = std::array<uint64_t, ir::NumOpcodes>;
+
+  /// Zeroes the step counts and turns counting on or off. Off — the
+  /// default — leaves the hot loop a single untaken branch per step; on
+  /// adds one array increment. Counts accumulate across run() calls (a
+  /// supervised execution's retries included) until the next call here.
+  /// Counting never changes an execution's observable result.
+  void countOpSteps(bool On) {
+    CountOps = On;
+    OpSteps.fill(0);
+  }
+  const OpStepCounts &opSteps() const { return OpSteps; }
 
 private:
   struct Thread;
@@ -134,7 +135,8 @@ private:
   std::vector<ir::InstrId> DeferredAt;
   sched::RandomFlushScheduler OwnedSched;
   ContextStats CStats;
-  obs::ProfilerShard *PShard = nullptr; ///< Flight recorder; optional.
+  bool CountOps = false;  ///< See countOpSteps().
+  OpStepCounts OpSteps{}; ///< Kept across run() calls; see countOpSteps().
 
   // Per-run state (reinitialized by run()).
   const PreparedProgram *P = nullptr;

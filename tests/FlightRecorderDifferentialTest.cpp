@@ -15,11 +15,13 @@
 //
 // at jobs 1 and 8, with the caches on and off. The obs_* counters
 // themselves are jobs-invariant (the multiset of executed slots does not
-// depend on the pool width), which the cache-off comparison pins.
+// depend on the pool width), which the cache-off comparison pins at
+// widths 8 and 33.
 //
 //===----------------------------------------------------------------------===//
 
 #include "frontend/Compiler.h"
+#include "ir/Instr.h"
 #include "obs/Convergence.h"
 #include "obs/Obs.h"
 #include "programs/Benchmark.h"
@@ -41,13 +43,6 @@ SpecKind strictestSpec(const Benchmark &B) {
   if (B.UseNoGarbage)
     return SpecKind::NoGarbage;
   return B.Factory ? SpecKind::Linearizability : SpecKind::MemorySafety;
-}
-
-std::vector<std::string> opcodeNames() {
-  std::vector<std::string> Names;
-  for (unsigned I = 0; I <= static_cast<unsigned>(ir::Opcode::Nop); ++I)
-    Names.push_back(ir::opcodeName(static_cast<ir::Opcode>(I)));
-  return Names;
 }
 
 struct RunOutput {
@@ -84,7 +79,7 @@ RunOutput run(const Benchmark &B, MemModel Model, unsigned Jobs,
   std::ostringstream RoundLogOS;
   std::optional<obs::RoundLogWriter> RoundLog;
   if (Recorder) {
-    Prof.emplace(Reg, opcodeNames());
+    Prof.emplace(Reg, ir::opcodeNames());
     Obs.Prof = &*Prof;
     RoundLog.emplace(RoundLogOS);
     Cfg.RoundLog = &*RoundLog;
@@ -160,9 +155,12 @@ TEST_P(FlightRecorderDifferentialTest, RecorderNeverChangesResults) {
     // exec cache cannot skew them (cache hits skip execution, and how
     // many accrue before a hit is jobs-independent only with the cache
     // off): the cache-off obs_* snapshot must not depend on pool width.
-    RunOutput OnNc8 = run(B, Model, 8, false, true);
-    EXPECT_EQ(OnNc.ObsCounters, OnNc8.ObsCounters)
-        << What << " obs counters jobs-variant";
+    // Width 33 is past any power-of-two table of 32 per-worker entries.
+    for (unsigned Jobs : {8u, 33u}) {
+      RunOutput OnNcW = run(B, Model, Jobs, false, true);
+      EXPECT_EQ(OnNc.ObsCounters, OnNcW.ObsCounters)
+          << What << " obs counters jobs-variant at jobs " << Jobs;
+    }
   }
 }
 

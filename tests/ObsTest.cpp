@@ -459,44 +459,35 @@ TEST(LogTest, OffSuppressesEverythingAndNamesParse) {
 
 TEST(ProfilerTest, PhaseNamesAreStable) {
   // Dashboard series names hang off these; renames are breaking.
-  EXPECT_STREQ(phaseName(Phase::ViewRefresh), "view_refresh");
-  EXPECT_STREQ(phaseName(Phase::SchedPick), "sched_pick");
-  EXPECT_STREQ(phaseName(Phase::OpDispatch), "op_dispatch");
-  EXPECT_STREQ(phaseName(Phase::BufferFlush), "buffer_flush");
+  EXPECT_STREQ(phaseName(Phase::Exec), "exec");
   EXPECT_STREQ(phaseName(Phase::SpecCheck), "spec_check");
   EXPECT_STREQ(phaseName(Phase::SatSolve), "sat_solve");
   EXPECT_STREQ(phaseName(Phase::Enforce), "enforce");
   EXPECT_STREQ(phaseName(Phase::Fold), "fold");
-  EXPECT_STREQ(phaseName(Phase::ExecOther), "exec_other");
   EXPECT_STREQ(phaseName(Phase::RoundOther), "round_other");
+  EXPECT_EQ(NumPhases, 6u);
 }
 
 TEST(ProfilerTest, FlushExecAttributesRemainderAndCountsOps) {
   Registry Reg;
   Profiler P(Reg, {"const", "load"});
-  ProfilerShard &S = P.shard(0);
-  S.addNs(Phase::ViewRefresh, 1000);
-  S.addNs(Phase::OpDispatch, 2000);
-  S.OpSteps[0] = 5;
-  S.OpSteps[1] = 7;
-  P.flushExec(S, /*ExecWallNs=*/10000, /*Worker=*/0);
+  const uint64_t Ops[] = {5, 7};
+  P.flushExec(/*ExecNs=*/10000, /*CheckNs=*/2000, Ops, /*Worker=*/0);
+  // A slot that was not judged (discarded) observes no spec_check.
+  P.flushExec(/*ExecNs=*/3000, /*CheckNs=*/0, Ops, /*Worker=*/40);
 
-  // The in-loop phases land in their histograms in microseconds; the
-  // unattributed remainder (10000 - 3000 ns) goes to exec_other, so the
-  // per-execution attribution is total by construction.
-  EXPECT_EQ(Reg.histogram("obs_phase_view_refresh_us").count(), 1u);
-  EXPECT_DOUBLE_EQ(Reg.histogram("obs_phase_view_refresh_us").sum(), 1.0);
-  EXPECT_DOUBLE_EQ(Reg.histogram("obs_phase_op_dispatch_us").sum(), 2.0);
-  EXPECT_DOUBLE_EQ(Reg.histogram("obs_phase_exec_other_us").sum(), 7.0);
-  EXPECT_EQ(P.totalNs(), 10000u);
+  // Both times land in their histograms in microseconds, and the
+  // watermark the round remainder (round_other) is computed from covers
+  // them, so the per-round attribution stays total.
+  EXPECT_EQ(Reg.histogram("obs_phase_exec_us").count(), 2u);
+  EXPECT_DOUBLE_EQ(Reg.histogram("obs_phase_exec_us").sum(), 13.0);
+  EXPECT_EQ(Reg.histogram("obs_phase_spec_check_us").count(), 1u);
+  EXPECT_DOUBLE_EQ(Reg.histogram("obs_phase_spec_check_us").sum(), 2.0);
+  EXPECT_EQ(P.totalNs(), 15000u);
 
-  EXPECT_EQ(Reg.counter("obs_op_const_steps_total").value(), 5u);
-  EXPECT_EQ(Reg.counter("obs_op_load_steps_total").value(), 7u);
-  EXPECT_EQ(Reg.counter("obs_execs_profiled_total").value(), 1u);
-
-  // The shard is reset for the next execution.
-  EXPECT_EQ(S.PhaseNs[0], 0u);
-  EXPECT_EQ(S.OpSteps[0], 0u);
+  EXPECT_EQ(Reg.counter("obs_op_const_steps_total").value(), 10u);
+  EXPECT_EQ(Reg.counter("obs_op_load_steps_total").value(), 14u);
+  EXPECT_EQ(Reg.counter("obs_execs_profiled_total").value(), 2u);
 }
 
 TEST(ProfilerTest, ObservePhaseFeedsHistogramAndWatermark) {

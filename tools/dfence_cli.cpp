@@ -250,7 +250,10 @@ void printHelp(FILE *Out) {
       "stdout\n"
       "                      (also enables the phase profiler: "
       "obs_phase_*\n"
-      "                      histograms and obs_op_* step counters)\n"
+      "                      histograms of exec, spec_check, sat_solve, "
+      "enforce,\n"
+      "                      fold and round_other time; obs_op_* step "
+      "counters)\n"
       "  --round-log FILE    append one JSON line per synthesis round "
       "(violations,\n"
       "                      new predicates, cache hits, SAT effort, "
@@ -523,13 +526,11 @@ int runSynthesis(const Options &Opt, serve::ServeRequest Req) {
     Obs.Log = &Log;
   // The flight recorder's phase profiler rides on the metrics registry:
   // requesting metrics output turns it on, every other run keeps the
-  // null-shard fast path (zero clock reads in the engine's hot loops).
+  // engine's per-opcode step counting off and reads no per-execution
+  // clock.
   std::optional<obs::Profiler> Prof;
   if (Obs.Metrics) {
-    std::vector<std::string> OpNames;
-    for (unsigned I = 0; I <= static_cast<unsigned>(ir::Opcode::Nop); ++I)
-      OpNames.push_back(ir::opcodeName(static_cast<ir::Opcode>(I)));
-    Prof.emplace(Metrics, OpNames);
+    Prof.emplace(Metrics, ir::opcodeNames());
     Obs.Prof = &*Prof;
   }
   if (Obs.Metrics || Obs.Trace || Obs.Log || Obs.Prof)
