@@ -25,13 +25,14 @@ struct RandomFlushConfig {
   /// Keep scheduling the same thread while it executes thread-local
   /// instructions (the paper's partial-order reduction).
   bool PartialOrderReduction = true;
-  /// Safety valve: maximum consecutive local steps before a forced
-  /// rescheduling point.
-  uint32_t MaxLocalStreak = 128;
 };
 
 class RandomFlushScheduler final : public Scheduler {
 public:
+  /// Safety valve: maximum consecutive local steps before a forced
+  /// rescheduling point.
+  static constexpr uint32_t MaxLocalStreak = 128;
+
   explicit RandomFlushScheduler(RandomFlushConfig Cfg = {});
   ~RandomFlushScheduler() override;
 
@@ -40,8 +41,8 @@ public:
   /// reset() afterwards, as before any execution.
   void configure(RandomFlushConfig NewCfg) { Cfg = NewCfg; }
 
-  /// Inline so the engine's direct call to its own scheduler keeps the
-  /// common partial-order-reduction step out of any call.
+  /// Inline so an engine that binds this final class statically keeps
+  /// the common partial-order-reduction step out of any call.
   Action pick(const std::vector<ThreadView> &Threads, Rng &R) override {
     // Partial-order reduction: a thread executing purely local
     // instructions cannot interact with other threads, so keep running it.
@@ -61,11 +62,10 @@ public:
   /// the reduction off. This is the one POR rule — pick() follows it, and
   /// the engine uses it to run a thread through its local steps without
   /// calling pick() for each (every such step is one pick() would make).
-  uint32_t localGrant() const {
-    return Cfg.PartialOrderReduction ? Cfg.MaxLocalStreak - LocalStreak : 0;
+  uint32_t localGrant() const override {
+    return Cfg.PartialOrderReduction ? MaxLocalStreak - LocalStreak : 0;
   }
-  /// Records \p N granted local steps of the last thread taken.
-  void tookLocal(uint32_t N) { LocalStreak += N; }
+  void tookLocal(uint32_t N) override { LocalStreak += N; }
 
 private:
   /// A random schedulable thread, and whether it steps or flushes.

@@ -8,7 +8,14 @@ using namespace dfence;
 using namespace dfence::sched;
 
 ReplayScheduler::ReplayScheduler(std::vector<Action> Trace, bool Strict)
-    : Trace(std::move(Trace)), Strict(Strict) {}
+    : Trace(std::move(Trace)), Repeats(this->Trace.size()), Strict(Strict) {
+  for (size_t I = Repeats.size(); I-- > 1;) {
+    const Action &A = this->Trace[I - 1], &B = this->Trace[I];
+    if (A.Kind == Action::StepThread && A.Kind == B.Kind && A.Tid == B.Tid &&
+        A.HasVar == B.HasVar && A.Var == B.Var)
+      Repeats[I - 1] = Repeats[I] + 1;
+  }
+}
 
 ReplayScheduler::~ReplayScheduler() = default;
 

@@ -27,6 +27,11 @@ public:
 
   Action pick(const std::vector<ThreadView> &Threads, Rng &R) override;
   void reset() override { Pos = 0; }
+  /// The entries right after the one just returned that repeat its step
+  /// action: those are exactly what pick() would return next. Never past
+  /// the end of the trace, so exhaustion happens at the same action.
+  uint32_t localGrant() const override { return Pos ? Repeats[Pos - 1] : 0; }
+  void tookLocal(uint32_t N) override { Pos += N; }
 
   /// True when the whole trace has been consumed.
   bool exhausted() const { return Pos >= Trace.size(); }
@@ -36,6 +41,8 @@ public:
 
 private:
   std::vector<Action> Trace;
+  /// Repeats[I]: how many entries after I equal Trace[I], a step.
+  std::vector<uint32_t> Repeats;
   size_t Pos = 0;
   bool Strict = true;
 };

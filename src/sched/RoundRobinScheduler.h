@@ -28,6 +28,9 @@ public:
 
   Action pick(const std::vector<ThreadView> &Threads, Rng &R) override;
   void reset() override;
+  // No local grant: the flush rule reads the pending-store count after
+  // the step, and a Store can push it over MaxPending, so a grant made
+  // before the step could disagree with what pick() would return.
 
 private:
   RoundRobinConfig Cfg;

@@ -59,9 +59,15 @@ struct Action {
 /// indexed by thread id (Threads[I].Tid == I); at least one thread is
 /// runnable or has pending stores. The returned action must reference
 /// such a thread. Randomness must come from \p R so executions replay
-/// deterministically from a seed. The engine may take the local steps its
-/// own RandomFlushScheduler grants (localGrant()) without calling pick();
-/// any other scheduler is asked at every scheduling point.
+/// deterministically from a seed.
+///
+/// Local runs: right after pick() returned a step, the engine may take up
+/// to localGrant() further steps of that thread without calling pick(),
+/// for as long as the thread's next instruction is thread-local, and then
+/// reports how many it took through tookLocal(). A scheduler may grant
+/// only steps its own pick() would return, one pick per step, so taking
+/// a grant is invisible in the execution. 0 — the default — asks pick()
+/// at every scheduling point.
 class Scheduler {
 public:
   virtual ~Scheduler();
@@ -70,6 +76,12 @@ public:
 
   /// Called before each execution starts.
   virtual void reset() {}
+
+  /// Steps of the thread pick() just stepped that the engine may take
+  /// without asking; see the class comment.
+  virtual uint32_t localGrant() const { return 0; }
+  /// Records \p N granted steps taken, as N pick() calls would have.
+  virtual void tookLocal(uint32_t /*N*/) {}
 };
 
 } // namespace dfence::sched

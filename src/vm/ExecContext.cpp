@@ -4,19 +4,22 @@
 // restructured so every piece of state is reset in place: frames live in a
 // flat stack indexing a shared per-thread register arena, threads are
 // pooled and revived, repairs collect into a flat vector deduped as they
-// are emitted and sorted once at the end, and the scheduler views persist across steps: each iteration
-// re-reads only the view of the thread that acted, and all of them only
-// after an action that reached another thread. Under the engine's own
-// scheduler a step is followed by a local run: the interpreter keeps
-// dispatching the thread's thread-local instructions, the steps the
-// partial-order reduction would grant it next, with no view refresh or
-// pick between them (up to the grant, MaxSteps and the next deadline
-// tick). The semantics — including RNG stream consumption, action
-// validation and every diagnostic — are byte-for-byte those of the old
-// engine, which is what keeps recorded replay traces reproducing.
+// are emitted and sorted once at the end, and the scheduler views persist
+// across steps: each iteration re-reads only the view of the thread that
+// acted, and all of them only after an action that reached another
+// thread. A step is followed by a local run: the interpreter keeps
+// dispatching the thread's thread-local instructions that the scheduler
+// grants (Scheduler::localGrant — the partial-order reduction's streak, a
+// replay trace's repeated steps), with no view refresh or pick between
+// them (up to the grant, MaxSteps and the next deadline tick). The
+// semantics — including RNG stream consumption, action validation and
+// every diagnostic — are byte-for-byte those of the old engine, which is
+// what keeps recorded replay traces reproducing.
 //
 // The interpreter loops are written once as templates over the memory
-// model and instantiated once per model (SC, TSO, PSO). The model is a
+// model and instantiated once per model (SC, TSO, PSO); the step loop is
+// also bound to the scheduler type, the final RandomFlushScheduler for
+// the engine's own and the Scheduler interface otherwise. The model is a
 // template argument, so bufOf<Model> resolves every store-buffer call to one
 // concrete buffer class (ScBuffer/TsoBuffer/PsoBuffer — fully inlined,
 // zero model branches) and every model comparison constant-folds; opcode
@@ -760,17 +763,14 @@ template <MemModel Model> bool ExecContext::refreshViewT(size_t TI) {
   return true;
 }
 
-template <MemModel Model> void ExecContext::mainLoopT() {
-  // The internal scheduler is called directly (RandomFlushScheduler is
-  // final), an external one through the interface.
-  const bool OwnSched = Sched == &OwnedSched;
-  // Local runs take the steps the internal scheduler grants without a
-  // pick() each; only where nothing else draws between two picks — a
-  // flush storm or a forced switch would, so those plans step singly.
+template <MemModel Model, class SchedT> void ExecContext::mainLoopT() {
+  SchedT &S = static_cast<SchedT &>(*Sched);
+  // Local runs take the steps the scheduler grants without a pick() each;
+  // only where nothing else draws between two picks — a flush storm or a
+  // forced switch would, so those plans step singly.
   const FaultPlan *FP = Cfg.Faults;
-  const bool LocalRuns =
-      OwnSched && !(FP && (FP->FlushStormProb > 0.0 ||
-                           !FP->SwitchBeforeLabels.empty()));
+  const bool LocalRuns = !(FP && (FP->FlushStormProb > 0.0 ||
+                                  !FP->SwitchBeforeLabels.empty()));
   // Views may still describe the previous run's threads.
   ViewsStale = true;
   uint32_t Acted = 0;
@@ -804,8 +804,7 @@ template <MemModel Model> void ExecContext::mainLoopT() {
     if (maybeFlushStormT<Model>())
       continue;
 
-    sched::Action A =
-        OwnSched ? OwnedSched.pick(Views, R) : Sched->pick(Views, R);
+    sched::Action A = S.pick(Views, R);
     if (Cfg.Faults)
       A = applyForcedSwitch(A);
     if (Cfg.RecordTrace)
@@ -847,14 +846,14 @@ template <MemModel Model> void ExecContext::mainLoopT() {
       if (LocalRuns) {
         size_t Next = Steps + 1;
         Grant = static_cast<uint32_t>(
-            std::min<size_t>({OwnedSched.localGrant(), Cfg.MaxSteps - Next,
+            std::min<size_t>({S.localGrant(), Cfg.MaxSteps - Next,
                               1023 & (1024 - (Next & 1023))}));
       }
       size_t Before = Steps;
       Progress = stepThreadT<Model>(T, Grant);
       size_t Local = Steps - Before;
       if (Local) {
-        OwnedSched.tookLocal(static_cast<uint32_t>(Local));
+        S.tookLocal(static_cast<uint32_t>(Local));
         if (Cfg.RecordTrace)
           Result->Trace.insert(Result->Trace.end(), Local, A);
       }
@@ -885,8 +884,14 @@ template <MemModel Model> void ExecContext::runLoops() {
   if (PC->HasInit && !Halted)
     runInit();
   createClientThreads();
-  if (!Halted)
-    mainLoopT<Model>();
+  // The engine's own scheduler is final, so binding it statically keeps
+  // its pick() and grant inline; any other goes through the interface.
+  if (!Halted) {
+    if (Sched == &OwnedSched)
+      mainLoopT<Model, sched::RandomFlushScheduler>();
+    else
+      mainLoopT<Model, sched::Scheduler>();
+  }
   if (!Halted)
     finalDrainT<Model>();
 }

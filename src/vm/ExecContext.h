@@ -87,7 +87,8 @@ private:
   /// Runs the client's init function alone, under SC.
   void runInit();
   void createClientThreads();
-  template <MemModel Model> void mainLoopT();
+  /// The step loop, with the scheduler bound as \p SchedT by runLoops().
+  template <MemModel Model, class SchedT> void mainLoopT();
   /// Re-reads Views[TI] from thread TI; true when the thread is
   /// schedulable (runnable or holding buffered stores).
   template <MemModel Model> bool refreshViewT(size_t TI);

@@ -140,10 +140,11 @@ TEST_P(CheckerPropertyTest, LinearizableImpliesSequentiallyConsistent) {
   Rng R(static_cast<uint64_t>(GetParam()) * 31337 + 7);
   for (int Case = 0; Case < 30; ++Case) {
     History H = randomQueueHistory(R);
-    if (isLinearizable(H, QueueSpec::factory()))
+    if (isLinearizable(H, QueueSpec::factory())) {
       EXPECT_TRUE(isSequentiallyConsistent(H, QueueSpec::factory()))
           << "linearizability is strictly stronger\n"
           << H.str();
+    }
   }
 }
 

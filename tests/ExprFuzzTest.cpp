@@ -170,8 +170,9 @@ TEST_P(ParserFuzzTest, GarbageNeverCrashes) {
       Src += ' ';
     }
     frontend::CompileResult CR = frontend::compileMiniC(Src);
-    if (!CR.Ok)
+    if (!CR.Ok) {
       EXPECT_FALSE(CR.Error.empty()) << Src;
+    }
     // Valid-by-chance programs are fine too; the property is no crash
     // and a diagnostic on failure.
   }
@@ -184,8 +185,9 @@ TEST_P(ParserFuzzTest, TruncatedBenchmarksNeverCrash) {
     size_t Cut = R.nextBelow(Src.size());
     frontend::CompileResult CR = frontend::compileMiniC(
         Src.substr(0, Cut));
-    if (!CR.Ok)
+    if (!CR.Ok) {
       EXPECT_FALSE(CR.Error.empty());
+    }
   }
 }
 

@@ -1,20 +1,25 @@
 //===- LocalRunDifferentialTest.cpp - Local runs change nothing -----------===//
 //
-// Under its own flush-delaying scheduler the engine takes a thread's
-// thread-local steps in one dispatch (a local run): after a step, while
-// the next instruction is local and the partial-order reduction's grant
-// lasts, it keeps stepping without a view refresh or a pick() (docs/
-// ALGORITHM.md §13, "Local runs"). Handed an external scheduler, it asks
-// pick() at every scheduling point. So the same RandomFlushScheduler
-// behind a forwarding wrapper is the per-step reference: every field of
-// every ExecResult must match the local-run engine's — outcome, message,
-// Steps, ExecStats, repairs, history and action trace.
+// After a step the engine takes the thread's thread-local steps that the
+// scheduler grants (Scheduler::localGrant) in one dispatch — a local run
+// — with no view refresh or pick() between them (docs/ALGORITHM.md §13,
+// "Local runs"). A scheduler that grants nothing is asked pick() at every
+// scheduling point. So each granting scheduler behind a forwarding
+// wrapper, which forwards pick() and reset() but not the grant, is its
+// own per-step reference: every field of every ExecResult must match the
+// granted run's — outcome, message, Steps, ExecStats, repairs, history
+// and action trace.
 //
-// Covered: the schedule corpus under SC, TSO and PSO (seeds 1–5) and
-// under every fault plan; the reduction and trace
-// recording switched off; a MaxSteps sweep that ends executions inside
-// local runs; a local loop far longer than the 128-step streak cap. And
-// the deadline: a run stops at every 1024-step tick, so a wall-clock
+// The engine's own flush-delaying scheduler is covered on the schedule
+// corpus under SC, TSO and PSO (seeds 1–5) and under every fault plan;
+// the reduction and trace recording switched off; a MaxSteps sweep that
+// ends executions inside local runs; a local loop far longer than the
+// 128-step streak cap. The replay scheduler, which grants a trace's
+// repeated steps, is covered replaying recordings of the same corpus
+// (made with the reduction on and off) and of every fault plan (through
+// FaultPlan::replayView), under the MaxSteps sweep, and leniently from a
+// trace cut at half its length, where local runs must stop at the cut.
+// And the deadline: a run stops at every 1024-step tick, so a wall-clock
 // budget still ends an execution at the first tick past it.
 //
 //===----------------------------------------------------------------------===//
@@ -22,6 +27,7 @@
 #include "ScheduleCases.h"
 
 #include "ir/Reader.h"
+#include "sched/ReplayScheduler.h"
 #include "vm/ExecContext.h"
 
 #include <gtest/gtest.h>
@@ -34,16 +40,11 @@ using vm::MemModel;
 
 namespace {
 
-/// The engine's own scheduler, configured as run() configures it, behind
-/// the Scheduler interface.
+/// A scheduler behind the interface with pick() and reset() forwarded and
+/// the grant left at 0, so the engine asks it at every step.
 class ForwardingScheduler final : public sched::Scheduler {
 public:
-  explicit ForwardingScheduler(const vm::ExecConfig &Cfg) {
-    sched::RandomFlushConfig SC;
-    SC.FlushProb = Cfg.FlushProb;
-    SC.PartialOrderReduction = Cfg.PartialOrderReduction;
-    Inner.configure(SC);
-  }
+  explicit ForwardingScheduler(sched::Scheduler &Inner) : Inner(Inner) {}
   sched::Action pick(const std::vector<sched::ThreadView> &Views,
                      Rng &R) override {
     return Inner.pick(Views, R);
@@ -51,7 +52,7 @@ public:
   void reset() override { Inner.reset(); }
 
 private:
-  sched::RandomFlushScheduler Inner;
+  sched::Scheduler &Inner;
 };
 
 /// The first field in which \p A and \p B differ, or "" when none does.
@@ -90,19 +91,46 @@ std::string firstDifference(const vm::ExecResult &A,
   return OS.str();
 }
 
-/// Runs client \p C of \p P at \p Cfg with local runs and through the
-/// forwarding reference; fails unless the results are identical.
+/// Runs client \p C of \p P at \p Cfg with local runs — under Cfg.Sched,
+/// or the engine's own scheduler when it is null — and again with that
+/// scheduler behind the forwarding reference; fails unless the results
+/// are identical.
 void expectSame(const vm::PreparedProgram &P, size_t C,
                 const vm::ExecConfig &Cfg, const std::string &What) {
+  sched::RandomFlushScheduler Own; // Configured as run() configures it.
+  Own.configure({Cfg.FlushProb, Cfg.PartialOrderReduction});
+  ForwardingScheduler Ref(Cfg.Sched ? *Cfg.Sched : Own);
   vm::ExecContext Local, PerStep;
   vm::ExecResult Got, Want;
   Local.run(P, C, Cfg, Got);
-  ForwardingScheduler Ref(Cfg);
   vm::ExecConfig RefCfg = Cfg;
   RefCfg.Sched = &Ref;
   PerStep.run(P, C, RefCfg, Want);
   std::string Diff = firstDifference(Got, Want);
   EXPECT_EQ(Diff, "") << What << " client " << C;
+}
+
+/// The action trace of client \p C of \p P run at \p Cfg.
+std::vector<sched::Action> record(const vm::PreparedProgram &P, size_t C,
+                                  const vm::ExecConfig &Cfg) {
+  vm::ExecContext Ctx;
+  vm::ExecResult R;
+  Ctx.run(P, C, Cfg, R);
+  return std::move(R.Trace);
+}
+
+/// Records client \p C of \p P at \p Cfg and runs expectSame on the
+/// replay of its trace, under the fault plan's replay view as a repro
+/// bundle replays.
+void expectSameReplay(const vm::PreparedProgram &P, size_t C,
+                      vm::ExecConfig Cfg, const std::string &What) {
+  sched::ReplayScheduler Replay(record(P, C, Cfg));
+  vm::FaultPlan Replayed;
+  if (Cfg.Faults)
+    Replayed = Cfg.Faults->replayView();
+  Cfg.Faults = Replayed.enabled() ? &Replayed : nullptr;
+  Cfg.Sched = &Replay;
+  expectSame(P, C, Cfg, What + "/replay");
 }
 
 std::string label(const Subject &S, MemModel Model, uint64_t Seed) {
@@ -113,18 +141,29 @@ std::string label(const Subject &S, MemModel Model, uint64_t Seed) {
 } // namespace
 
 TEST(LocalRunDifferential, ScheduleCorpus) {
+  // Replay too: a recording with the reduction on ends a thread's run of
+  // steps where its next instruction is shared, and the engine stops
+  // there anyway; one with it off also switches threads in front of
+  // local instructions, where a grant longer than the repeat diverges.
   for (const Subject &S : allSubjects()) {
     vm::PreparedProgram P(S.M, S.Clients);
     for (MemModel Model : {MemModel::SC, MemModel::TSO, MemModel::PSO})
       for (uint64_t Seed = 1; Seed <= 5; ++Seed)
-        for (size_t C = 0; C != S.Clients.size(); ++C)
-          expectSame(P, C, baseConfig(Model, Seed), label(S, Model, Seed));
+        for (size_t C = 0; C != S.Clients.size(); ++C) {
+          vm::ExecConfig Cfg = baseConfig(Model, Seed);
+          expectSame(P, C, Cfg, label(S, Model, Seed));
+          expectSameReplay(P, C, Cfg, label(S, Model, Seed));
+          Cfg.PartialOrderReduction = false;
+          expectSameReplay(P, C, Cfg, label(S, Model, Seed) + "/no-por");
+        }
   }
 }
 
 TEST(LocalRunDifferential, FaultPlans) {
   // Storms and forced switches keep the per-step path on both sides;
-  // bounded buffers and failing allocations run locally.
+  // bounded buffers and failing allocations run locally. A replay strips
+  // the storms and forced switches its trace already holds, so every
+  // plan's recording replays with local runs.
   for (const Subject &S : allSubjects()) {
     vm::PreparedProgram P(S.M, S.Clients);
     std::vector<NamedPlan> Plans = faultPlans(S.M);
@@ -137,6 +176,8 @@ TEST(LocalRunDifferential, FaultPlans) {
             vm::ExecConfig Cfg = baseConfig(Model, Seed);
             Cfg.Faults = &NP.Plan;
             expectSame(P, C, Cfg, label(S, Model, Seed) + "/" + NP.Name);
+            expectSameReplay(P, C, Cfg,
+                             label(S, Model, Seed) + "/" + NP.Name);
           }
   }
 }
@@ -161,7 +202,8 @@ TEST(LocalRunDifferential, ReductionAndTraceSwitches) {
 
 TEST(LocalRunDifferential, StepLimitInsideLocalRuns) {
   // Every bound from 1 to 400 ends some executions in the middle of a
-  // local run, at the same step as the per-step path.
+  // local run, at the same step as the per-step path — under the
+  // engine's own scheduler and replaying a full-length recording.
   size_t Swept = 0;
   for (const Subject &S : allSubjects()) {
     if (S.Name != "Chase-Lev WSQ" && S.Name != "MS2 Queue" &&
@@ -169,13 +211,17 @@ TEST(LocalRunDifferential, StepLimitInsideLocalRuns) {
       continue;
     ++Swept;
     vm::PreparedProgram P(S.M, S.Clients);
-    for (MemModel Model : {MemModel::TSO, MemModel::PSO})
+    for (MemModel Model : {MemModel::TSO, MemModel::PSO}) {
+      sched::ReplayScheduler Replay(record(P, 0, baseConfig(Model, 1)));
       for (size_t Max = 1; Max <= 400; ++Max) {
         vm::ExecConfig Cfg = baseConfig(Model, 1);
         Cfg.MaxSteps = Max;
-        expectSame(P, 0, Cfg,
-                   label(S, Model, 1) + "/max" + std::to_string(Max));
+        std::string What = label(S, Model, 1) + "/max" + std::to_string(Max);
+        expectSame(P, 0, Cfg, What);
+        Cfg.Sched = &Replay;
+        expectSame(P, 0, Cfg, What + "/replay");
       }
+    }
   }
   EXPECT_EQ(Swept, 3u);
 }
@@ -231,6 +277,32 @@ int work(int n) {
     Longest = std::max(Longest, Streak);
   }
   EXPECT_GT(Longest, 128u);
+}
+
+TEST(LocalRunDifferential, LenientReplayOfCutTrace) {
+  // Half a trace, replayed leniently: the grant ends at the cut, and the
+  // fallback policy finishes the execution the same way on both paths.
+  size_t CutInsideRun = 0;
+  for (const Subject &S : allSubjects()) {
+    vm::PreparedProgram P(S.M, S.Clients);
+    for (MemModel Model : {MemModel::TSO, MemModel::PSO})
+      for (uint64_t Seed = 1; Seed <= 5; ++Seed)
+        for (size_t C = 0; C != S.Clients.size(); ++C) {
+          vm::ExecConfig Cfg = baseConfig(Model, Seed);
+          std::vector<sched::Action> Trace = record(P, C, Cfg);
+          size_t Half = Trace.size() / 2;
+          if (Half > 0 && Trace[Half - 1].Kind == sched::Action::StepThread &&
+              Trace[Half].Kind == sched::Action::StepThread &&
+              Trace[Half].Tid == Trace[Half - 1].Tid)
+            ++CutInsideRun;
+          Trace.resize(Half);
+          sched::ReplayScheduler Replay(std::move(Trace), /*Strict=*/false);
+          Cfg.Sched = &Replay;
+          expectSame(P, C, Cfg, label(S, Model, Seed) + "/replay-half");
+        }
+  }
+  // The premise: some cuts split a run of one thread's steps.
+  EXPECT_GT(CutInsideRun, 0u);
 }
 
 TEST(LocalRunTest, DeadlineTickStaysExact) {

@@ -230,9 +230,11 @@ int readG() {
     Cfg.FlushProb = S.FlushProb;
     ExecResult R = runExecution(M, C, Cfg);
     ASSERT_EQ(R.Out, Outcome::Completed) << R.Message;
-    for (const OpRecord &Op : R.Hist.Ops)
-      if (Op.Func == "readG")
+    for (const OpRecord &Op : R.Hist.Ops) {
+      if (Op.Func == "readG") {
         EXPECT_LE(Op.Ret, 4u);
+      }
+    }
   }
 }
 

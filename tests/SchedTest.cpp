@@ -39,11 +39,13 @@ TEST(SchedTest, PicksOnlySchedulableThreads) {
   for (int I = 0; I < 200; ++I) {
     Action A = S.pick(Views, R);
     EXPECT_NE(A.Tid, 0u);
-    if (A.Tid == 2)
+    if (A.Tid == 2) {
       EXPECT_EQ(A.Kind, Action::Flush)
           << "a finished thread can only flush";
-    if (A.Tid == 1)
+    }
+    if (A.Tid == 1) {
       EXPECT_EQ(A.Kind, Action::StepThread);
+    }
   }
 }
 
@@ -92,17 +94,28 @@ TEST(SchedTest, PartialOrderReductionKeepsLocalThread) {
 }
 
 TEST(SchedTest, StreakLimitForcesReschedule) {
-  RandomFlushConfig Cfg;
-  Cfg.PartialOrderReduction = true;
-  Cfg.MaxLocalStreak = 4;
-  RandomFlushScheduler S(Cfg);
+  // A random pick opens a grant of exactly MaxLocalStreak local steps;
+  // each granted pick spends one, and the pick after the last one is a
+  // random pick again, which reopens the full grant.
+  const uint32_t Cap = RandomFlushScheduler::MaxLocalStreak;
+  ASSERT_EQ(Cap, 128u);
+  RandomFlushScheduler S;
   Rng R(5);
   std::vector<ThreadView> Views = {makeView(0, true, 0, false),
                                    makeView(1, true, 0, false)};
-  std::set<uint32_t> Picked;
-  for (int I = 0; I < 500; ++I)
-    Picked.insert(S.pick(Views, R).Tid);
-  EXPECT_EQ(Picked.size(), 2u) << "both threads must eventually run";
+  Action First = S.pick(Views, R);
+  EXPECT_EQ(S.localGrant(), Cap);
+  for (uint32_t I = 1; I <= Cap; ++I) {
+    Action A = S.pick(Views, R);
+    EXPECT_EQ(A.Tid, First.Tid);
+    EXPECT_EQ(A.Kind, Action::StepThread);
+    EXPECT_EQ(S.localGrant(), Cap - I);
+  }
+  (void)S.pick(Views, R);
+  EXPECT_EQ(S.localGrant(), Cap);
+  // tookLocal() spends the grant as granted picks do.
+  S.tookLocal(Cap);
+  EXPECT_EQ(S.localGrant(), 0u);
 }
 
 TEST(SchedTest, ResetClearsState) {
@@ -159,6 +172,35 @@ vm::Client sbClient() {
 }
 
 } // namespace
+
+TEST(ReplaySchedulerTest, GrantsRepeatedStepsUpToTheTraceEnd) {
+  // After each pick, the grant is the number of following entries that
+  // repeat the returned step; a flush, and the last entry, grant nothing.
+  std::vector<Action> Trace = {Action::step(0),  Action::step(0),
+                               Action::step(0),  Action::flush(0),
+                               Action::flush(0), Action::step(1),
+                               Action::step(0),  Action::step(0)};
+  const uint32_t Want[] = {2, 1, 0, 0, 0, 0, 1, 0};
+  ReplayScheduler S(Trace, /*Strict=*/false);
+  Rng R(1);
+  std::vector<ThreadView> Views = {makeView(0, true, 1),
+                                   makeView(1, true, 0)};
+  EXPECT_EQ(S.localGrant(), 0u);
+  for (uint32_t W : Want) {
+    (void)S.pick(Views, R);
+    EXPECT_EQ(S.localGrant(), W);
+  }
+  // The lenient fallback past the end grants nothing either.
+  (void)S.pick(Views, R);
+  EXPECT_EQ(S.localGrant(), 0u);
+
+  // tookLocal() consumes the granted entries.
+  S.reset();
+  (void)S.pick(Views, R);
+  S.tookLocal(S.localGrant());
+  EXPECT_EQ(S.consumed(), 3u);
+  EXPECT_EQ(S.pick(Views, R).Kind, Action::Flush);
+}
 
 TEST(ReplaySchedulerTest, ReproducesExecutionExactly) {
   auto M = frontend::compileOrDie(SbSrcSched);

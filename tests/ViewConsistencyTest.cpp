@@ -120,7 +120,7 @@ void driveSubject(const Subject &S, uint64_t Seeds,
         vm::ExecConfig Cfg = baseConfig(Model, Seed);
         Cfg.Faults = Faults;
         sched::RandomFlushScheduler Random(
-            sched::RandomFlushConfig{Cfg.FlushProb, true, 128});
+            sched::RandomFlushConfig{Cfg.FlushProb, true});
         sched::RoundRobinScheduler RoundRobin;
         for (sched::Scheduler *Inner :
              {static_cast<sched::Scheduler *>(&Random),
