@@ -36,9 +36,13 @@
 # After the three workflows, the repair-selection tests
 # (MinimalModelsTest, MinModelDifferentialTest, MinModelPropertyTest,
 # MinModelTest), the serve-daemon tests (Server*), the daemon smoke
-# tests (ServeSmoke*) and the bench smoke gates (bench_*_smoke:
-# bench_exec_smoke, bench_obs_smoke, bench_fuzz_smoke) run 20 more times
-# on the default build (`ctest --repeat until-fail:20`). The
+# tests (ServeSmoke*), the bench smoke gates (bench_*_smoke:
+# bench_exec_smoke, bench_obs_smoke, bench_fuzz_smoke) and the suites
+# that reuse state across requests — stored rounds in a shared cache
+# (CacheDifferentialTest), pool slices across widths
+# (ParallelDeterminismTest) and round slot storage across requests
+# (SliceReuseTest) — run 20 more times on the default build
+# (`ctest --repeat until-fail:20`). The
 # differential is seeded, every deadline and wall-budget test stalls its
 # executions with a fault plan, and every bench smoke gate checks
 # deterministic invariants only (schemas, step counts, fingerprint sets;
@@ -53,7 +57,7 @@ foreach(preset IN ITEMS verify-default verify-sanitize verify-tsan)
     message(FATAL_ERROR "workflow ${preset} failed (exit ${rc})")
   endif()
 endforeach()
-set(repeat_re "MinimalModels|MinModel|Server|ServeSmoke|bench_.*_smoke")
+set(repeat_re "MinimalModels|MinModel|Server|ServeSmoke|bench_.*_smoke|CacheDifferential|ParallelDeterminism|SliceReuse")
 message(STATUS "==== repeat: ${repeat_re} x20 (default build) ====")
 execute_process(
   COMMAND ${CMAKE_CTEST_COMMAND} --preset default

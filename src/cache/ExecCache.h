@@ -13,13 +13,30 @@
 // its own seed), so a run never hits its own entries; the traffic the
 // cache serves is repeated requests.
 //
-// A stored slot keeps everything the merge fold reads — outcome, stats,
-// repair disjunction, verdict, harness accounting — but not the history
-// or trace, which is why bundle capture disables the cache. Only rounds
-// that ran to the end with no timed-out slot are stored. Capacity and the
-// lifetime counters are counted in executions; insertion stops at the
-// capacity (no eviction), so hits depend only on the sequence of lookups
-// and inserts, never on timing.
+// A stored round is compact. Each slot is an exec::SlotRecord: outcome,
+// execution stats and step count, attempts, the discarded / timed-out /
+// violating / check-out-of-budget flags, and the length of its repair
+// disjunction when it violated. The repairs of the violating slots are
+// kept back to back in slot order, and the round's first violation keeps
+// its text, the only one a result reports. Histories, traces, messages and
+// the repairs of non-violating slots are dropped, which is why bundle
+// capture disables the cache. The merge fold reads the same records for a
+// fresh round, so a stored round folds exactly as the fresh one did. Only
+// rounds that ran to the end with no timed-out slot are stored. Capacity
+// and the lifetime counters are counted in executions; insertion stops at
+// the capacity (no eviction), so hits depend only on the sequence of
+// lookups and inserts, never on timing. bytes() reports what the stored
+// rounds hold.
+//
+// Round keys start from fingerprintModule, a structural hash of exactly
+// what ir::printModule renders: globals (name, size, init values) and, per
+// function, its name, parameter and register counts and every
+// instruction's label, opcode, source line and the operands, immediate,
+// operator and fence kinds, (synth) mark, callee, global index and branch
+// targets its opcode prints. Modules that print the same text hash the
+// same; nothing the printer leaves out (the module's next free label,
+// name indexes) is hashed. It costs a pass over the instructions, with no
+// text built.
 //
 // Only the merge thread of the one synthesize() call that owns the cache
 // touches its rounds. The serve daemon shares caches across requests
@@ -38,6 +55,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -47,9 +65,9 @@ class Module;
 
 namespace dfence::cache {
 
-/// Fingerprint of a module's observable program text (hash of
-/// ir::printModule, which renders every function, label and synthesized
-/// fence). Recompute after enforcement mutates the module.
+/// Fingerprint of a module's observable program text: a structural hash
+/// of every field ir::printModule renders (see the file comment).
+/// Recompute after enforcement mutates the module.
 uint64_t fingerprintModule(const ir::Module &M);
 
 /// Fingerprint of a client's semantics: init function and the per-thread
@@ -72,6 +90,30 @@ struct RoundKey {
   auto operator<=>(const RoundKey &) const = default;
 };
 
+/// One stored round (see the file comment).
+struct StoredRound {
+  std::vector<exec::SlotRecord> Slots;
+  /// The repair disjunctions of the violating slots, in slot order; slot
+  /// I's is the next Slots[I].NumRepairs entries.
+  std::vector<vm::OrderingPredicate> Repairs;
+  /// Description of the round's first violating slot; empty when none.
+  std::string FirstViolation;
+
+  /// Compacts the executed slots of a fresh round whose first violation
+  /// is described by \p FirstViolation.
+  static StoredRound fromSlots(std::span<const exec::RoundSlot> Slots,
+                               std::string FirstViolation);
+
+  bool operator==(const StoredRound &) const = default;
+
+  /// Bytes the round holds: its records, predicates and text.
+  size_t bytes() const {
+    return Slots.size() * sizeof(exec::SlotRecord) +
+           Repairs.size() * sizeof(vm::OrderingPredicate) +
+           FirstViolation.size();
+  }
+};
+
 class ExecCache {
 public:
   /// \p MaxExecutions caps the stored slots summed over all rounds.
@@ -89,17 +131,25 @@ public:
     uint64_t RejectedFull = 0; ///< Executions not stored at capacity.
   };
 
-  /// The slots stored for round \p K, or null.
-  const std::vector<exec::RoundSlot> *lookup(const RoundKey &K);
+  /// The round stored under \p K, or null. Stays valid (and unchanged)
+  /// while the cache lives: stored rounds are never replaced or evicted.
+  const StoredRound *lookup(const RoundKey &K);
 
-  /// Stores a whole round's \p Slots (history and trace already dropped)
-  /// under \p K. Returns false, storing nothing, when the key is present
-  /// or the round does not fit in the remaining capacity.
-  bool insert(const RoundKey &K, std::vector<exec::RoundSlot> Slots);
+  /// Stores round \p R under \p K. Returns false, storing nothing, when
+  /// the key is present or the round does not fit in the remaining
+  /// capacity.
+  bool insert(const RoundKey &K, StoredRound R);
 
   /// Stored executions; safe to read while the owner inserts.
   size_t size() const { return Stored.load(std::memory_order_relaxed); }
   size_t capacity() const { return MaxExecutions; }
+  /// Bytes the stored rounds hold (StoredRound::bytes summed); safe to
+  /// read while the owner inserts.
+  size_t bytes() const { return Bytes.load(std::memory_order_relaxed); }
+
+  /// Every stored round by key; only for the owner (tests compare what
+  /// two runs stored).
+  const std::map<RoundKey, StoredRound> &rounds() const { return Rounds; }
 
   /// Snapshot of the lifetime counters; safe to call while the owner
   /// looks up and inserts (values are individually consistent, not a
@@ -115,8 +165,8 @@ public:
 
 private:
   size_t MaxExecutions;
-  std::map<RoundKey, std::vector<exec::RoundSlot>> Rounds;
-  std::atomic<size_t> Stored{0};
+  std::map<RoundKey, StoredRound> Rounds;
+  std::atomic<size_t> Stored{0}, Bytes{0};
   std::atomic<uint64_t> Lookups{0}, Hits{0}, Inserts{0}, RejectedFull{0};
 };
 
@@ -174,6 +224,12 @@ public:
     size_t N = 0;
     for (const auto &S : Shards)
       N += S->capacity();
+    return N;
+  }
+  size_t bytes() const {
+    size_t N = 0;
+    for (const auto &S : Shards)
+      N += S->bytes();
     return N;
   }
 

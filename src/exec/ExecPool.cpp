@@ -2,6 +2,7 @@
 
 #include "exec/ExecPool.h"
 
+#include "exec/RoundRunner.h"
 #include "obs/Obs.h"
 #include "support/StringUtils.h"
 #include "vm/ExecContext.h"
@@ -38,6 +39,12 @@ unsigned exec::currentWorker() { return TlsWorker; }
 vm::ExecContext &PoolSlice::workerContext(unsigned Worker) {
   assert(Worker < Contexts.size() && "not a slice worker index");
   return *Contexts[Worker];
+}
+
+std::span<RoundSlot> PoolSlice::roundSlots(size_t N) {
+  if (RoundSlots.size() < N)
+    RoundSlots.resize(N);
+  return {RoundSlots.data(), N};
 }
 
 void PoolSlice::publishContextStats() {

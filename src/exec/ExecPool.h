@@ -38,6 +38,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -56,6 +57,7 @@ class ExecContext;
 namespace dfence::exec {
 
 class ExecPool;
+struct RoundSlot;
 
 /// Resolves a jobs request to a concrete worker count: 0 means "use the
 /// hardware" (std::thread::hardware_concurrency, at least 1), any other
@@ -117,6 +119,13 @@ public:
   /// another slot's context from a Body.
   vm::ExecContext &workerContext(unsigned Worker);
 
+  /// The slice's round slot storage (see exec::runRound), grown to at
+  /// least \p N slots and returned as its first \p N. It starts empty,
+  /// grows on first use and never shrinks, so every slot's result
+  /// buffers keep their capacity from one round (and request) to the
+  /// next. Only the slice's owner may call this, between batches.
+  std::span<RoundSlot> roundSlots(size_t N);
+
   PoolSlice(const PoolSlice &) = delete;
   PoolSlice &operator=(const PoolSlice &) = delete;
   ~PoolSlice();
@@ -141,6 +150,8 @@ private:
   /// constructor (construction is cheap — the arenas grow on first use)
   /// so Body callbacks can fetch theirs without synchronisation.
   std::vector<std::unique_ptr<vm::ExecContext>> Contexts;
+  /// Round slot storage; see roundSlots().
+  std::vector<RoundSlot> RoundSlots;
 
   // Pre-resolved observability handles (all null when obs is off).
   obs::Counter *ClaimsC = nullptr;    ///< exec_pool_claims_total

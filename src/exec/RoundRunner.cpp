@@ -20,7 +20,7 @@ RoundResult exec::runRound(PoolSlice &Slice, const vm::PreparedProgram &P,
   obs::TraceSink *Trace = obs::traceOrNull(Obs);
   obs::Profiler *Prof = obs::profilerOrNull(Obs);
   RoundResult RR;
-  RR.Slots.resize(Plan.Slots.size());
+  RR.Slots = Slice.roundSlots(Plan.Slots.size());
   RR.Ran = Slice.runOrdered(
       Plan.Slots.size(),
       [&](size_t I) {
@@ -43,9 +43,15 @@ RoundResult exec::runRound(PoolSlice &Slice, const vm::PreparedProgram &P,
         EC.countOpSteps(Prof != nullptr);
         auto ExecT0 = Prof ? std::chrono::steady_clock::now()
                            : std::chrono::steady_clock::time_point{};
-        S.SE = harness::runSupervised(P, EP.ClientIdx, EC, EP.EC, Policy,
-                                      DL);
+        harness::runSupervised(P, EP.ClientIdx, EC, EP.EC, Policy, DL,
+                               S.SE);
         uint64_t ExecNs = Prof ? obs::nsSince(ExecT0) : 0;
+        // The slot's storage is reused: reset what the judge may leave
+        // unset.
+        const vm::ExecResult &R = S.SE.Result;
+        S.Rec.Violating = false;
+        S.Rec.CheckOutOfBudget = false;
+        S.Violation.clear();
         // Discarded executions are counted, never judged; everything else
         // is judged here so the (possibly exponential) spec check also
         // runs off the merge thread.
@@ -53,25 +59,37 @@ RoundResult exec::runRound(PoolSlice &Slice, const vm::PreparedProgram &P,
         if (!S.SE.Discarded && Judge) {
           auto CheckT0 = Prof ? std::chrono::steady_clock::now()
                               : std::chrono::steady_clock::time_point{};
-          Judge(S.SE.Result, S);
+          Judge(R, S);
           if (Prof)
             CheckNs = obs::nsSince(CheckT0);
         }
+        SlotRecord &Rec = S.Rec;
+        Rec.Stats = R.Stats;
+        Rec.Steps = R.Steps;
+        Rec.Attempts = S.SE.Attempts;
+        Rec.NumRepairs = Rec.Violating && !S.SE.Discarded
+                             ? static_cast<uint32_t>(R.Repairs.size())
+                             : 0;
+        Rec.Out = R.Out;
+        Rec.Discarded = S.SE.Discarded;
+        Rec.TimedOut = S.SE.TimedOut;
         if (Prof)
           Prof->flushExec(ExecNs, CheckNs, EC.opSteps(), GWorker);
         if (Trace) {
           SlotSpan.arg("index", static_cast<uint64_t>(I));
           SlotSpan.arg("seed", EP.EC.Seed);
-          SlotSpan.arg("outcome",
-                       std::string(vm::outcomeName(S.SE.Result.Out)));
-          SlotSpan.arg("steps",
-                       static_cast<uint64_t>(S.SE.Result.Steps));
+          SlotSpan.arg("outcome", std::string(vm::outcomeName(R.Out)));
+          SlotSpan.arg("steps", static_cast<uint64_t>(R.Steps));
           SlotSpan.arg("attempts", static_cast<uint64_t>(S.SE.Attempts));
           if (!S.Violation.empty())
             SlotSpan.arg("violation", S.Violation);
         }
       },
       Stop);
+  // Slots past the cut did not run; clear what an earlier round left in
+  // them.
+  for (RoundSlot &S : RR.Slots.subspan(RR.Ran))
+    S = RoundSlot();
   return RR;
 }
 
@@ -86,7 +104,7 @@ RoundResult exec::runRound(PoolSlice &Slice, const vm::PreparedProgram &P,
   if (Check)
     Judge = [&Check](const vm::ExecResult &R, RoundSlot &S) {
       S.Violation = Check(R);
-      S.Violating = !S.Violation.empty();
+      S.Rec.Violating = !S.Violation.empty();
     };
   return runRound(Slice, P, Plan, Policy, Judge, Stop, Obs, DL);
 }

@@ -11,10 +11,15 @@
 // checking is a pure function of the execution result, and is often the
 // most expensive per-execution step, so it belongs on the workers).
 //
-// Results land in a slot array indexed by execution index. The caller
-// merges them in index order, which makes the aggregate bit-identical to
-// running the same plan sequentially: prefix cancellation (ExecPool) plus
-// ordered merge is the engine's whole determinism contract.
+// Results land in the slice's slot storage, indexed by execution index.
+// The storage belongs to the PoolSlice, next to its ExecContexts: it grows
+// to the largest round the slice has run and is reused by every later
+// round, so each slot's history, repair and trace buffers keep their
+// capacity across rounds and requests, and nothing is freed on the merge
+// thread. The caller merges the slots in index order, which makes the
+// aggregate bit-identical to running the same plan sequentially: prefix
+// cancellation (ExecPool) plus ordered merge is the engine's whole
+// determinism contract.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +33,7 @@
 #include "vm/Prepared.h"
 
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,14 +54,37 @@ struct RoundPlan {
   std::vector<ExecPlan> Slots;
 };
 
-/// What one slot produced.
-struct RoundSlot {
-  harness::SupervisedExec SE;
-  /// The check judged the execution a violation.
+/// The compact record of one executed slot: everything the synthesizer's
+/// merge fold reads besides the slot's repair predicates and the text of a
+/// violation. A fresh round's fold reads it from the slot; a stored round
+/// (cache::ExecCache) keeps only these records, the repairs of its
+/// violating slots and its first violation's text, and is folded from
+/// exactly the same records.
+struct SlotRecord {
+  vm::ExecStats Stats;
+  uint64_t Steps = 0;
+  uint32_t Attempts = 1;
+  /// Length of the slot's repair disjunction when it is a judged
+  /// violation; 0 for every other slot, whose repairs nothing reads.
+  uint32_t NumRepairs = 0;
+  vm::Outcome Out = vm::Outcome::Completed;
+  bool Discarded = false;
+  bool TimedOut = false;
+  /// The judge found a violation.
   bool Violating = false;
   /// The check's search ran out of its state budget and accepted the
   /// execution (spec::CheckResult::OutOfBudget).
   bool CheckOutOfBudget = false;
+
+  bool operator==(const SlotRecord &) const = default;
+};
+
+/// What one slot produced.
+struct RoundSlot {
+  harness::SupervisedExec SE;
+  /// Filled once the slot is judged; Violating and CheckOutOfBudget are
+  /// the judge's, the rest is copied from SE.
+  SlotRecord Rec;
   /// Violation diagnostics; empty when the execution was acceptable or
   /// discarded, and also for a violating slot whose judge left the
   /// description to the caller (see SlotJudge).
@@ -63,8 +92,10 @@ struct RoundSlot {
 };
 
 struct RoundResult {
-  /// Sized like the plan; only [0, Ran) hold results.
-  std::vector<RoundSlot> Slots;
+  /// The slice's slot storage, sized like the plan; only [0, Ran) hold
+  /// results, the cancelled tail is reset. A view: valid until the next
+  /// runRound on the same slice.
+  std::span<RoundSlot> Slots;
   /// Executed prefix length: slots [0, Ran) ran, the rest were cancelled
   /// by the stop predicate before starting.
   size_t Ran = 0;
@@ -76,8 +107,8 @@ struct RoundResult {
 /// reads the config and builds local checker state).
 using ViolationCheck = std::function<std::string(const vm::ExecResult &)>;
 
-/// Judges one (non-discarded) execution into its slot: sets Violating and
-/// CheckOutOfBudget, and Violation only if it describes the violation
+/// Judges one (non-discarded) execution into its slot: sets Rec.Violating
+/// and Rec.CheckOutOfBudget, and Violation only if it describes the violation
 /// itself. The synthesizer's judge describes nothing on the workers (bar
 /// traced runs, whose slot spans carry the text); its merge thread
 /// describes the few violations a result reports. Same thread-safety
@@ -88,7 +119,8 @@ using SlotJudge = std::function<void(const vm::ExecResult &, RoundSlot &)>;
 /// round; its module and clients must stay alive and unmodified until
 /// runRound returns) on pool slice \p Slice, which the caller must hold
 /// exclusively for the duration (the one-shot path uses the pool's only
-/// slice; the serve daemon gives each dispatcher slot its own). \p Stop
+/// slice; the serve daemon gives each dispatcher slot its own). The
+/// result's slots are the slice's storage (PoolSlice::roundSlots). \p Stop
 /// may be null; when it fires, not-yet-started slots are cancelled and the
 /// result is the executed prefix. When \p Obs carries a trace sink,
 /// every slot emits a "slot" span on its worker's trace track

@@ -39,10 +39,21 @@ SupervisedExec harness::runSupervised(const vm::PreparedProgram &P,
                                       vm::ExecConfig EC,
                                       const ExecPolicy &Policy,
                                       const Deadline &DL) {
+  SupervisedExec SE;
+  runSupervised(P, ClientIdx, Ctx, EC, Policy, DL, SE);
+  return SE;
+}
+
+void harness::runSupervised(const vm::PreparedProgram &P, size_t ClientIdx,
+                            vm::ExecContext &Ctx, vm::ExecConfig EC,
+                            const ExecPolicy &Policy, const Deadline &DL,
+                            SupervisedExec &SE) {
   if (Policy.ExecWallMs != 0)
     EC.WallClockMs = Policy.ExecWallMs;
 
-  SupervisedExec SE;
+  SE.Attempts = 1;
+  SE.Discarded = false;
+  SE.TimedOut = false;
   uint64_t BaseSeed = EC.Seed;
   size_t BaseSteps = EC.MaxSteps;
   for (unsigned Attempt = 0;; ++Attempt) {
@@ -68,7 +79,7 @@ SupervisedExec harness::runSupervised(const vm::PreparedProgram &P,
         SE.UsedMaxSteps = EC.MaxSteps;
         SE.TimedOut = true;
         SE.Discarded = true;
-        return SE;
+        return;
       }
       uint32_t Cap = DL.remainingMs();
       if (EC.WallClockMs == 0 || EC.WallClockMs > Cap)
@@ -87,17 +98,11 @@ SupervisedExec harness::runSupervised(const vm::PreparedProgram &P,
       break;
     }
   }
-  return SE;
 }
 
 void Supervisor::fold(const ir::Module &M, const vm::Client &C,
                       vm::ExecConfig EC, const SupervisedExec &SE) {
-  Stats.Executions += 1;
-  Stats.Retries += SE.Attempts - 1;
-  if (SE.Discarded)
-    Stats.Discarded += 1;
-  if (SE.TimedOut)
-    Stats.TimedOut += 1;
+  account(SE.Attempts, SE.Discarded, SE.TimedOut);
   // Violations the VM itself detects (memory safety, assertion failures)
   // are worth a bundle without the caller's help; discarded executions
   // are not, they carry no diagnostic value beyond their count.

@@ -146,6 +146,15 @@ SupervisedExec runSupervised(const vm::PreparedProgram &P, size_t ClientIdx,
                              const ExecPolicy &Policy,
                              const Deadline &DL = {});
 
+/// runSupervised into a caller-owned \p Out, whose result buffers
+/// (history, repairs, trace) keep their capacity: the round engine's
+/// slots are reused across rounds, so a steady-state slot allocates
+/// nothing here either.
+void runSupervised(const vm::PreparedProgram &P, size_t ClientIdx,
+                   vm::ExecContext &Ctx, vm::ExecConfig EC,
+                   const ExecPolicy &Policy, const Deadline &DL,
+                   SupervisedExec &Out);
+
 /// Cumulative accounting across a supervisor's lifetime.
 struct SupervisorStats {
   uint64_t Executions = 0; ///< Supervised executions (not attempts).
@@ -201,6 +210,16 @@ public:
   /// override it for capture, as retries may have changed them).
   void fold(const ir::Module &M, const vm::Client &C, vm::ExecConfig EC,
             const SupervisedExec &SE);
+
+  /// The accounting half of fold(), for an execution known only by its
+  /// compact record (a stored round's slot, or any slot of a run that
+  /// captures nothing).
+  void account(unsigned Attempts, bool Discarded, bool TimedOut) {
+    Stats.Executions += 1;
+    Stats.Retries += Attempts - 1;
+    Stats.Discarded += Discarded;
+    Stats.TimedOut += TimedOut;
+  }
 
   /// Captures a bundle for an execution this supervisor ran (no-op when
   /// capture is disabled or the cap is reached).

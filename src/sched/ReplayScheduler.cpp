@@ -2,8 +2,6 @@
 
 #include "sched/ReplayScheduler.h"
 
-#include "support/Diagnostics.h"
-
 using namespace dfence;
 using namespace dfence::sched;
 
@@ -25,8 +23,7 @@ Action ReplayScheduler::pick(const std::vector<ThreadView> &Threads,
   if (Pos < Trace.size())
     return Trace[Pos++];
   if (Strict)
-    reportFatalError("replay trace exhausted: the replayed program or "
-                     "client differs from the recorded one");
+    return Action::exhausted();
   // Lenient fallback past the recorded prefix: deterministic and simple.
   for (const ThreadView &V : Threads)
     if (V.Runnable)

@@ -17,8 +17,9 @@ namespace dfence::sched {
 class ReplayScheduler : public Scheduler {
 public:
   /// \p Strict controls what happens when the trace runs out while work
-  /// remains: strict replay treats it as a fatal mismatch between the
-  /// recorded and replayed program (the debugging default), lenient
+  /// remains: strict replay treats it as a mismatch between the recorded
+  /// and replayed program (the debugging default) and ends the execution
+  /// as a Deadlock whose message says "replay trace exhausted"; lenient
   /// replay falls back to a simple deterministic policy (step the first
   /// runnable thread, else flush the first buffered one) so a truncated
   /// or hand-edited crash-repro bundle still finishes gracefully.

@@ -46,7 +46,14 @@ struct Action {
   bool HasVar = false;
   ir::Word Var = 0;
 
+  /// The thread id of exhausted(); no execution has that many threads.
+  static constexpr uint32_t ExhaustedTid = ~0u;
+
   static Action step(uint32_t Tid) { return {StepThread, Tid, false, 0}; }
+  /// A scheduler with no decision left (a strict replay past the end of
+  /// its trace) returns this; the engine ends the execution as a
+  /// Deadlock reporting "replay trace exhausted".
+  static Action exhausted() { return step(ExhaustedTid); }
   static Action flush(uint32_t Tid) { return {Flush, Tid, false, 0}; }
   static Action flushVar(uint32_t Tid, ir::Word Var) {
     return {Flush, Tid, true, Var};

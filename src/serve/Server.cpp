@@ -543,6 +543,7 @@ Json Server::statsJson() const {
   C.set("entries", Json::number(static_cast<uint64_t>(Cache.size())));
   C.set("capacity",
         Json::number(static_cast<uint64_t>(Cache.capacity())));
+  C.set("bytes", Json::number(static_cast<uint64_t>(Cache.bytes())));
   C.set("lookups", Json::number(CS.Lookups));
   C.set("hits", Json::number(CS.Hits));
   C.set("inserts", Json::number(CS.Inserts));
@@ -556,6 +557,7 @@ Json Server::statsJson() const {
     SJ.set("entries", Json::number(static_cast<uint64_t>(Sh.size())));
     SJ.set("capacity",
            Json::number(static_cast<uint64_t>(Sh.capacity())));
+    SJ.set("bytes", Json::number(static_cast<uint64_t>(Sh.bytes())));
     Shards.push(std::move(SJ));
   }
   C.set("shards", std::move(Shards));

@@ -22,7 +22,7 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <unordered_map>
+#include <span>
 
 using namespace dfence;
 using namespace dfence::synth;
@@ -132,6 +132,49 @@ std::string describeViolation(const vm::ExecResult &R,
   dfenceUnreachable("described an execution that does not violate");
 }
 
+/// The duplicate-history table of one round: maps a history hash to the
+/// first slot that carried it. Open addressing over arrays that keep their
+/// capacity across rounds; reset() empties only the buckets it filled, so
+/// the merge thread allocates nothing per slot.
+class FirstSlotTable {
+public:
+  /// Empties the table and makes room for \p N insertions.
+  void reset(size_t N) {
+    for (uint32_t B : Used)
+      Slots[B] = Empty;
+    Used.clear();
+    if (Slots.size() < 2 * N) {
+      size_t Cap = 64;
+      while (Cap < 2 * N)
+        Cap *= 2;
+      Hashes.assign(Cap, 0);
+      Slots.assign(Cap, Empty);
+    }
+  }
+
+  /// The slot first recorded under \p Hash; records \p Slot and returns
+  /// it when there is none.
+  uint32_t firstOrInsert(uint64_t Hash, uint32_t Slot) {
+    size_t Mask = Slots.size() - 1;
+    size_t B = static_cast<size_t>(vm::hashMix64(Hash)) & Mask;
+    while (Slots[B] != Empty) {
+      if (Hashes[B] == Hash)
+        return Slots[B];
+      B = (B + 1) & Mask;
+    }
+    Hashes[B] = Hash;
+    Slots[B] = Slot;
+    Used.push_back(static_cast<uint32_t>(B));
+    return Slot;
+  }
+
+private:
+  static constexpr uint32_t Empty = ~0u;
+  std::vector<uint64_t> Hashes;
+  std::vector<uint32_t> Slots; ///< Empty marks a free bucket.
+  std::vector<uint32_t> Used;  ///< Filled buckets, for reset().
+};
+
 } // namespace
 
 std::string synth::checkExecution(const vm::ExecResult &R,
@@ -140,24 +183,24 @@ std::string synth::checkExecution(const vm::ExecResult &R,
                                           : std::string();
 }
 
-/// Plans round \p Round (1-based) of a run: one ExecPlan per slot, every
-/// per-slot knob derived from the slot's *nominal* global execution index
-/// (Round-1)*K + I. Earlier code derived these from the mutable
-/// TotalExecutions counter, so a wall-clock-truncated round shifted the
-/// seed/client/flush streams of every later round — a reproducibility
-/// wart on its own, and fatal for parallel dispatch, which must know the
-/// whole plan before anything runs. For untruncated runs the two schemes
-/// coincide (TotalExecutions advances by exactly K per round).
-static exec::RoundPlan planRound(const SynthConfig &Cfg,
-                                 size_t NumClients, unsigned Round) {
-  exec::RoundPlan Plan;
+/// Plans round \p Round (1-based) of a run into \p Plan, reusing its
+/// storage: one ExecPlan per slot, every per-slot knob derived from the
+/// slot's *nominal* global execution index (Round-1)*K + I. Earlier code
+/// derived these from the mutable TotalExecutions counter, so a
+/// wall-clock-truncated round shifted the seed/client/flush streams of
+/// every later round — a reproducibility wart on its own, and fatal for
+/// parallel dispatch, which must know the whole plan before anything
+/// runs. For untruncated runs the two schemes coincide (TotalExecutions
+/// advances by exactly K per round).
+static void planRound(const SynthConfig &Cfg, size_t NumClients,
+                      unsigned Round, exec::RoundPlan &Plan) {
   Plan.Slots.resize(Cfg.ExecsPerRound);
   uint64_t First = static_cast<uint64_t>(Round - 1) * Cfg.ExecsPerRound;
   for (unsigned I = 0; I != Cfg.ExecsPerRound; ++I) {
     uint64_t G = First + I;
     exec::ExecPlan &P = Plan.Slots[I];
     P.ClientIdx = static_cast<uint32_t>(G % NumClients);
-    vm::ExecConfig &EC = P.EC;
+    vm::ExecConfig &EC = P.EC = vm::ExecConfig();
     EC.Model = Cfg.Model;
     EC.Seed = Cfg.BaseSeed + G;
     EC.MaxSteps = Cfg.MaxStepsPerExec;
@@ -173,7 +216,6 @@ static exec::RoundPlan planRound(const SynthConfig &Cfg,
     if (Cfg.Faults.enabled())
       EC.Faults = &Cfg.Faults;
   }
-  return Plan;
 }
 
 /// The run half of every round's cache key: everything besides the module
@@ -216,6 +258,8 @@ Json synth::roundStatsJson(const RoundStats &S) {
   O.set("fences", Json::number(static_cast<uint64_t>(S.FencesEnforced)));
   O.set("cleanStreak", Json::number(static_cast<uint64_t>(S.CleanStreak)));
   O.set("truncated", Json::boolean(S.Truncated));
+  O.set("discarded", Json::number(S.Discarded));
+  O.set("specCheckBudgetHits", Json::number(S.SpecCheckBudgetHits));
   Json Cache = Json::object();
   Cache.set("checkHits", Json::number(S.CheckCacheHits));
   Cache.set("checkMisses", Json::number(S.CheckCacheMisses));
@@ -237,22 +281,23 @@ SynthResult synth::synthesize(const ir::Module &M,
                               const std::vector<vm::Client> &Clients,
                               const SynthConfig &Cfg) {
   SynthResult Result;
-  Result.FencedModule = M;
-  if (Clients.empty()) {
+  auto ConfigError = [&](std::string Error) {
+    Result.FencedModule = M;
     Result.Status = SynthStatus::ConfigError;
-    Result.Error = "synthesis needs at least one client";
-    return Result;
-  }
+    Result.Error = std::move(Error);
+    return std::move(Result);
+  };
+  if (Clients.empty())
+    return ConfigError("synthesis needs at least one client");
   if ((Cfg.Spec == SpecKind::SequentialConsistency ||
        Cfg.Spec == SpecKind::Linearizability) &&
-      !Cfg.Factory) {
-    Result.Status = SynthStatus::ConfigError;
-    Result.Error = strformat("%s checking requires a sequential "
-                             "specification (SynthConfig::Factory)",
-                             specKindName(Cfg.Spec));
-    return Result;
-  }
-  ir::Module Cur = M; // Work on a copy; labels stay stable.
+      !Cfg.Factory)
+    return ConfigError(strformat("%s checking requires a sequential "
+                                 "specification (SynthConfig::Factory)",
+                                 specKindName(Cfg.Spec)));
+  // The request's one copy of the module: the working program, moved
+  // into the result at the end. Labels stay stable.
+  ir::Module Cur = M;
   Cur.buildIndexes();
 
   // Pre-resolved observability handles: every instrumentation site below
@@ -324,27 +369,42 @@ SynthResult synth::synthesize(const ir::Module &M,
   // mid-round.
   harness::Deadline RunDL = harness::Deadline::after(Cfg.TotalWallMs);
 
-  // Functions implicated by some violation's repair candidates; the
-  // degradation fallback restricts static fencing to these (fencing
-  // everything when no violation was localized before the budget ran
-  // out — conservative but safe).
-  std::set<ir::FuncId> Implicated;
+  // Stable mapping predicate <-> SAT variable across the whole run
+  // (statistics only need the universe size; the formula itself is reset
+  // after every repair, following Algorithm 1 line 13).
+  std::map<OrderingPredicate, sat::Var> PredVar;
+  std::vector<OrderingPredicate> VarPred;
+  // The current round's repair disjunctions, one per violating slot with
+  // a non-empty one, in slot order: views into the slice's slot storage
+  // or the stored round, valid until the next round runs.
+  std::vector<std::span<const OrderingPredicate>> RoundRepairs;
+
+  // The degradation fallback restricts static fencing to the functions
+  // implicated by some violation's repair candidates (fencing everything
+  // when no violation was localized before the budget ran out —
+  // conservative but safe). Every violating round that did not end the
+  // run added its repairs to Φ's universe, so the implicated functions
+  // are those of VarPred and of the current round's repairs.
   auto Degrade = [&](std::string Reason) {
     Result.DegradeReason = std::move(Reason);
     if (!Cfg.DegradeToStatic)
       return;
+    std::set<ir::FuncId> Implicated;
+    auto Implicate = [&](const OrderingPredicate &Pr) {
+      if (auto F = Cur.functionOfLabel(Pr.Before))
+        Implicated.insert(*F);
+    };
+    for (const OrderingPredicate &Pr : VarPred)
+      Implicate(Pr);
+    for (std::span<const OrderingPredicate> Disj : RoundRepairs)
+      for (const OrderingPredicate &Pr : Disj)
+        Implicate(Pr);
     std::vector<ir::FuncId> Only(Implicated.begin(), Implicated.end());
     StaticBaselineResult SB = staticDelaySetFences(Cur, Cfg.Model, Only);
     Cur = std::move(SB.FencedModule);
     Result.StaticFallbackFences = SB.FencesInserted;
     Result.Status = SynthStatus::Degraded;
   };
-
-  // Stable mapping predicate <-> SAT variable across the whole run
-  // (statistics only need the universe size; the formula itself is reset
-  // after every repair, following Algorithm 1 line 13).
-  std::map<OrderingPredicate, sat::Var> PredVar;
-  std::vector<OrderingPredicate> VarPred;
 
   // The pool slice lives for the whole run; each round fans its K
   // executions across it and merges in execution-index order, so the
@@ -395,11 +455,17 @@ SynthResult synth::synthesize(const ir::Module &M,
   uint64_t ModuleFp = ExecC ? cache::fingerprintModule(Cur) : 0;
   uint64_t RunFp = ExecC ? runFingerprint(Cfg, Clients) : 0;
 
-  // Resolve the clients against the working module once up front; every
-  // execution of every round runs from these tables. Rebuilt below after
-  // fence enforcement mutates Cur (cheap: a handful of name lookups).
+  // The clients resolved against the working module; every execution of
+  // a round runs from these tables. Built before the first round that
+  // runs (a round the cache serves needs none) and dropped when fence
+  // enforcement mutates Cur.
   std::optional<vm::PreparedProgram> Prepared;
-  Prepared.emplace(Cur, Clients);
+  // Per-round scratch that keeps its storage across rounds: the plan
+  // (built only for rounds that run), the duplicate-history table and
+  // Φ's clauses.
+  exec::RoundPlan Plan;
+  FirstSlotTable SeenHists;
+  sat::MonotoneCnf F;
 
   unsigned RepairRounds = 0;
   unsigned CleanRounds = 0;
@@ -443,42 +509,45 @@ SynthResult synth::synthesize(const ir::Module &M,
     // front (seed/client/flush-prob derive from the round-local index),
     // dispatched across the pool, each run under the harness (watchdog +
     // retry escalation for discards) with the spec check on the worker.
-    exec::RoundPlan Plan = planRound(Cfg, Clients.size(), Round);
-    // A cached round is folded from its stored slots exactly as a fresh
-    // one, without touching the pool.
-    cache::RoundKey Key{ModuleFp, RunFp,
-                        static_cast<uint64_t>(Round - 1) * Cfg.ExecsPerRound,
+    // A cached round is folded from its stored records exactly as a fresh
+    // one, without planning it or touching the pool.
+    const size_t K = Cfg.ExecsPerRound;
+    cache::RoundKey Key{ModuleFp, RunFp, static_cast<uint64_t>(Round - 1) * K,
                         Cfg.ExecsPerRound};
-    const std::vector<exec::RoundSlot> *Hit =
-        ExecC ? ExecC->lookup(Key) : nullptr;
-    exec::RoundResult RR;
+    const cache::StoredRound *Hit = ExecC ? ExecC->lookup(Key) : nullptr;
+    std::span<exec::RoundSlot> Fresh;
+    size_t Ran;
     if (Hit) {
       RoundSpan.arg("cache", std::string("exec-hit"));
+      Ran = Hit->Slots.size();
     } else {
+      planRound(Cfg, Clients.size(), Round, Plan);
+      if (!Prepared)
+        Prepared.emplace(Cur, Clients);
       std::function<bool()> StopFn;
       if (RoundDL.armed())
         StopFn = [&] { return RoundDL.expired(); };
       // Workers only judge. Slot spans of a traced run carry the
       // violation text, so those describe on the worker too.
       bool DescribeOnWorker = Trace != nullptr;
-      RR = exec::runRound(
+      exec::RoundResult RR = exec::runRound(
           Slice, *Prepared, Plan, Cfg.Exec,
           [&Cfg, DescribeOnWorker](const vm::ExecResult &R,
                                    exec::RoundSlot &S) {
             Judgement J = judgeExecution(R, Cfg);
-            S.Violating = J.Violating;
-            S.CheckOutOfBudget = J.OutOfBudget;
+            S.Rec.Violating = J.Violating;
+            S.Rec.CheckOutOfBudget = J.OutOfBudget;
             if (J.Violating && DescribeOnWorker)
               S.Violation = describeViolation(R, Cfg);
           },
           StopFn, Cfg.Obs, RoundDL);
+      Fresh = RR.Slots;
+      Ran = RR.Ran;
     }
-    const std::vector<exec::RoundSlot> &Slots = Hit ? *Hit : RR.Slots;
-    size_t Ran = Hit ? Hit->size() : RR.Ran;
     // Budget expiry cancels the slots that had not started; the executed
     // prefix [0, Ran) truncates at a deterministic index boundary,
     // exactly where a sequential loop breaking on the budget would.
-    bool Truncated = Ran < Plan.Slots.size();
+    bool Truncated = Ran < K;
     if (Truncated && RunDL.expired())
       OutOfTime = true;
     if (Hit) {
@@ -491,43 +560,59 @@ SynthResult synth::synthesize(const ir::Module &M,
       OBS_COUNT(CacheExecMissesC, Ran);
     }
 
-    // Deterministic aggregation: fold the slots in execution-index order.
-    // Every SynthResult field — counters, round log, first violation,
-    // captured bundles (lowest-index violations up to MaxBundles),
-    // implicated functions, repair formula — comes out of this loop in
-    // the same order the sequential engine produced it.
-    std::vector<std::vector<OrderingPredicate>> ViolationRepairs;
+    // Deterministic aggregation: fold the slot records in execution-index
+    // order. Every SynthResult field — counters, round log, first
+    // violation, captured bundles (lowest-index violations up to
+    // MaxBundles), repair formula — comes out of this loop in the same
+    // order the sequential engine produced it, and it reads the same
+    // records from a fresh round and from a stored one.
+    RoundRepairs.clear();
     // Duplicate-history accounting (the cache_check_* statistics): the
     // first slot carrying each distinct Completed history this round is
     // a miss, every later duplicate a hit. A hash match counts only after
-    // a full history compare, so a 64-bit collision is a miss. Folded in
-    // index order, so the counts are jobs-invariant.
-    std::unordered_map<uint64_t, size_t> SeenHists;
+    // a full history compare with that first slot, so a 64-bit collision
+    // is a miss. Folded in index order, so the counts are jobs-invariant.
+    bool CountDups = CountDupHists && !Hit;
+    if (CountDups)
+      SeenHists.reset(Ran);
+    const OrderingPredicate *StoredRepairs =
+        Hit ? Hit->Repairs.data() : nullptr;
+    std::string FirstViolation; // Kept for the stored round.
     bool AnyTimedOut = false;
     auto FoldT0 = std::chrono::steady_clock::now();
     OBS_SPAN(FoldSpan, Trace, "fold", "synth", 0);
     for (size_t I = 0; I != Ran; ++I) {
-      const exec::ExecPlan &P = Plan.Slots[I];
-      const vm::Client &Client = Clients[P.ClientIdx];
-      const harness::SupervisedExec &SE = Slots[I].SE;
-      const vm::ExecResult &R = SE.Result;
-      Sup.fold(Cur, Client, P.EC, SE);
-      AnyTimedOut |= SE.TimedOut;
+      const exec::SlotRecord &Rec = Hit ? Hit->Slots[I] : Fresh[I].Rec;
+      std::span<const OrderingPredicate> Repairs;
+      if (Hit) {
+        Repairs = {StoredRepairs, Rec.NumRepairs};
+        StoredRepairs += Rec.NumRepairs;
+      } else {
+        Repairs = {Fresh[I].SE.Result.Repairs.data(), Rec.NumRepairs};
+      }
+      // Capturing runs keep no cache, so their slots are always fresh.
+      if (Sup.capturing())
+        Sup.fold(Cur, Clients[Plan.Slots[I].ClientIdx], Plan.Slots[I].EC,
+                 Fresh[I].SE);
+      else
+        Sup.account(Rec.Attempts, Rec.Discarded, Rec.TimedOut);
+      AnyTimedOut |= Rec.TimedOut;
       ++Result.TotalExecutions;
       ++Stats.Executions;
       OBS_COUNT(ExecsC, 1);
-      OBS_COUNT(VmStepsC, R.Steps);
-      OBS_COUNT(VmFlushesC, R.Stats.Flushes);
-      OBS_COUNT(VmSchedStepsC, R.Stats.SchedSteps);
-      OBS_COUNT(VmSchedFlushesC, R.Stats.SchedFlushes);
-      OBS_COUNT(VmFwdC, R.Stats.StoreForwards);
-      OBS_COUNT(VmBufStoresC, R.Stats.BufferedStores);
+      OBS_COUNT(VmStepsC, Rec.Steps);
+      OBS_COUNT(VmFlushesC, Rec.Stats.Flushes);
+      OBS_COUNT(VmSchedStepsC, Rec.Stats.SchedSteps);
+      OBS_COUNT(VmSchedFlushesC, Rec.Stats.SchedFlushes);
+      OBS_COUNT(VmFwdC, Rec.Stats.StoreForwards);
+      OBS_COUNT(VmBufStoresC, Rec.Stats.BufferedStores);
       if (BufHighG)
-        BufHighG->max(R.Stats.BufHighWater);
-      if (CountDupHists && !Hit && !SE.Discarded &&
-          R.Out == vm::Outcome::Completed) {
-        auto [It, New] = SeenHists.try_emplace(R.Hist.Hash, I);
-        if (!New && Slots[It->second].SE.Result.Hist == R.Hist) {
+        BufHighG->max(Rec.Stats.BufHighWater);
+      if (CountDups && !Rec.Discarded && Rec.Out == vm::Outcome::Completed) {
+        const vm::History &H = Fresh[I].SE.Result.Hist;
+        uint32_t First =
+            SeenHists.firstOrInsert(H.Hash, static_cast<uint32_t>(I));
+        if (First != I && Fresh[First].SE.Result.Hist == H) {
           ++Result.CheckCacheHits;
           ++Stats.CheckCacheHits;
           OBS_COUNT(CacheCheckHitsC, 1);
@@ -538,16 +623,18 @@ SynthResult synth::synthesize(const ir::Module &M,
         }
       }
 
-      if (SE.Discarded) {
+      if (Rec.Discarded) {
         ++Result.DiscardedExecutions;
+        ++Stats.Discarded;
         OBS_COUNT(DiscardedC, 1);
         continue;
       }
-      if (Slots[I].CheckOutOfBudget) {
+      if (Rec.CheckOutOfBudget) {
         ++Result.SpecCheckBudgetHits;
+        ++Stats.SpecCheckBudgetHits;
         OBS_COUNT(SpecBudgetC, 1);
       }
-      if (!Slots[I].Violating)
+      if (!Rec.Violating)
         continue;
       ++Result.ViolatingExecutions;
       ++Stats.Violations;
@@ -562,49 +649,48 @@ SynthResult synth::synthesize(const ir::Module &M,
         // The round's first violation is the only one a result reports,
         // so it is the one described; a stored round keeps the text
         // (stored slots carry no history to describe from).
-        if (!Hit && RR.Slots[I].Violation.empty())
-          RR.Slots[I].Violation = describeViolation(R, Cfg);
-        assert(!Slots[I].Violation.empty() &&
+        if (Hit)
+          FirstViolation = Hit->FirstViolation;
+        else if (Fresh[I].Violation.empty())
+          FirstViolation = describeViolation(Fresh[I].SE.Result, Cfg);
+        else
+          FirstViolation = Fresh[I].Violation;
+        assert(!FirstViolation.empty() &&
                "stored round lost its first violation's text");
-        Stats.SampleViolation = Slots[I].Violation;
+        Stats.SampleViolation = FirstViolation;
         if (Result.FirstViolation.empty())
-          Result.FirstViolation = Stats.SampleViolation;
+          Result.FirstViolation = FirstViolation;
       }
       // Spec-level violations complete normally in the VM, so the
       // supervisor cannot capture them on its own (it captures VM-level
       // violations); do it here, with the attempt that actually ran, and
       // describe only the violations a bundle will keep.
       if (Sup.capturing() && Sup.bundles().size() < Cfg.MaxBundles &&
-          R.Out == vm::Outcome::Completed) {
-        vm::ExecConfig CapEC = P.EC;
-        CapEC.Seed = SE.UsedSeed;
-        CapEC.MaxSteps = SE.UsedMaxSteps;
-        Sup.capture(Cur, Client, CapEC, R,
-                    Slots[I].Violation.empty() ? describeViolation(R, Cfg)
-                                               : Slots[I].Violation);
+          Rec.Out == vm::Outcome::Completed) {
+        const exec::RoundSlot &S = Fresh[I];
+        vm::ExecConfig CapEC = Plan.Slots[I].EC;
+        CapEC.Seed = S.SE.UsedSeed;
+        CapEC.MaxSteps = S.SE.UsedMaxSteps;
+        Sup.capture(Cur, Clients[Plan.Slots[I].ClientIdx], CapEC,
+                    S.SE.Result,
+                    S.Violation.empty()
+                        ? describeViolation(S.SE.Result, Cfg)
+                        : S.Violation);
       }
-      for (const OrderingPredicate &Pr : R.Repairs)
-        if (auto F = Cur.functionOfLabel(Pr.Before))
-          Implicated.insert(*F);
-      if (R.Repairs.empty()) {
-        // avoid() returned false for this execution: no reordering can
-        // explain it. Repairable violations may still exist in the same
-        // round; abort only when a whole round is unrepairable.
-        continue;
-      }
-      ViolationRepairs.push_back(R.Repairs);
+      // An empty disjunction means avoid() returned false for this
+      // execution: no reordering can explain it. Repairable violations
+      // may still exist in the same round; abort only when a whole round
+      // is unrepairable.
+      if (!Repairs.empty())
+        RoundRepairs.push_back(Repairs);
     }
     FoldSpan.arg("ran", static_cast<uint64_t>(Ran));
     FoldSpan.end();
     // Store a fresh round only when it is what an unbounded run would
     // have produced: every slot ran and none was cut by a deadline.
-    if (ExecC && !Hit && !Truncated && !AnyTimedOut) {
-      for (exec::RoundSlot &S : RR.Slots) {
-        S.SE.Result.Hist = {};
-        S.SE.Result.Trace = {};
-      }
-      ExecC->insert(Key, std::move(RR.Slots));
-    }
+    if (ExecC && !Hit && !Truncated && !AnyTimedOut)
+      ExecC->insert(Key, cache::StoredRound::fromSlots(
+                             Fresh.first(Ran), std::move(FirstViolation)));
     Stats.Truncated = Truncated;
     if (Prof)
       Prof->observePhaseNs(obs::Phase::Fold, obs::nsSince(FoldT0));
@@ -651,7 +737,7 @@ SynthResult synth::synthesize(const ir::Module &M,
       continue;
     }
     CleanRounds = 0;
-    if (ViolationRepairs.empty()) {
+    if (RoundRepairs.empty()) {
       // Every violation this round had an empty repair disjunction: the
       // misbehaviour is not caused by reordering ("cannot be fixed").
       Result.Status = SynthStatus::CannotFix;
@@ -667,12 +753,14 @@ SynthResult synth::synthesize(const ir::Module &M,
     }
 
     // Build Φ = conjunction of the per-execution disjunctions and find a
-    // minimal satisfying assignment.
+    // minimal satisfying assignment. Clauses keep slot order and variables
+    // their first-seen numbering; F's clause vectors are reused.
     size_t PredsBefore = VarPred.size();
-    sat::MonotoneCnf F;
-    for (const std::vector<OrderingPredicate> &Disj : ViolationRepairs) {
-      std::vector<sat::Var> Clause;
-      for (const OrderingPredicate &P : Disj) {
+    F.Clauses.resize(RoundRepairs.size());
+    for (size_t C = 0; C != RoundRepairs.size(); ++C) {
+      std::vector<sat::Var> &Clause = F.Clauses[C];
+      Clause.clear();
+      for (const OrderingPredicate &P : RoundRepairs[C]) {
         auto It = PredVar.find(P);
         if (It == PredVar.end()) {
           sat::Var V = static_cast<sat::Var>(VarPred.size());
@@ -681,7 +769,6 @@ SynthResult synth::synthesize(const ir::Module &M,
         }
         Clause.push_back(It->second);
       }
-      F.Clauses.push_back(std::move(Clause));
     }
     F.NumVars = static_cast<unsigned>(VarPred.size());
     Result.DistinctPredicates = VarPred.size();
@@ -731,11 +818,11 @@ SynthResult synth::synthesize(const ir::Module &M,
       if (Cfg.MergeFences)
         mergeRedundantFences(Cur);
       // Fence insertion changes no FuncId, name, arity or register
-      // count, but the prepared program points into Cur — rebuild so the
-      // next round runs against the fenced bodies with fresh tables, and
+      // count, but the prepared program points into Cur — drop it so the
+      // next round that runs prepares the fenced bodies afresh, and
       // refresh the module fingerprint so round keys of the fenced
       // program can never match pre-enforcement entries.
-      Prepared.emplace(Cur, Clients);
+      Prepared.reset();
       if (ExecC)
         ModuleFp = cache::fingerprintModule(Cur);
       if (Prof)
@@ -782,9 +869,11 @@ SynthResult synth::synthesize(const ir::Module &M,
     Reg.counter("harness_retries_total").add(Sup.stats().Retries);
     Reg.counter("harness_discarded_total").add(Sup.stats().Discarded);
     Reg.counter("harness_timeouts_total").add(Sup.stats().TimedOut);
-    if (ExecC)
+    if (ExecC) {
       Reg.gauge("cache_exec_entries")
           .set(static_cast<double>(ExecC->size()));
+      Reg.gauge("cache_exec_bytes").set(static_cast<double>(ExecC->bytes()));
+    }
     // Per-model execution throughput of this run. Wall-clock derived, so
     // a gauge (jobs-variant; stays out of countersJson and the bundle
     // snapshot), named by the run's model so a mixed-model service

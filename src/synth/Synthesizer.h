@@ -226,6 +226,11 @@ struct RoundStats {
   uint64_t DistinctPredicates = 0; ///< |Φ| after this round.
   unsigned CleanStreak = 0; ///< Consecutive clean rounds incl. this one.
   bool Truncated = false;   ///< Cut short by a budget/deadline.
+  /// Executions discarded after all retries (step limit, deadlock,
+  /// timeout) and spec checks that ran out of their state budget and
+  /// accepted: the caps this round hit.
+  uint64_t Discarded = 0;
+  uint64_t SpecCheckBudgetHits = 0;
   /// Per-round duplicate-history and execution-cache statistics
   /// (jobs-invariant; cache-mode variant — the run-level totals'
   /// per-round split).

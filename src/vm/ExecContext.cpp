@@ -166,6 +166,17 @@ template <MemModel Model> auto &ExecContext::bufOf(Thread &T) {
 ExecContext::ExecContext() = default;
 ExecContext::~ExecContext() = default;
 
+/// Why a scheduler's action named no live thread: a strict replay past
+/// the end of its trace (sched::Action::exhausted()), or a stale trace.
+static std::string invalidThreadMessage(uint32_t Tid) {
+  if (Tid == sched::Action::ExhaustedTid)
+    return "replay trace exhausted: the replayed program or client "
+           "differs from the recorded one";
+  return strformat("scheduler picked invalid thread %u (stale replay "
+                   "trace?)",
+                   Tid);
+}
+
 void ExecContext::violate(Outcome O, std::string Msg) {
   if (Halted)
     return;
@@ -812,10 +823,7 @@ template <MemModel Model, class SchedT> void ExecContext::mainLoopT() {
     // Validate the action for real (not assert-only): a stale or corrupt
     // replay trace must end the execution, not corrupt the engine.
     if (A.Tid >= LiveThreads) {
-      violate(Outcome::Deadlock,
-              strformat("scheduler picked invalid thread %u (stale "
-                        "replay trace?)",
-                        A.Tid));
+      violate(Outcome::Deadlock, invalidThreadMessage(A.Tid));
       return;
     }
     Thread &T = *Threads[A.Tid];

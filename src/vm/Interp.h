@@ -94,6 +94,8 @@ struct ExecStats {
   uint64_t StoreForwards = 0;  ///< Loads answered from the own buffer
                                ///< (the LOAD-B rule firing).
   uint32_t BufHighWater = 0;   ///< Max per-thread buffer occupancy seen.
+
+  bool operator==(const ExecStats &) const = default;
 };
 
 /// The result of one execution.

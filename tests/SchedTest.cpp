@@ -234,6 +234,36 @@ TEST(ReplaySchedulerTest, ReproducesExecutionExactly) {
   }
 }
 
+TEST(ReplaySchedulerTest, StrictExhaustionEndsTheExecutionNotTheProcess) {
+  // Replaying half of a recorded trace strictly runs out of decisions
+  // while work remains: the execution ends as a Deadlock that says so,
+  // and the test binary keeps running its other cases.
+  auto M = frontend::compileOrDie(SbSrcSched);
+  vm::Client C = sbClient();
+  vm::ExecConfig Rec;
+  Rec.Model = vm::MemModel::PSO;
+  Rec.Seed = 7;
+  Rec.FlushProb = 0.2;
+  Rec.RecordTrace = true;
+  vm::ExecResult Original = vm::runExecution(M, C, Rec);
+  ASSERT_EQ(Original.Out, vm::Outcome::Completed);
+  ASSERT_GE(Original.Trace.size(), 4u);
+
+  std::vector<Action> Half(Original.Trace.begin(),
+                           Original.Trace.begin() +
+                               static_cast<ptrdiff_t>(
+                                   Original.Trace.size() / 2));
+  ReplayScheduler Replay(Half, /*Strict=*/true);
+  vm::ExecConfig Rep;
+  Rep.Model = vm::MemModel::PSO;
+  Rep.Sched = &Replay;
+  vm::ExecResult Cut = vm::runExecution(M, C, Rep);
+  EXPECT_EQ(Cut.Out, vm::Outcome::Deadlock);
+  EXPECT_NE(Cut.Message.find("replay trace exhausted"), std::string::npos)
+      << Cut.Message;
+  EXPECT_TRUE(Replay.exhausted());
+}
+
 TEST(ReplaySchedulerTest, ReproducesViolations) {
   // Find a seed whose execution violates memory safety, then replay it.
   const char *Src = R"(

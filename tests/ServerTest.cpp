@@ -445,6 +445,16 @@ TEST(Server, StatsAndPrometheusExposeServeMetrics) {
   EXPECT_EQ(St.find("errors")->asU64(0), 1u);
   EXPECT_EQ(St.find("jobs")->asU64(0), 2u);
   ASSERT_NE(St.find("cache"), nullptr);
+  // The stored rounds' bytes, in total and per shard.
+  const Json &Cache = *St.find("cache");
+  ASSERT_NE(Cache.find("bytes"), nullptr);
+  EXPECT_GT(Cache.find("bytes")->asU64(0), 0u);
+  uint64_t ShardBytes = 0;
+  for (const Json &Sh : Cache.find("shards")->items()) {
+    ASSERT_NE(Sh.find("bytes"), nullptr);
+    ShardBytes += Sh.find("bytes")->asU64(0);
+  }
+  EXPECT_EQ(ShardBytes, Cache.find("bytes")->asU64(0));
 
   std::string Prom = S.registry().toPrometheus();
   EXPECT_NE(Prom.find("serve_requests_total"), std::string::npos);

@@ -4,6 +4,7 @@
 #include "exec/ExecPool.h"
 #include "frontend/Compiler.h"
 #include "harness/Harness.h"
+#include "obs/Convergence.h"
 #include "obs/Obs.h"
 #include "programs/Benchmark.h"
 #include "spec/Specs.h"
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <sstream>
 
 using namespace dfence;
 using namespace dfence::synth;
@@ -392,6 +394,42 @@ int spin() {
   EXPECT_TRUE(R.Fences.empty());
 }
 
+TEST(SynthTest, RoundLogReportsTheCapsEachRoundHit) {
+  // A step budget too small for most publication executions and no
+  // retries: rounds discard executions, and every round-log line says how
+  // many, summing to the run's total. No config reaches the checker's
+  // state budget, so specCheckBudgetHits reads what the result reports.
+  auto M = frontend::compileOrDie(PublishSrc);
+  SynthConfig Cfg = baseConfig(MemModel::PSO, SpecKind::MemorySafety);
+  Cfg.MaxStepsPerExec = 12;
+  Cfg.Exec.MaxRetries = 0;
+  std::ostringstream OS;
+  obs::RoundLogWriter Log(OS);
+  Cfg.RoundLog = &Log;
+  SynthResult R = synthesize(M, {publishClient()}, Cfg);
+  ASSERT_GT(R.DiscardedExecutions, 0u);
+  EXPECT_EQ(R.RetriedExecutions, 0u);
+
+  std::istringstream In(OS.str());
+  std::string Line;
+  uint64_t Discarded = 0, BudgetHits = 0;
+  size_t Lines = 0;
+  while (std::getline(In, Line)) {
+    std::string Error;
+    std::optional<Json> J = Json::parse(Line, Error);
+    ASSERT_TRUE(J) << Error;
+    ASSERT_NE(J->find("discarded"), nullptr) << Line;
+    ASSERT_NE(J->find("specCheckBudgetHits"), nullptr) << Line;
+    EXPECT_EQ(J->find("discarded")->asU64(), R.RoundLog[Lines].Discarded);
+    Discarded += J->find("discarded")->asU64();
+    BudgetHits += J->find("specCheckBudgetHits")->asU64();
+    ++Lines;
+  }
+  EXPECT_EQ(Lines, R.RoundLog.size());
+  EXPECT_EQ(Discarded, R.DiscardedExecutions);
+  EXPECT_EQ(BudgetHits, R.SpecCheckBudgetHits);
+}
+
 TEST(SynthTest, RepairBudgetExhaustionDegradesToStaticFences) {
   // With zero repair rounds allowed, the first violating round can only
   // degrade: conservative static fences on the implicated functions.
@@ -417,6 +455,70 @@ TEST(SynthTest, RepairBudgetExhaustionDegradesToStaticFences) {
   SynthResult V = synthesize(R.FencedModule, {publishClient()}, Verify);
   EXPECT_EQ(V.Status, SynthStatus::Converged);
   EXPECT_EQ(V.ViolatingExecutions, 0u);
+}
+
+namespace {
+
+const programs::Benchmark &benchmark(const std::string &Name) {
+  for (const programs::Benchmark &B : programs::allBenchmarks())
+    if (B.Name == Name)
+      return B;
+  ADD_FAILURE() << "no benchmark " << Name;
+  return programs::allBenchmarks().front();
+}
+
+SynthConfig linConfig(const programs::Benchmark &B, unsigned K) {
+  SynthConfig Cfg;
+  Cfg.Model = MemModel::PSO;
+  Cfg.Spec = SpecKind::Linearizability;
+  Cfg.Factory = B.Factory;
+  Cfg.ExecsPerRound = K;
+  Cfg.FlushProbs = {0.5, 0.1};
+  return Cfg;
+}
+
+// The static fallback fences of two degraded subjects, as recorded before
+// the implicated functions were collected lazily (from Φ's universe and
+// the last round's repairs instead of every violating slot as it folded).
+const char *ChaseLevFallback =
+    "(put, 9:10) st-st (put, 10:11) st-st (take, 17:18) st-st "
+    "(take, 20:21) st-st (take, 27:28) st-st";
+const char *MichaelFallback =
+    "(DescAlloc, 22:23) st-st (DescAlloc, 23:24) st-st (DescAlloc, 24:-) "
+    "st-st (DescRetire, 38:39) st-st (MallocFromNewSB, 49:50) st-st "
+    "(MallocFromNewSB, 53:54) st-st (MallocFromNewSB, 54:55) st-st "
+    "(MallocFromNewSB, 57:58) st-st (release, 104:105) st-st";
+
+} // namespace
+
+TEST(SynthTest, RepairBudgetFallbackFencesArePinned) {
+  for (auto [Name, Want] : {std::pair{"Chase-Lev WSQ", ChaseLevFallback},
+                            std::pair{"Michael Allocator", MichaelFallback}}) {
+    const programs::Benchmark &B = benchmark(Name);
+    auto M = frontend::compileOrDie(B.Source);
+    SynthConfig Cfg = linConfig(B, 300);
+    Cfg.MaxRepairRounds = 0;
+    SynthResult R = synthesize(M, B.Clients, Cfg);
+    EXPECT_EQ(R.Status, SynthStatus::Degraded) << Name;
+    EXPECT_EQ(R.fenceSummary(), Want) << Name;
+    EXPECT_EQ(R.StaticFallbackFences, R.Fences.size()) << Name;
+  }
+}
+
+TEST(SynthTest, TotalWallCutFallbackFencesArePinned) {
+  // Every execution stalls 3 ms, so the 150 ms budget cuts round 1 after
+  // a few dozen executions; their violations already implicate put and
+  // take (and never steal), whatever the exact cut.
+  const programs::Benchmark &B = benchmark("Chase-Lev WSQ");
+  auto M = frontend::compileOrDie(B.Source);
+  SynthConfig Cfg = linConfig(B, 1000);
+  Cfg.Faults.StallMs = 3;
+  Cfg.TotalWallMs = 150;
+  SynthResult R = synthesize(M, B.Clients, Cfg);
+  EXPECT_EQ(R.Status, SynthStatus::Degraded);
+  EXPECT_TRUE(R.TimedOut);
+  EXPECT_LT(R.TotalExecutions, 1000u);
+  EXPECT_EQ(R.fenceSummary(), ChaseLevFallback);
 }
 
 TEST(SynthTest, DegradationDisabledReportsExhausted) {
@@ -619,6 +721,8 @@ TEST(ConvergenceTest, RoundRecordJsonShapeIsPinned) {
   R.FencesEnforced = 5;
   R.CleanStreak = 0;
   R.Truncated = false;
+  R.Discarded = 7;
+  R.SpecCheckBudgetHits = 1;
   R.CheckCacheHits = 10;
   R.CheckCacheMisses = 140;
   R.ExecCacheHits = 20;
@@ -634,6 +738,7 @@ TEST(ConvergenceTest, RoundRecordJsonShapeIsPinned) {
       "{\"round\":3,\"executions\":150,\"violations\":4,"
       "\"newPredicates\":2,\"distinctPredicates\":11,\"fences\":5,"
       "\"cleanStreak\":0,\"truncated\":false,"
+      "\"discarded\":7,\"specCheckBudgetHits\":1,"
       "\"cache\":{\"checkHits\":10,\"checkMisses\":140,"
       "\"execHits\":20,\"execMisses\":130},"
       "\"sat\":{\"clauses\":4,\"models\":2,\"nodes\":9,"
