@@ -40,9 +40,10 @@
 # bench_exec_smoke, bench_obs_smoke, bench_fuzz_smoke) and the suites
 # that reuse state across requests — stored rounds in a shared cache
 # (CacheDifferentialTest), pool slices across widths
-# (ParallelDeterminismTest) and round slot storage across requests
-# (SliceReuseTest) — run 20 more times on the default build
-# (`ctest --repeat until-fail:20`). The
+# (ParallelDeterminismTest), round slot storage across requests
+# (SliceReuseTest) and stored repair steps replayed by warm requests
+# (ExecCacheTest, ExecCacheWarmCellTest) — run 20 more times on the
+# default build (`ctest --repeat until-fail:20`). The
 # differential is seeded, every deadline and wall-budget test stalls its
 # executions with a fault plan, and every bench smoke gate checks
 # deterministic invariants only (schemas, step counts, fingerprint sets;
@@ -57,7 +58,7 @@ foreach(preset IN ITEMS verify-default verify-sanitize verify-tsan)
     message(FATAL_ERROR "workflow ${preset} failed (exit ${rc})")
   endif()
 endforeach()
-set(repeat_re "MinimalModels|MinModel|Server|ServeSmoke|bench_.*_smoke|CacheDifferential|ParallelDeterminism|SliceReuse")
+set(repeat_re "MinimalModels|MinModel|Server|ServeSmoke|bench_.*_smoke|CacheDifferential|ParallelDeterminism|SliceReuse|ExecCache")
 message(STATUS "==== repeat: ${repeat_re} x20 (default build) ====")
 execute_process(
   COMMAND ${CMAKE_CTEST_COMMAND} --preset default

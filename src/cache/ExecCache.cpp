@@ -177,6 +177,13 @@ uint64_t cache::fingerprintClient(const vm::Client &C) {
   return vm::hashMix64(H);
 }
 
+uint64_t cache::extendUniverseFingerprint(uint64_t Fp,
+                                          const vm::OrderingPredicate &P) {
+  // AfterIsLoad too: the universe's entry decides the enforced fence.
+  Fp = vm::hashCombine(Fp, pair(P.Before, P.After));
+  return vm::hashCombine(Fp, P.AfterIsLoad);
+}
+
 StoredRound StoredRound::fromSlots(std::span<const exec::RoundSlot> Slots,
                                    std::string FirstViolation) {
   StoredRound R;

@@ -22,7 +22,16 @@
 // the repairs of non-violating slots are dropped, which is why bundle
 // capture disables the cache. The merge fold reads the same records for a
 // fresh round, so a stored round folds exactly as the fresh one did. Only
-// rounds that ran to the end with no timed-out slot are stored. Capacity
+// rounds that ran to the end with no timed-out slot are stored.
+//
+// A repair round also keeps its repair step (RepairStep): the predicates
+// it added to Φ's universe, the minimum model it enforced and the solve's
+// deterministic effort. Which predicates a round chooses depends on its
+// records and on the numbering of Φ's variables, so the key carries a
+// running fingerprint of the universe before the round; a hit replays the
+// step onto the same numbering, with no clause built and no solve run.
+// A round that fed Φ but ended the run (repair budget, solver defect) is
+// not stored at all, so every hit that needs a step has one. Capacity
 // and the lifetime counters are counted in executions; insertion stops at
 // the capacity (no eviction), so hits depend only on the sequence of
 // lookups and inserts, never on timing. bytes() reports what the stored
@@ -55,6 +64,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -78,16 +88,54 @@ uint64_t fingerprintClient(const vm::Client &C);
 /// Folds the bytes of \p S into fingerprint \p H.
 uint64_t fingerprintString(uint64_t H, const std::string &S);
 
+/// Folds predicate \p P into the running fingerprint \p Fp of Φ's
+/// predicate universe (its predicates in variable order). The synthesizer
+/// extends it each time the universe gains a predicate.
+uint64_t extendUniverseFingerprint(uint64_t Fp,
+                                   const vm::OrderingPredicate &P);
+
+/// The fingerprint of an empty predicate universe.
+inline constexpr uint64_t EmptyUniverseFp = 0x452821e638d01377ULL;
+
 /// Identifies one round of one run. RunFp must cover every input of the
 /// round's slots besides the module: clients, seed and flush streams,
 /// step budget, retry policy, execution knobs, spec and sequential spec.
+/// UniverseFp pins the numbering of Φ's variables before the round, which
+/// the stored repair step was solved under.
 struct RoundKey {
   uint64_t ModuleFp = 0;
   uint64_t RunFp = 0;
   uint64_t First = 0; ///< Global index of the round's first execution.
   uint32_t K = 0;     ///< Executions per round.
+  uint64_t UniverseFp = EmptyUniverseFp;
 
   auto operator<=>(const RoundKey &) const = default;
+};
+
+/// The repair step of a stored repair round: what the merge thread did
+/// with Φ after folding it. A pure function of the round's records and of
+/// the universe its key pins, so a hit replays it instead of building
+/// clauses and solving.
+struct RepairStep {
+  /// The predicates the round added to Φ's universe, in first-seen
+  /// (variable) order.
+  std::vector<vm::OrderingPredicate> NewPredicates;
+  /// The minimum model's predicates, in the order they were enforced.
+  std::vector<vm::OrderingPredicate> Chosen;
+  /// The solve's deterministic effort (sat::SolveStats without the clock).
+  uint64_t SatClauses = 0;
+  uint64_t SatModels = 0;
+  uint64_t SatNodes = 0;
+  bool SatTruncated = false;
+
+  bool operator==(const RepairStep &) const = default;
+
+  /// Bytes the step holds: its predicates and effort fields.
+  size_t bytes() const {
+    return (NewPredicates.size() + Chosen.size()) *
+               sizeof(vm::OrderingPredicate) +
+           3 * sizeof(uint64_t) + sizeof(bool);
+  }
 };
 
 /// One stored round (see the file comment).
@@ -98,19 +146,22 @@ struct StoredRound {
   std::vector<vm::OrderingPredicate> Repairs;
   /// Description of the round's first violating slot; empty when none.
   std::string FirstViolation;
+  /// Set exactly when the round repaired the program (see the file
+  /// comment).
+  std::optional<RepairStep> Step;
 
   /// Compacts the executed slots of a fresh round whose first violation
-  /// is described by \p FirstViolation.
+  /// is described by \p FirstViolation. The step is set once solved.
   static StoredRound fromSlots(std::span<const exec::RoundSlot> Slots,
                                std::string FirstViolation);
 
   bool operator==(const StoredRound &) const = default;
 
-  /// Bytes the round holds: its records, predicates and text.
+  /// Bytes the round holds: its records, predicates, text and step.
   size_t bytes() const {
     return Slots.size() * sizeof(exec::SlotRecord) +
            Repairs.size() * sizeof(vm::OrderingPredicate) +
-           FirstViolation.size();
+           FirstViolation.size() + (Step ? Step->bytes() : 0);
   }
 };
 

@@ -20,6 +20,17 @@ void Function::buildIndex() {
   }
 }
 
+bool Function::indexIsCurrent() const {
+  if (IdToIndex.size() != Body.size())
+    return false;
+  for (size_t I = 0, E = Body.size(); I != E; ++I) {
+    auto It = IdToIndex.find(Body[I].Id);
+    if (It == IdToIndex.end() || It->second != I)
+      return false;
+  }
+  return true;
+}
+
 void Function::insertAfter(InstrId After, Instr I) {
   assert(I.Id != InvalidInstrId && "inserted instruction needs a label");
   size_t Pos = indexOf(After);
@@ -106,4 +117,9 @@ unsigned Module::totalStoreCount() const {
 void Module::buildIndexes() {
   for (Function &F : Funcs)
     F.buildIndex();
+}
+
+bool Module::indexesCurrent() const {
+  return std::all_of(Funcs.begin(), Funcs.end(),
+                     [](const Function &F) { return F.indexIsCurrent(); });
 }

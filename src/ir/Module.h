@@ -38,6 +38,10 @@ public:
 
   bool containsLabel(InstrId Id) const { return IdToIndex.count(Id) != 0; }
 
+  /// True when the label index maps exactly Body's labels to their
+  /// positions, as every mutation through this class leaves it.
+  bool indexIsCurrent() const;
+
   /// Inserts \p I immediately after the instruction labeled \p After and
   /// reindexes. \p I must already carry a fresh module-unique label.
   void insertAfter(InstrId After, Instr I);
@@ -107,6 +111,10 @@ public:
 
   /// Rebuilds all function label indexes.
   void buildIndexes();
+
+  /// True when every function's label index is current (a copy carries
+  /// its source's indexes).
+  bool indexesCurrent() const;
 
 private:
   InstrId NextId = 1;

@@ -361,6 +361,8 @@ Json serve::resultToJson(const synth::SynthResult &R, bool IncludeModule) {
   // keep their bytes.
   if (R.SpecCheckBudgetHits)
     J.set("specCheckBudgetHits", Json::number(R.SpecCheckBudgetHits));
+  if (R.StepLimitHits)
+    J.set("stepLimitHits", Json::number(R.StepLimitHits));
   Json Rounds = Json::array();
   for (const synth::RoundStats &S : R.RoundLog) {
     // Only the deterministic, cache-invariant subset of RoundStats may
@@ -397,6 +399,7 @@ Json serve::cacheStatsToJson(const synth::SynthResult &R) {
   J.set("checkMisses", Json::number(R.CheckCacheMisses));
   J.set("execHits", Json::number(R.ExecCacheHits));
   J.set("execMisses", Json::number(R.ExecCacheMisses));
+  J.set("repairHits", Json::number(R.RepairCacheHits));
   return J;
 }
 

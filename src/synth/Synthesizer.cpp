@@ -19,10 +19,10 @@
 #include <cctype>
 #include <chrono>
 #include <cstring>
-#include <map>
 #include <optional>
 #include <set>
 #include <span>
+#include <unordered_map>
 
 using namespace dfence;
 using namespace dfence::synth;
@@ -175,6 +175,43 @@ private:
   std::vector<uint32_t> Used;  ///< Filled buckets, for reset().
 };
 
+/// Φ's predicate universe: the run's predicate <-> SAT variable numbering
+/// in first-seen order, and a running fingerprint of it (part of every
+/// round key, so a stored repair step is replayed only onto the numbering
+/// it was solved under).
+class PredicateUniverse {
+public:
+  /// The variable of \p P, numbering it next when it is new.
+  sat::Var varOf(const OrderingPredicate &P) {
+    auto [It, New] = Vars.try_emplace(P, static_cast<sat::Var>(Preds.size()));
+    if (New)
+      push(P);
+    return It->second;
+  }
+
+  /// Numbers \p P, which a replayed step recorded as new.
+  void append(const OrderingPredicate &P) {
+    [[maybe_unused]] bool New =
+        Vars.try_emplace(P, static_cast<sat::Var>(Preds.size())).second;
+    assert(New && "a replayed step re-added a known predicate");
+    push(P);
+  }
+
+  const std::vector<OrderingPredicate> &preds() const { return Preds; }
+  size_t size() const { return Preds.size(); }
+  uint64_t fingerprint() const { return Fp; }
+
+private:
+  void push(const OrderingPredicate &P) {
+    Preds.push_back(P);
+    Fp = cache::extendUniverseFingerprint(Fp, P);
+  }
+
+  std::unordered_map<OrderingPredicate, sat::Var> Vars;
+  std::vector<OrderingPredicate> Preds; ///< Indexed by variable.
+  uint64_t Fp = cache::EmptyUniverseFp;
+};
+
 } // namespace
 
 std::string synth::checkExecution(const vm::ExecResult &R,
@@ -265,6 +302,7 @@ Json synth::roundStatsJson(const RoundStats &S) {
   Cache.set("checkMisses", Json::number(S.CheckCacheMisses));
   Cache.set("execHits", Json::number(S.ExecCacheHits));
   Cache.set("execMisses", Json::number(S.ExecCacheMisses));
+  Cache.set("repairHits", Json::number(S.RepairCacheHits));
   O.set("cache", std::move(Cache));
   Json Sat = Json::object();
   Sat.set("clauses", Json::number(S.SatClauses));
@@ -296,9 +334,10 @@ SynthResult synth::synthesize(const ir::Module &M,
                                  "specification (SynthConfig::Factory)",
                                  specKindName(Cfg.Spec)));
   // The request's one copy of the module: the working program, moved
-  // into the result at the end. Labels stay stable.
+  // into the result at the end. Labels stay stable, and the copy carries
+  // M's label indexes, which every mutation keeps current.
   ir::Module Cur = M;
-  Cur.buildIndexes();
+  assert(Cur.indexesCurrent() && "module label indexes are stale");
 
   // Pre-resolved observability handles: every instrumentation site below
   // is a branch on one of these (all null when Cfg.Obs carries no sink).
@@ -372,8 +411,7 @@ SynthResult synth::synthesize(const ir::Module &M,
   // Stable mapping predicate <-> SAT variable across the whole run
   // (statistics only need the universe size; the formula itself is reset
   // after every repair, following Algorithm 1 line 13).
-  std::map<OrderingPredicate, sat::Var> PredVar;
-  std::vector<OrderingPredicate> VarPred;
+  PredicateUniverse Universe;
   // The current round's repair disjunctions, one per violating slot with
   // a non-empty one, in slot order: views into the slice's slot storage
   // or the stored round, valid until the next round runs.
@@ -384,7 +422,7 @@ SynthResult synth::synthesize(const ir::Module &M,
   // when no violation was localized before the budget ran out —
   // conservative but safe). Every violating round that did not end the
   // run added its repairs to Φ's universe, so the implicated functions
-  // are those of VarPred and of the current round's repairs.
+  // are those of the universe and of the current round's repairs.
   auto Degrade = [&](std::string Reason) {
     Result.DegradeReason = std::move(Reason);
     if (!Cfg.DegradeToStatic)
@@ -394,7 +432,7 @@ SynthResult synth::synthesize(const ir::Module &M,
       if (auto F = Cur.functionOfLabel(Pr.Before))
         Implicated.insert(*F);
     };
-    for (const OrderingPredicate &Pr : VarPred)
+    for (const OrderingPredicate &Pr : Universe.preds())
       Implicate(Pr);
     for (std::span<const OrderingPredicate> Disj : RoundRepairs)
       for (const OrderingPredicate &Pr : Disj)
@@ -451,9 +489,14 @@ SynthResult synth::synthesize(const ir::Module &M,
           ? Cfg.ExecResultCache
           : nullptr;
   // Round keys: the module fingerprint is recomputed after every
-  // enforcement (fences change the program); the run half is fixed.
+  // enforcement (fences change the program), the universe fingerprint
+  // grows with Φ's numbering, and the run half is fixed.
   uint64_t ModuleFp = ExecC ? cache::fingerprintModule(Cur) : 0;
   uint64_t RunFp = ExecC ? runFingerprint(Cfg, Clients) : 0;
+  // Registered only with a round cache, so runs without one keep their
+  // counter snapshot.
+  obs::Counter *CacheRepairHitsC =
+      ExecC ? obs::counterOrNull(Cfg.Obs, "cache_repair_hits") : nullptr;
 
   // The clients resolved against the working module; every execution of
   // a round runs from these tables. Built before the first round that
@@ -486,7 +529,7 @@ SynthResult synth::synthesize(const ir::Module &M,
               std::chrono::steady_clock::now() - RoundT0)
               .count());
       S.CleanStreak = CleanRounds;
-      S.DistinctPredicates = VarPred.size();
+      S.DistinctPredicates = Universe.size();
       if (Prof) {
         uint64_t WallNs = S.RoundWallUs * 1000;
         uint64_t Attr = Prof->totalNs() - ProfBase;
@@ -513,7 +556,7 @@ SynthResult synth::synthesize(const ir::Module &M,
     // one, without planning it or touching the pool.
     const size_t K = Cfg.ExecsPerRound;
     cache::RoundKey Key{ModuleFp, RunFp, static_cast<uint64_t>(Round - 1) * K,
-                        Cfg.ExecsPerRound};
+                        Cfg.ExecsPerRound, Universe.fingerprint()};
     const cache::StoredRound *Hit = ExecC ? ExecC->lookup(Key) : nullptr;
     std::span<exec::RoundSlot> Fresh;
     size_t Ran;
@@ -627,6 +670,8 @@ SynthResult synth::synthesize(const ir::Module &M,
         ++Result.DiscardedExecutions;
         ++Stats.Discarded;
         OBS_COUNT(DiscardedC, 1);
+        if (Rec.Out == vm::Outcome::StepLimit)
+          ++Result.StepLimitHits;
         continue;
       }
       if (Rec.CheckOutOfBudget) {
@@ -687,10 +732,19 @@ SynthResult synth::synthesize(const ir::Module &M,
     FoldSpan.arg("ran", static_cast<uint64_t>(Ran));
     FoldSpan.end();
     // Store a fresh round only when it is what an unbounded run would
-    // have produced: every slot ran and none was cut by a deadline.
+    // have produced: every slot ran and none was cut by a deadline. It is
+    // compacted here and inserted once the round's verdict is known, with
+    // its repair step when it repaired the program.
+    std::optional<cache::StoredRound> ToStore;
     if (ExecC && !Hit && !Truncated && !AnyTimedOut)
-      ExecC->insert(Key, cache::StoredRound::fromSlots(
-                             Fresh.first(Ran), std::move(FirstViolation)));
+      ToStore = cache::StoredRound::fromSlots(Fresh.first(Ran),
+                                              std::move(FirstViolation));
+    auto Store = [&](std::optional<cache::RepairStep> Step) {
+      if (!ToStore)
+        return;
+      ToStore->Step = std::move(Step);
+      ExecC->insert(Key, std::move(*ToStore));
+    };
     Stats.Truncated = Truncated;
     if (Prof)
       Prof->observePhaseNs(obs::Phase::Fold, obs::nsSince(FoldT0));
@@ -728,6 +782,7 @@ SynthResult synth::synthesize(const ir::Module &M,
         CleanRounds = 0;
       else
         ++CleanRounds;
+      Store(std::nullopt);
       FinishRound(Stats);
       if (!Truncated &&
           CleanRounds >= std::max(1u, Cfg.CleanRoundsRequired)) {
@@ -741,9 +796,12 @@ SynthResult synth::synthesize(const ir::Module &M,
       // Every violation this round had an empty repair disjunction: the
       // misbehaviour is not caused by reordering ("cannot be fixed").
       Result.Status = SynthStatus::CannotFix;
+      Store(std::nullopt);
       FinishRound(Stats);
       break;
     }
+    // A round that ends the run here is not stored: a run with a larger
+    // budget would need the repair step it never solved.
     if (RepairRounds >= Cfg.MaxRepairRounds) {
       FinishRound(Stats);
       Degrade(strformat("repair budget of %u rounds exhausted with "
@@ -753,36 +811,53 @@ SynthResult synth::synthesize(const ir::Module &M,
     }
 
     // Build Φ = conjunction of the per-execution disjunctions and find a
-    // minimal satisfying assignment. Clauses keep slot order and variables
-    // their first-seen numbering; F's clause vectors are reused.
-    size_t PredsBefore = VarPred.size();
-    F.Clauses.resize(RoundRepairs.size());
-    for (size_t C = 0; C != RoundRepairs.size(); ++C) {
-      std::vector<sat::Var> &Clause = F.Clauses[C];
-      Clause.clear();
-      for (const OrderingPredicate &P : RoundRepairs[C]) {
-        auto It = PredVar.find(P);
-        if (It == PredVar.end()) {
-          sat::Var V = static_cast<sat::Var>(VarPred.size());
-          It = PredVar.emplace(P, V).first;
-          VarPred.push_back(P);
-        }
-        Clause.push_back(It->second);
-      }
-    }
-    F.NumVars = static_cast<unsigned>(VarPred.size());
-    Result.DistinctPredicates = VarPred.size();
-    Stats.NewPredicates = VarPred.size() - PredsBefore;
-
-    bool Unsat = false;
+    // minimal satisfying assignment — or, for a stored round, replay the
+    // step solved under the same universe (its key pins the numbering):
+    // number its new predicates and take its model and effort as they
+    // were, with no clause built and no solve run.
+    size_t PredsBefore = Universe.size();
     sat::SolveStats SS;
-    OBS_SPAN(SatSpan, Trace, "sat_solve", "sat", 0);
-    std::vector<sat::Var> Chosen = sat::minimumModel(F, Unsat, &SS);
-    SatSpan.arg("clauses", SS.Clauses);
-    SatSpan.arg("vars", SS.Vars);
-    SatSpan.arg("models", SS.Models);
-    SatSpan.arg("nodes", SS.Nodes);
-    SatSpan.end();
+    bool Unsat = false;
+    std::vector<OrderingPredicate> ChosenPreds;
+    if (Hit) {
+      assert(Hit->Step && "a stored repair round lost its step");
+      const cache::RepairStep &Step = *Hit->Step;
+      for (const OrderingPredicate &P : Step.NewPredicates)
+        Universe.append(P);
+      ChosenPreds = Step.Chosen;
+      SS.Clauses = Step.SatClauses;
+      SS.Models = Step.SatModels;
+      SS.Nodes = Step.SatNodes;
+      SS.Truncated = Step.SatTruncated;
+      ++Result.RepairCacheHits;
+      Stats.RepairCacheHits = 1;
+      OBS_COUNT(CacheRepairHitsC, 1);
+    } else {
+      // Clauses keep slot order and variables their first-seen numbering;
+      // F's clause vectors are reused.
+      F.Clauses.resize(RoundRepairs.size());
+      for (size_t C = 0; C != RoundRepairs.size(); ++C) {
+        std::vector<sat::Var> &Clause = F.Clauses[C];
+        Clause.clear();
+        for (const OrderingPredicate &P : RoundRepairs[C])
+          Clause.push_back(Universe.varOf(P));
+      }
+      F.NumVars = static_cast<unsigned>(Universe.size());
+      OBS_SPAN(SatSpan, Trace, "sat_solve", "sat", 0);
+      std::vector<sat::Var> Chosen = sat::minimumModel(F, Unsat, &SS);
+      SatSpan.arg("clauses", SS.Clauses);
+      SatSpan.arg("vars", SS.Vars);
+      SatSpan.arg("models", SS.Models);
+      SatSpan.arg("nodes", SS.Nodes);
+      SatSpan.end();
+      if (Prof)
+        Prof->observePhaseNs(obs::Phase::SatSolve, SS.SolveNs);
+      ChosenPreds.reserve(Chosen.size());
+      for (sat::Var V : Chosen)
+        ChosenPreds.push_back(Universe.preds()[V]);
+    }
+    Result.DistinctPredicates = Universe.size();
+    Stats.NewPredicates = Universe.size() - PredsBefore;
     OBS_COUNT(SatSolvesC, 1);
     OBS_COUNT(SatClausesC, SS.Clauses);
     OBS_COUNT(SatModelsC, SS.Models);
@@ -794,8 +869,6 @@ SynthResult synth::synthesize(const ir::Module &M,
     Stats.SatTruncated = SS.Truncated;
     Stats.SatSolveUs = SS.SolveNs / 1000;
     Result.SatTruncated += SS.Truncated;
-    if (Prof)
-      Prof->observePhaseNs(obs::Phase::SatSolve, SS.SolveNs);
     if (Unsat) {
       // A positive CNF with non-empty clauses is always satisfiable, so
       // this is a solver defect — degrade rather than enforce garbage.
@@ -804,11 +877,17 @@ SynthResult synth::synthesize(const ir::Module &M,
               "unsatisfiable (solver defect)");
       break;
     }
+    if (ToStore) {
+      const std::vector<OrderingPredicate> &All = Universe.preds();
+      Store(cache::RepairStep{
+          {All.begin() + static_cast<ptrdiff_t>(PredsBefore), All.end()},
+          ChosenPreds,
+          SS.Clauses,
+          SS.Models,
+          SS.Nodes,
+          SS.Truncated});
+    }
 
-    std::vector<OrderingPredicate> ChosenPreds;
-    ChosenPreds.reserve(Chosen.size());
-    for (sat::Var V : Chosen)
-      ChosenPreds.push_back(VarPred[V]);
     {
       auto EnforceT0 = std::chrono::steady_clock::now();
       OBS_SPAN(EnforceSpan, Trace, "enforce", "synth", 0);
@@ -851,7 +930,7 @@ SynthResult synth::synthesize(const ir::Module &M,
 
   Result.FencedModule = std::move(Cur);
   Result.Fences = collectSynthesizedFences(Result.FencedModule);
-  Result.DistinctPredicates = VarPred.size();
+  Result.DistinctPredicates = Universe.size();
   Result.RetriedExecutions = Sup.stats().Retries;
   Result.TimedOutExecutions = Sup.stats().TimedOut;
   Result.Bundles = Sup.takeBundles();

@@ -238,13 +238,18 @@ struct RoundStats {
   uint64_t CheckCacheMisses = 0;
   uint64_t ExecCacheHits = 0;
   uint64_t ExecCacheMisses = 0;
-  /// SAT effort of this round's solve; all zero when no solve ran.
+  /// 1 when the round's repair step was replayed from a stored round
+  /// instead of solved.
+  uint64_t RepairCacheHits = 0;
+  /// SAT effort of this round's solve (replayed on a repair hit); all
+  /// zero when no solve ran.
   uint64_t SatClauses = 0;
   uint64_t SatModels = 0;
   uint64_t SatNodes = 0;
   bool SatTruncated = false; ///< Search budget hit; see SynthResult.
 
-  // Wall-clock (machine-dependent; round log + histograms only).
+  // Wall-clock (machine-dependent; round log + histograms only). 0 on a
+  // repair hit, which solves nothing.
   uint64_t SatSolveUs = 0;
   uint64_t RoundWallUs = 0;
 };
@@ -278,6 +283,9 @@ struct SynthResult {
   /// Executions whose spec check ran out of spec::CheckerLimits'
   /// MaxVisitedStates and accepted without a verdict.
   uint64_t SpecCheckBudgetHits = 0;
+  /// Executions discarded at SynthConfig::MaxStepsPerExec: their last
+  /// attempt (after every retry) hit the step limit.
+  uint64_t StepLimitHits = 0;
   ir::Module FencedModule;
   std::string FirstViolation; ///< Diagnostics of the first violation.
   std::vector<RoundStats> RoundLog;
@@ -299,6 +307,9 @@ struct SynthResult {
   /// run after a round lookup missed (misses).
   uint64_t ExecCacheHits = 0;
   uint64_t ExecCacheMisses = 0;
+  /// Repair rounds whose step (new predicates, chosen predicates, SAT
+  /// effort) came from a stored round: no clause built, no solve run.
+  uint64_t RepairCacheHits = 0;
 
   std::string fenceSummary() const;
 };

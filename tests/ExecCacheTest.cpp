@@ -6,7 +6,18 @@
 // for every single-field mutation of every instruction, function and
 // global, the hash changes exactly when the printed text does.
 //
-// ExecCacheTest: the bytes a cache reports for its compact rounds.
+// ModuleIndexTest: a copied module carries label indexes that match its
+// body, as do the results of the reader, enforcement and static fencing,
+// which is why synthesize() does not rebuild them.
+//
+// ExecCacheTest: the bytes a cache reports for its compact rounds, and the
+// universe fingerprint that keys a stored repair step.
+//
+// ExecCacheWarmCellTest: over the perfbench cell set (17 subjects under
+// TSO and PSO at their strictest spec, 7 litmus shapes under both models
+// at safety), a warm request equals its cold twin in canonical bytes and
+// deterministic counters while replaying every repair step: as many
+// repair hits as repair rounds and no solve.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,11 +27,18 @@
 #include "fuzz/LitmusCorpus.h"
 #include "ir/Printer.h"
 #include "ir/Reader.h"
+#include "obs/Metrics.h"
+#include "obs/Obs.h"
+#include "obs/Profiler.h"
 #include "programs/Benchmark.h"
+#include "serve/Protocol.h"
 #include "synth/FenceEnforcer.h"
+#include "synth/StaticBaseline.h"
+#include "synth/Synthesizer.h"
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <functional>
 #include <map>
 #include <set>
@@ -275,3 +293,216 @@ TEST(ExecCacheTest, BytesGrowWithEachInsertAndNotOnRejection) {
   EXPECT_EQ(S.bytes(), S.shard(1).bytes());
   EXPECT_GT(S.bytes(), 0u);
 }
+
+TEST(ModuleIndexTest, CopiesAndTransformsKeepIndexesCurrent) {
+  for (auto &[Name, M] : allModules()) {
+    ASSERT_TRUE(M.indexesCurrent()) << Name;
+    Module Copy = M;
+    EXPECT_TRUE(Copy.indexesCurrent()) << Name;
+    for (const Function &F : Copy.Funcs)
+      for (size_t I = 0; I != F.Body.size(); ++I)
+        ASSERT_EQ(F.indexOf(F.Body[I].Id), I) << Name << " " << F.Name;
+    std::string Error;
+    std::optional<Module> Parsed = parseModule(printModule(M), Error);
+    ASSERT_TRUE(Parsed) << Name << ": " << Error;
+    EXPECT_TRUE(Parsed->indexesCurrent()) << Name;
+    for (vm::MemModel Model : {vm::MemModel::TSO, vm::MemModel::PSO})
+      EXPECT_TRUE(synth::staticDelaySetFences(Copy, Model)
+                      .FencedModule.indexesCurrent())
+          << Name;
+    // Every store ordered before the next memory access of its function,
+    // then the redundant fences merged away.
+    std::vector<vm::OrderingPredicate> Preds;
+    for (const Function &F : Copy.Funcs)
+      for (size_t I = 0; I + 1 < F.Body.size(); ++I)
+        if (F.Body[I].Op == Opcode::Store)
+          for (size_t J = I + 1; J != F.Body.size(); ++J)
+            if (F.Body[J].Op == Opcode::Store ||
+                F.Body[J].Op == Opcode::Load) {
+              Preds.push_back({F.Body[I].Id, F.Body[J].Id,
+                               F.Body[J].Op == Opcode::Load});
+              break;
+            }
+    synth::enforcePredicates(Copy, Preds, synth::EnforceMode::Fence);
+    EXPECT_TRUE(Copy.indexesCurrent()) << Name;
+    synth::mergeRedundantFences(Copy);
+    EXPECT_TRUE(Copy.indexesCurrent()) << Name;
+    Module Stale = M;
+    Stale.Funcs[0].Body.pop_back();
+    EXPECT_FALSE(Stale.indexesCurrent()) << Name;
+  }
+}
+
+TEST(ExecCacheTest, ARoundKeyWithAnotherUniverseMisses) {
+  cache::ExecCache C;
+  cache::RoundKey Key{1, 1, 0, 4};
+  cache::StoredRound R;
+  R.Slots.resize(4);
+  ASSERT_TRUE(C.insert(Key, std::move(R)));
+  ASSERT_NE(C.lookup(Key), nullptr);
+
+  // The same module and round reached with Φ's variables numbered
+  // differently: the fingerprint depends on the predicates, their order
+  // and the fence flavor each one asks for.
+  vm::OrderingPredicate P{3, 5, false}, Q{4, 9, true};
+  auto Fp = [](std::initializer_list<vm::OrderingPredicate> Preds) {
+    uint64_t F = cache::EmptyUniverseFp;
+    for (const vm::OrderingPredicate &X : Preds)
+      F = cache::extendUniverseFingerprint(F, X);
+    return F;
+  };
+  std::set<uint64_t> Distinct = {
+      cache::EmptyUniverseFp, Fp({P}),    Fp({Q}),
+      Fp({P, Q}),             Fp({Q, P}), Fp({{3, 5, true}})};
+  EXPECT_EQ(Distinct.size(), 6u);
+  for (uint64_t U : Distinct) {
+    cache::RoundKey Other = Key;
+    Other.UniverseFp = U;
+    if (U == Key.UniverseFp)
+      EXPECT_NE(C.lookup(Other), nullptr);
+    else
+      EXPECT_EQ(C.lookup(Other), nullptr);
+  }
+}
+
+TEST(ExecCacheTest, StepBytesCountTowardTheRound) {
+  cache::StoredRound R;
+  R.Slots.resize(2);
+  size_t Plain = R.bytes();
+  cache::RepairStep Step;
+  Step.NewPredicates.resize(3);
+  Step.Chosen.resize(1);
+  R.Step = Step;
+  EXPECT_EQ(R.bytes(), Plain + Step.bytes());
+  EXPECT_EQ(Step.bytes(), 4 * sizeof(vm::OrderingPredicate) +
+                              3 * sizeof(uint64_t) + sizeof(bool));
+}
+
+namespace {
+
+/// The perfbench cell set as serve requests, by cell name
+/// ("<subject>|<model>"), at perfbench's K.
+std::map<std::string, Json> perfbenchCells() {
+  std::map<std::string, Json> Cells;
+  auto Add = [&](const std::string &Subject, Json Req, const char *Model,
+                 const char *Spec) {
+    std::string Id = Subject + "|" + Model;
+    Req.set("id", Json::string(Id));
+    Req.set("model", Json::string(Model));
+    Req.set("spec", Json::string(Spec));
+    Req.set("k", Json::number(static_cast<uint64_t>(1000)));
+    Req.set("seed", Json::number(static_cast<uint64_t>(1)));
+    Cells.emplace(Id, std::move(Req));
+  };
+  auto AddBench = [&](const programs::Benchmark &B) {
+    for (const char *Model : {"tso", "pso"}) {
+      Json Req = Json::object();
+      Req.set("op", Json::string("bench"));
+      Req.set("bench", Json::string(B.Name));
+      Add(B.Name, std::move(Req), Model, B.UseNoGarbage ? "nogarbage" : "lin");
+    }
+  };
+  for (const programs::Benchmark &B : programs::allBenchmarks())
+    AddBench(B);
+  for (const programs::Benchmark &B : programs::extendedBenchmarks())
+    AddBench(B);
+  for (const fuzz::LitmusShape &S : fuzz::litmusCorpus())
+    for (const char *Model : {"tso", "pso"}) {
+      Json Req = Json::object();
+      Req.set("op", Json::string("synth"));
+      Req.set("source", Json::string(S.Source));
+      Req.set("client", Json::string(S.ClientDsl));
+      Add("litmus-" + S.Name, std::move(Req), Model, "safety");
+    }
+  return Cells;
+}
+
+struct CellRun {
+  synth::SynthResult R;
+  std::string Canon;
+  std::string Counters; ///< Minus cache_*, exec_pool_* and obs_*.
+  uint64_t RepairRounds = 0;
+  uint64_t RepairHitsCounter = 0;
+  uint64_t SatSolvePhases = 0;
+};
+
+CellRun runCell(const serve::SynthJob &Job, cache::ExecCache &Cache) {
+  obs::Registry Reg;
+  obs::Profiler Prof(Reg, opcodeNames());
+  obs::ObsContext Obs{&Reg, nullptr, nullptr, &Prof};
+  synth::SynthConfig Cfg = Job.Cfg;
+  Cfg.Jobs = 1;
+  Cfg.Obs = &Obs;
+  Cfg.ExecResultCache = &Cache;
+  CellRun Out;
+  Out.R = synth::synthesize(Job.M, Job.Clients, Cfg);
+  Out.Canon = serve::resultToJson(Out.R, /*IncludeModule=*/true).dump();
+  Json Doc = Reg.countersJson();
+  Json Kept = Json::object();
+  if (const Json *Counters = Doc.find("counters"))
+    for (const auto &[Key, Val] : Counters->members())
+      if (Key.rfind("cache_", 0) != 0 && Key.rfind("exec_pool_", 0) != 0 &&
+          Key.rfind("obs_", 0) != 0)
+        Kept.set(Key, Val);
+  Out.Counters = Kept.dump();
+  Out.RepairRounds = Reg.counter("synth_repair_rounds_total").value();
+  Out.RepairHitsCounter = Reg.counter("cache_repair_hits").value();
+  Out.SatSolvePhases =
+      Reg.histogram(std::string("obs_phase_") +
+                    obs::phaseName(obs::Phase::SatSolve) + "_us")
+          .count();
+  return Out;
+}
+
+} // namespace
+
+class ExecCacheWarmCellTest : public ::testing::TestWithParam<std::string> {
+};
+
+TEST_P(ExecCacheWarmCellTest, WarmRequestReplaysEveryRepairStep) {
+  const std::string &What = GetParam();
+  std::string Err;
+  std::optional<serve::ServeRequest> SR =
+      serve::parseRequest(perfbenchCells().at(What), Err);
+  ASSERT_TRUE(SR) << What << ": " << Err;
+  std::optional<serve::SynthJob> Job = serve::prepareJob(*SR, Err);
+  ASSERT_TRUE(Job) << What << ": " << Err;
+
+  cache::ExecCache Cache;
+  CellRun Cold = runCell(*Job, Cache);
+  CellRun Warm = runCell(*Job, Cache);
+  EXPECT_EQ(Warm.Canon, Cold.Canon) << What;
+  EXPECT_EQ(Warm.Counters, Cold.Counters) << What;
+  EXPECT_EQ(Warm.RepairRounds, Cold.RepairRounds) << What;
+
+  // The cold request solved every repair round and stored each step; the
+  // warm one replayed them all without a solve.
+  EXPECT_EQ(Cold.R.RepairCacheHits, 0u) << What;
+  EXPECT_EQ(Cold.SatSolvePhases, Cold.RepairRounds) << What;
+  EXPECT_EQ(Warm.R.ExecCacheHits, Warm.R.TotalExecutions) << What;
+  EXPECT_EQ(Warm.R.RepairCacheHits, Warm.RepairRounds) << What;
+  EXPECT_EQ(Warm.RepairHitsCounter, Warm.RepairRounds) << What;
+  EXPECT_EQ(Warm.SatSolvePhases, 0u) << What;
+  ASSERT_EQ(Warm.R.RoundLog.size(), Cold.R.RoundLog.size()) << What;
+  for (size_t I = 0; I != Warm.R.RoundLog.size(); ++I) {
+    const synth::RoundStats &W = Warm.R.RoundLog[I], &C = Cold.R.RoundLog[I];
+    EXPECT_EQ(W.RepairCacheHits, C.SatModels) << What << " round " << I;
+    EXPECT_EQ(W.SatSolveUs, 0u) << What << " round " << I;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PerfbenchCells, ExecCacheWarmCellTest,
+    ::testing::ValuesIn([] {
+      std::vector<std::string> Names;
+      for (const auto &[Name, Req] : perfbenchCells())
+        Names.push_back(Name);
+      return Names;
+    }()),
+    [](const auto &Info) {
+      std::string Name = Info.param;
+      for (char &Ch : Name)
+        if (!std::isalnum(static_cast<unsigned char>(Ch)))
+          Ch = '_';
+      return Name;
+    });

@@ -182,16 +182,19 @@ TEST(ServeProtocol, CanonicalResultExcludesCacheStatistics) {
   R.CheckCacheHits = 17;
   R.ExecCacheHits = 23;
   R.ExecCacheMisses = 5;
+  R.RepairCacheHits = 3;
   std::string Canon = resultToJson(R).dump();
   // The canonical result must be warm/cold-invariant: no cache fields.
   EXPECT_EQ(Canon.find("checkHits"), std::string::npos);
   EXPECT_EQ(Canon.find("execHits"), std::string::npos);
   EXPECT_EQ(Canon.find("CacheHits"), std::string::npos);
+  EXPECT_EQ(Canon.find("repairHits"), std::string::npos);
   // The sibling object carries them instead.
   Json CS = cacheStatsToJson(R);
   EXPECT_EQ(CS.find("checkHits")->asU64(0), 17u);
   EXPECT_EQ(CS.find("execHits")->asU64(0), 23u);
   EXPECT_EQ(CS.find("execMisses")->asU64(0), 5u);
+  EXPECT_EQ(CS.find("repairHits")->asU64(0), 3u);
 }
 
 TEST(ServeProtocol, StatusOfResultMapping) {

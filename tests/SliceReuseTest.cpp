@@ -8,7 +8,7 @@
 // request whose round a stall fault plan cuts short — at widths 1 and 4,
 // and check every request against the same request on a fresh pool:
 // canonical result, counter snapshot (cache_check_* included) and stored
-// rounds. The request that follows the truncated one shows that the slots
+// rounds with their repair steps. The request that follows the truncated one shows that the slots
 // the cut left behind are never folded, and the untraced requests that
 // follow a traced one (whose workers describe every violation into its
 // slot) that no such text leaks into a later result.
@@ -129,6 +129,14 @@ void sequenceMatchesFreshPools(unsigned Width) {
     EXPECT_TRUE(Reused.Cache.rounds() == Twin.Cache.rounds()) << What;
     if (Req.Cache) {
       EXPECT_GT(Reused.Cache.size(), 0u) << What;
+      // The comparison covers the repair steps: every solved round stored
+      // one.
+      size_t Steps = 0, Solved = 0;
+      for (const auto &[Key, Round] : Reused.Cache.rounds())
+        Steps += Round.Step.has_value();
+      for (const synth::RoundStats &S : Reused.R.RoundLog)
+        Solved += S.SatModels;
+      EXPECT_EQ(Steps, Solved) << What;
     }
   }
 }

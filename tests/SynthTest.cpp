@@ -7,6 +7,7 @@
 #include "obs/Convergence.h"
 #include "obs/Obs.h"
 #include "programs/Benchmark.h"
+#include "serve/Protocol.h"
 #include "spec/Specs.h"
 #include "support/StringUtils.h"
 #include "synth/Synthesizer.h"
@@ -430,6 +431,29 @@ TEST(SynthTest, RoundLogReportsTheCapsEachRoundHit) {
   EXPECT_EQ(BudgetHits, R.SpecCheckBudgetHits);
 }
 
+TEST(SynthTest, StepLimitHitsAreReported) {
+  // The 12-step budget with no retries: every discard is an execution
+  // whose only attempt hit the step limit, and the result and the serve
+  // result say how many. A run that never hits it keeps the serve bytes
+  // it had before the field existed.
+  auto M = frontend::compileOrDie(PublishSrc);
+  SynthConfig Cfg = baseConfig(MemModel::PSO, SpecKind::MemorySafety);
+  Cfg.MaxStepsPerExec = 12;
+  Cfg.Exec.MaxRetries = 0;
+  SynthResult R = synthesize(M, {publishClient()}, Cfg);
+  ASSERT_GT(R.StepLimitHits, 0u);
+  EXPECT_EQ(R.StepLimitHits, R.DiscardedExecutions);
+  Json J = serve::resultToJson(R);
+  ASSERT_NE(J.find("stepLimitHits"), nullptr);
+  EXPECT_EQ(J.find("stepLimitHits")->asU64(), R.StepLimitHits);
+
+  SynthResult Clean =
+      synthesize(M, {publishClient()},
+                 baseConfig(MemModel::PSO, SpecKind::MemorySafety));
+  EXPECT_EQ(Clean.StepLimitHits, 0u);
+  EXPECT_EQ(serve::resultToJson(Clean).find("stepLimitHits"), nullptr);
+}
+
 TEST(SynthTest, RepairBudgetExhaustionDegradesToStaticFences) {
   // With zero repair rounds allowed, the first violating round can only
   // degrade: conservative static fences on the implicated functions.
@@ -727,6 +751,7 @@ TEST(ConvergenceTest, RoundRecordJsonShapeIsPinned) {
   R.CheckCacheMisses = 140;
   R.ExecCacheHits = 20;
   R.ExecCacheMisses = 130;
+  R.RepairCacheHits = 1;
   R.SatClauses = 4;
   R.SatModels = 2;
   R.SatNodes = 9;
@@ -740,7 +765,7 @@ TEST(ConvergenceTest, RoundRecordJsonShapeIsPinned) {
       "\"cleanStreak\":0,\"truncated\":false,"
       "\"discarded\":7,\"specCheckBudgetHits\":1,"
       "\"cache\":{\"checkHits\":10,\"checkMisses\":140,"
-      "\"execHits\":20,\"execMisses\":130},"
+      "\"execHits\":20,\"execMisses\":130,\"repairHits\":1},"
       "\"sat\":{\"clauses\":4,\"models\":2,\"nodes\":9,"
       "\"truncated\":true,\"solveUs\":120},"
       "\"roundWallUs\":4500}");
