@@ -229,10 +229,12 @@ private:
 ///
 /// Routing is keyed by the request's content fingerprint, not by which
 /// dispatcher slot happens to run it: a repeated request always lands on
-/// the shard holding its warm entries, so hit patterns (and therefore
-/// the reported cache stats) are scheduling-independent. Canonical
-/// result bytes never depend on hits at all — a hit replays a recorded
-/// round bit-identical to a fresh one.
+/// the shard holding its warm entries. Canonical result bytes never
+/// depend on hits — a hit replays a recorded round bit-identical to a
+/// fresh one. A request's cache stats do: same-shard requests in flight
+/// together take the shard in whichever order their slots reach it, so
+/// which of two identical concurrent requests reports the hits follows
+/// dispatch order.
 class ShardedExecCache {
 public:
   /// \p TotalEntries (executions) is split evenly across \p NumShards

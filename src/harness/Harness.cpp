@@ -99,31 +99,3 @@ void harness::runSupervised(const vm::PreparedProgram &P, size_t ClientIdx,
     }
   }
 }
-
-void Supervisor::fold(const ir::Module &M, const vm::Client &C,
-                      vm::ExecConfig EC, const SupervisedExec &SE) {
-  account(SE.Attempts, SE.Discarded, SE.TimedOut);
-  // Violations the VM itself detects (memory safety, assertion failures)
-  // are worth a bundle without the caller's help; discarded executions
-  // are not, they carry no diagnostic value beyond their count.
-  if (CaptureBundles && !SE.Discarded &&
-      (SE.Result.Out == vm::Outcome::MemSafety ||
-       SE.Result.Out == vm::Outcome::AssertFail)) {
-    EC.Seed = SE.UsedSeed;
-    EC.MaxSteps = SE.UsedMaxSteps;
-    capture(M, C, EC, SE.Result, SE.Result.Message);
-  }
-}
-
-void Supervisor::capture(const ir::Module &M, const vm::Client &C,
-                         const vm::ExecConfig &EC, const vm::ExecResult &R,
-                         const std::string &Message) {
-  if (!CaptureBundles || Bundles.size() >= MaxBundles)
-    return;
-  ReproBundle B = makeBundle(M, C, EC, R, Message);
-  B.SpecName = SpecName;
-  B.SeqSpecName = SeqSpecName;
-  B.CacheMode = CacheMode;
-  B.RequestId = RequestId;
-  Bundles.push_back(std::move(B));
-}

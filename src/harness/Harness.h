@@ -14,21 +14,20 @@
 //    finally counted as discarded;
 //  * round- and run-level wall-clock deadlines that the synthesis loop
 //    consults between executions (and threads into each watchdog) to
-//    trigger graceful degradation instead of overrunning;
-//  * crash-repro bundle capture for violating or aborted executions
-//    (see ReproBundle.h).
+//    trigger graceful degradation instead of overrunning.
+//
+// The synthesis loop accounts for supervised executions in its per-round
+// fold and captures crash-repro bundles there (see ReproBundle.h).
 //
 //===----------------------------------------------------------------------===//
 
 #ifndef DFENCE_HARNESS_HARNESS_H
 #define DFENCE_HARNESS_HARNESS_H
 
-#include "harness/ReproBundle.h"
 #include "vm/Interp.h"
 
 #include <chrono>
 #include <cstdint>
-#include <vector>
 
 namespace dfence::vm {
 class ExecContext;
@@ -154,91 +153,6 @@ void runSupervised(const vm::PreparedProgram &P, size_t ClientIdx,
                    vm::ExecContext &Ctx, vm::ExecConfig EC,
                    const ExecPolicy &Policy, const Deadline &DL,
                    SupervisedExec &Out);
-
-/// Cumulative accounting across a supervisor's lifetime.
-struct SupervisorStats {
-  uint64_t Executions = 0; ///< Supervised executions (not attempts).
-  uint64_t Retries = 0;    ///< Extra attempts beyond the first.
-  uint64_t Discarded = 0;  ///< Executions discarded after retries.
-  uint64_t TimedOut = 0;   ///< Executions where the watchdog fired.
-};
-
-/// The execution supervisor: runSupervised + stats accounting + optional
-/// crash-repro bundle capture. One instance supervises one synthesis run
-/// (or one CLI command).
-class Supervisor {
-public:
-  explicit Supervisor(ExecPolicy Policy = {}) : Policy(Policy) {}
-
-  /// Enables bundle capture (at most \p MaxBundles are kept).
-  void enableBundleCapture(size_t MaxBundles) {
-    CaptureBundles = true;
-    this->MaxBundles = MaxBundles;
-  }
-  bool capturing() const { return CaptureBundles; }
-
-  /// Advisory checker metadata stamped into captured bundles.
-  void setSpecInfo(std::string Spec, std::string SeqSpec) {
-    SpecName = std::move(Spec);
-    SeqSpecName = std::move(SeqSpec);
-  }
-
-  /// Advisory cache configuration ("on"/"off") stamped into captured
-  /// bundles, so a repro records whether the run it came from had the
-  /// result caches enabled. (Capture itself disables the execution
-  /// cache, but the duplicate-history statistics are still counted under
-  /// --cache=on.)
-  void setCacheInfo(std::string Mode) { CacheMode = std::move(Mode); }
-
-  /// Advisory originating-request identifier stamped into captured
-  /// bundles. The serve daemon sets this per request, turning the
-  /// bundles a request produces into its crash reports — a bundle on
-  /// disk names the request that generated it.
-  void setRequestInfo(std::string Id) { RequestId = std::move(Id); }
-
-  /// Folds a supervised execution into this supervisor's accounting and,
-  /// when capture is enabled, captures a VM-level violation (memory
-  /// safety, assertion failure) automatically; violating executions of a
-  /// Completed history are captured by the caller via capture(), because
-  /// only the caller's checker can judge them. The parallel round
-  /// engine (src/exec/) runs executions on worker threads through the
-  /// reentrant runSupervised and folds the results back in deterministic
-  /// execution-index order; fold itself must only be called from one
-  /// thread at a time. Capture needs the execution's trace, so the caller
-  /// runs it with ExecConfig::RecordTrace while capturing. \p EC is the config the
-  /// execution was *requested* with (UsedSeed/UsedMaxSteps of \p SE
-  /// override it for capture, as retries may have changed them).
-  void fold(const ir::Module &M, const vm::Client &C, vm::ExecConfig EC,
-            const SupervisedExec &SE);
-
-  /// The accounting half of fold(), for an execution known only by its
-  /// compact record (a stored round's slot, or any slot of a run that
-  /// captures nothing).
-  void account(unsigned Attempts, bool Discarded, bool TimedOut) {
-    Stats.Executions += 1;
-    Stats.Retries += Attempts - 1;
-    Stats.Discarded += Discarded;
-    Stats.TimedOut += TimedOut;
-  }
-
-  /// Captures a bundle for an execution this supervisor ran (no-op when
-  /// capture is disabled or the cap is reached).
-  void capture(const ir::Module &M, const vm::Client &C,
-               const vm::ExecConfig &EC, const vm::ExecResult &R,
-               const std::string &Message);
-
-  const SupervisorStats &stats() const { return Stats; }
-  std::vector<ReproBundle> takeBundles() { return std::move(Bundles); }
-  const std::vector<ReproBundle> &bundles() const { return Bundles; }
-
-private:
-  ExecPolicy Policy;
-  SupervisorStats Stats;
-  bool CaptureBundles = false;
-  size_t MaxBundles = 4;
-  std::string SpecName, SeqSpecName, CacheMode, RequestId;
-  std::vector<ReproBundle> Bundles;
-};
 
 } // namespace dfence::harness
 

@@ -81,7 +81,6 @@ Server::Server(const ServeConfig &C)
       DegradedC(Reg.counter("serve_degraded_total")),
       ErrorsC(Reg.counter("serve_errors_total")),
       CrashesC(Reg.counter("serve_crashes_total")),
-      RetriesC(Reg.counter("serve_request_retries_total")),
       SlotLeasesC(Reg.counter("serve_slot_leases_total")),
       ShardWaitsC(Reg.counter("cache_shard_waits_total")),
       AdmittedHighC(Reg.counter("serve_admitted_high_total")),
@@ -360,35 +359,24 @@ Json Server::runJob(Pending &P, unsigned Slot) {
       Job->Cfg.TotalWallMs = Rem;
   }
 
-  // Crash isolation, per slot: a request that throws is retried with
-  // exponential backoff (transient faults — injected or real), then
-  // degraded to conservative static fencing. Other slots keep serving;
-  // the daemon survives either way.
+  // Crash isolation, per slot: a request that throws is degraded to
+  // conservative static fencing. It is not retried: synthesize() is a
+  // deterministic function of the request, so a re-run would throw
+  // again. Other slots keep serving; the daemon survives either way.
   synth::SynthResult R;
-  bool Crashed = false;
+  bool Crashed = true;
   std::string CrashWhy;
-  for (unsigned Attempt = 0;; ++Attempt) {
-    try {
-      R = synth::synthesize(Job->M, Job->Clients, Job->Cfg);
-      Crashed = false;
-      break;
-    } catch (const std::exception &E) {
-      Crashed = true;
-      CrashWhy = E.what();
-    } catch (...) {
-      Crashed = true;
-      CrashWhy = "unknown exception";
-    }
-    CrashesC.add(1);
-    if (Attempt >= Cfg.RequestRetries ||
-        (P.DL.armed() && P.DL.expired()))
-      break;
-    RetriesC.add(1);
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(Cfg.RetryBackoffMs << Attempt));
+  try {
+    R = synth::synthesize(Job->M, Job->Clients, Job->Cfg);
+    Crashed = false;
+  } catch (const std::exception &E) {
+    CrashWhy = E.what();
+  } catch (...) {
+    CrashWhy = "unknown exception";
   }
 
   if (Crashed) {
+    CrashesC.add(1);
     DegradedC.add(1);
     std::string Report = writeCrashReport(P, CrashWhy);
     synth::StaticBaselineResult SB =
@@ -535,7 +523,6 @@ Json Server::statsJson() const {
   J.set("degraded", Json::number(DegradedC.value()));
   J.set("errors", Json::number(ErrorsC.value()));
   J.set("crashes", Json::number(CrashesC.value()));
-  J.set("requestRetries", Json::number(RetriesC.value()));
   J.set("slotLeases", Json::number(SlotLeasesC.value()));
   J.set("shardWaits", Json::number(ShardWaitsC.value()));
   cache::ExecCache::Stats CS = Cache.stats();

@@ -16,8 +16,9 @@
 //   * the execution cache is sharded by request content fingerprint; a
 //     request holds its shard's mutex for its whole run, so the cache's
 //     "never used by concurrent synthesize() calls" contract becomes a
-//     per-shard invariant (same-shard requests serialize, repeat
-//     requests always find their warm shard regardless of scheduling);
+//     per-shard invariant (same-shard requests serialize in the order
+//     their slots reach the shard, so a request's cache stats depend on
+//     that order; repeat requests always find their warm shard);
 //   * determinism is unchanged: a request's canonical result is
 //     byte-identical to the one-shot CLI run of the same request —
 //     results are jobs-invariant and cache hits replay recorded results,
@@ -85,11 +86,6 @@ struct ServeConfig {
   /// Deadline applied to requests that do not carry their own
   /// "deadlineMs"; 0 = no default deadline.
   uint32_t DefaultDeadlineMs = 0;
-  /// Crash-isolation retry budget: how many times a request that threw
-  /// is re-run (transient faults) before degrading to static fencing.
-  unsigned RequestRetries = 1;
-  /// Backoff before retry attempt k: RetryBackoffMs << k milliseconds.
-  uint32_t RetryBackoffMs = 50;
   /// Master switch for the shared cross-request execution cache
   /// (requests can individually opt out with "cache":"off").
   bool CacheEnabled = true;
@@ -185,7 +181,7 @@ private:
 
   // Pre-resolved serve metrics (always non-null; Reg outlives them).
   obs::Counter &RequestsC, &AdmittedC, &ShedC, &DrainRejC, &CompletedC,
-      &TimeoutsC, &DegradedC, &ErrorsC, &CrashesC, &RetriesC,
+      &TimeoutsC, &DegradedC, &ErrorsC, &CrashesC,
       &SlotLeasesC, &ShardWaitsC, &AdmittedHighC;
   obs::Gauge &QueueDepthG, &InflightG, &SlotsBusyG;
   obs::Histogram &RequestUsH, &QueueWaitUsH;

@@ -19,6 +19,7 @@
 #include <cctype>
 #include <chrono>
 #include <cstring>
+#include <iterator>
 #include <optional>
 #include <set>
 #include <span>
@@ -297,6 +298,7 @@ Json synth::roundStatsJson(const RoundStats &S) {
   O.set("truncated", Json::boolean(S.Truncated));
   O.set("discarded", Json::number(S.Discarded));
   O.set("specCheckBudgetHits", Json::number(S.SpecCheckBudgetHits));
+  O.set("stepLimitHits", Json::number(S.StepLimitHits));
   Json Cache = Json::object();
   Cache.set("checkHits", Json::number(S.CheckCacheHits));
   Cache.set("checkMisses", Json::number(S.CheckCacheMisses));
@@ -314,6 +316,105 @@ Json synth::roundStatsJson(const RoundStats &S) {
   O.set("roundWallUs", Json::number(S.RoundWallUs));
   return O;
 }
+
+namespace {
+
+/// A deterministic counter and its share of one finished round.
+struct RoundCounter {
+  const char *Name;
+  uint64_t (*Of)(const RoundStats &);
+};
+
+/// The deterministic counters published from each finished round (apart
+/// from cache_repair_hits, registered only with a round cache, and the
+/// end-of-run counters). A round solved Φ iff it has clauses, and
+/// enforced a repair iff the solve returned a model.
+constexpr RoundCounter RoundCounters[] = {
+    {"synth_rounds_total", [](const RoundStats &) -> uint64_t { return 1; }},
+    {"synth_repair_rounds_total",
+     [](const RoundStats &S) { return S.SatModels; }},
+    {"synth_executions_total",
+     [](const RoundStats &S) { return S.Executions; }},
+    {"synth_violations_total",
+     [](const RoundStats &S) { return S.Violations; }},
+    {"synth_discarded_total", [](const RoundStats &S) { return S.Discarded; }},
+    {"synth_step_limit_hits_total",
+     [](const RoundStats &S) { return S.StepLimitHits; }},
+    {"vm_steps_total", [](const RoundStats &S) { return S.VmSteps; }},
+    {"vm_flushes_total", [](const RoundStats &S) { return S.Vm.Flushes; }},
+    {"vm_sched_steps_total",
+     [](const RoundStats &S) { return S.Vm.SchedSteps; }},
+    {"vm_sched_flushes_total",
+     [](const RoundStats &S) { return S.Vm.SchedFlushes; }},
+    {"vm_store_forwards_total",
+     [](const RoundStats &S) { return S.Vm.StoreForwards; }},
+    {"vm_buffered_stores_total",
+     [](const RoundStats &S) { return S.Vm.BufferedStores; }},
+    {"sat_solves_total",
+     [](const RoundStats &S) -> uint64_t { return S.SatClauses != 0; }},
+    {"sat_clauses_total", [](const RoundStats &S) { return S.SatClauses; }},
+    {"sat_models_total", [](const RoundStats &S) { return S.SatModels; }},
+    {"sat_nodes_total", [](const RoundStats &S) { return S.SatNodes; }},
+    {"sat_truncated_total",
+     [](const RoundStats &S) -> uint64_t { return S.SatTruncated; }},
+    {"spec_check_budget_hits_total",
+     [](const RoundStats &S) { return S.SpecCheckBudgetHits; }},
+    {"cache_check_hits", [](const RoundStats &S) { return S.CheckCacheHits; }},
+    {"cache_check_misses",
+     [](const RoundStats &S) { return S.CheckCacheMisses; }},
+    {"cache_exec_hits", [](const RoundStats &S) { return S.ExecCacheHits; }},
+    {"cache_exec_misses",
+     [](const RoundStats &S) { return S.ExecCacheMisses; }},
+    {"harness_retries_total", [](const RoundStats &S) { return S.Retried; }},
+    {"harness_discarded_total",
+     [](const RoundStats &S) { return S.Discarded; }},
+    {"harness_timeouts_total", [](const RoundStats &S) { return S.TimedOut; }},
+};
+
+/// Derives \p R's totals from its round log.
+void sumRoundLog(SynthResult &R) {
+  R.Rounds = static_cast<unsigned>(R.RoundLog.size());
+  for (const RoundStats &S : R.RoundLog) {
+    R.TotalExecutions += S.Executions;
+    R.ViolatingExecutions += S.Violations;
+    R.DiscardedExecutions += S.Discarded;
+    R.RetriedExecutions += S.Retried;
+    R.TimedOutExecutions += S.TimedOut;
+    R.SpecCheckBudgetHits += S.SpecCheckBudgetHits;
+    R.StepLimitHits += S.StepLimitHits;
+    R.SatTruncated += S.SatTruncated;
+    R.CheckCacheHits += S.CheckCacheHits;
+    R.CheckCacheMisses += S.CheckCacheMisses;
+    R.ExecCacheHits += S.ExecCacheHits;
+    R.ExecCacheMisses += S.ExecCacheMisses;
+    R.RepairCacheHits += S.RepairCacheHits;
+    if (R.FirstViolation.empty())
+      R.FirstViolation = S.SampleViolation;
+  }
+}
+
+/// The repro bundle of violating slot \p S, planned as \p P: the attempt
+/// that ran (its seed and step budget, which retries may have changed),
+/// described, and stamped with the run's spec, cache mode and request.
+harness::ReproBundle captureBundle(const ir::Module &M, const vm::Client &C,
+                                   const exec::ExecPlan &P,
+                                   const exec::RoundSlot &S,
+                                   const SynthConfig &Cfg) {
+  vm::ExecConfig EC = P.EC;
+  EC.Seed = S.SE.UsedSeed;
+  EC.MaxSteps = S.SE.UsedMaxSteps;
+  harness::ReproBundle B = harness::makeBundle(
+      M, C, EC, S.SE.Result,
+      S.Violation.empty() ? describeViolation(S.SE.Result, Cfg)
+                          : S.Violation);
+  B.SpecName = specKindName(Cfg.Spec);
+  B.SeqSpecName = Cfg.SeqSpecName;
+  B.CacheMode = Cfg.CacheEnabled ? "on" : "off";
+  B.RequestId = Cfg.RequestTag;
+  return B;
+}
+
+} // namespace
 
 SynthResult synth::synthesize(const ir::Module &M,
                               const std::vector<vm::Client> &Clients,
@@ -339,50 +440,16 @@ SynthResult synth::synthesize(const ir::Module &M,
   ir::Module Cur = M;
   assert(Cur.indexesCurrent() && "module label indexes are stale");
 
-  // Pre-resolved observability handles: every instrumentation site below
-  // is a branch on one of these (all null when Cfg.Obs carries no sink).
-  // Counters are only bumped here on the merge thread, in execution-index
-  // order — that is what keeps their values bit-identical at any Jobs.
+  // Pre-resolved observability handles (all null when Cfg.Obs carries no
+  // sink). The counters are published from each finished round's
+  // RoundStats on the merge thread — that is what keeps their values
+  // bit-identical at any Jobs.
   obs::TraceSink *Trace = obs::traceOrNull(Cfg.Obs);
   obs::Logger *Log = obs::logOrNull(Cfg.Obs);
-  obs::Counter *ExecsC = obs::counterOrNull(Cfg.Obs, "synth_executions_total");
-  obs::Counter *ViolationsC =
-      obs::counterOrNull(Cfg.Obs, "synth_violations_total");
-  obs::Counter *DiscardedC =
-      obs::counterOrNull(Cfg.Obs, "synth_discarded_total");
-  obs::Counter *RoundsC = obs::counterOrNull(Cfg.Obs, "synth_rounds_total");
-  obs::Counter *RepairRoundsC =
-      obs::counterOrNull(Cfg.Obs, "synth_repair_rounds_total");
-  obs::Counter *VmStepsC = obs::counterOrNull(Cfg.Obs, "vm_steps_total");
-  obs::Counter *VmFlushesC = obs::counterOrNull(Cfg.Obs, "vm_flushes_total");
-  obs::Counter *VmSchedStepsC =
-      obs::counterOrNull(Cfg.Obs, "vm_sched_steps_total");
-  obs::Counter *VmSchedFlushesC =
-      obs::counterOrNull(Cfg.Obs, "vm_sched_flushes_total");
-  obs::Counter *VmFwdC =
-      obs::counterOrNull(Cfg.Obs, "vm_store_forwards_total");
-  obs::Counter *VmBufStoresC =
-      obs::counterOrNull(Cfg.Obs, "vm_buffered_stores_total");
+  obs::Counter *RoundCountersC[std::size(RoundCounters)] = {};
+  for (size_t C = 0; C != std::size(RoundCounters); ++C)
+    RoundCountersC[C] = obs::counterOrNull(Cfg.Obs, RoundCounters[C].Name);
   obs::Gauge *BufHighG = obs::gaugeOrNull(Cfg.Obs, "vm_buf_high_water");
-  obs::Counter *SatSolvesC = obs::counterOrNull(Cfg.Obs, "sat_solves_total");
-  obs::Counter *SatClausesC =
-      obs::counterOrNull(Cfg.Obs, "sat_clauses_total");
-  obs::Counter *SatModelsC = obs::counterOrNull(Cfg.Obs, "sat_models_total");
-  obs::Counter *SatNodesC = obs::counterOrNull(Cfg.Obs, "sat_nodes_total");
-  obs::Counter *SatTruncatedC =
-      obs::counterOrNull(Cfg.Obs, "sat_truncated_total");
-  obs::Counter *SpecBudgetC =
-      obs::counterOrNull(Cfg.Obs, "spec_check_budget_hits_total");
-  // Cache counters count merge-thread events only (see the fold loop), so
-  // they are jobs-invariant like every other counter.
-  obs::Counter *CacheCheckHitsC =
-      obs::counterOrNull(Cfg.Obs, "cache_check_hits");
-  obs::Counter *CacheCheckMissesC =
-      obs::counterOrNull(Cfg.Obs, "cache_check_misses");
-  obs::Counter *CacheExecHitsC =
-      obs::counterOrNull(Cfg.Obs, "cache_exec_hits");
-  obs::Counter *CacheExecMissesC =
-      obs::counterOrNull(Cfg.Obs, "cache_exec_misses");
   // Flight recorder (optional). The round workers time each execution
   // and its check; the merge-thread phases (sat_solve, enforce, fold) and
   // the per-round remainder are observed below. Phase times are wall-clock
@@ -395,12 +462,6 @@ SynthResult synth::synthesize(const ir::Module &M,
   RunSpan.arg("spec", std::string(specKindName(Cfg.Spec)));
   RunSpan.arg("k", static_cast<uint64_t>(Cfg.ExecsPerRound));
 
-  harness::Supervisor Sup(Cfg.Exec);
-  if (Cfg.CaptureBundles)
-    Sup.enableBundleCapture(Cfg.MaxBundles);
-  Sup.setSpecInfo(specKindName(Cfg.Spec), Cfg.SeqSpecName);
-  Sup.setCacheInfo(Cfg.CacheEnabled ? "on" : "off");
-  Sup.setRequestInfo(Cfg.RequestTag);
   harness::Stopwatch Watch;
   // The run-level deadline cancels slots that have not started and is
   // threaded into every in-flight execution (each attempt's watchdog is
@@ -512,15 +573,14 @@ SynthResult synth::synthesize(const ir::Module &M,
 
   unsigned RepairRounds = 0;
   unsigned CleanRounds = 0;
-  bool OutOfTime = false;
   for (unsigned Round = 1; Round <= Cfg.MaxRounds; ++Round) {
-    Result.Rounds = Round;
     RoundStats Stats;
     Stats.Round = Round;
     // Flight recorder bookkeeping: wall-clock bracket of the round and
     // the profiler's attribution watermark, so the round remainder
-    // (round_other) can absorb whatever no phase claimed. Finalizes and
-    // publishes the round's stats on every exit path of the loop body.
+    // (round_other) can absorb whatever no phase claimed. Finalizes the
+    // round's stats on every exit path of the loop body and publishes
+    // them: counters, round log line, result's round log.
     auto RoundT0 = std::chrono::steady_clock::now();
     uint64_t ProfBase = Prof ? Prof->totalNs() : 0;
     auto FinishRound = [&](RoundStats &S) {
@@ -538,13 +598,17 @@ SynthResult synth::synthesize(const ir::Module &M,
         Prof->observePhaseNs(obs::Phase::RoundOther,
                              WallNs > Attr ? WallNs - Attr : 0);
       }
+      for (size_t C = 0; C != std::size(RoundCounters); ++C)
+        OBS_COUNT(RoundCountersC[C], RoundCounters[C].Of(S));
+      OBS_COUNT(CacheRepairHitsC, S.RepairCacheHits);
+      if (BufHighG)
+        BufHighG->max(S.Vm.BufHighWater);
       if (Cfg.RoundLog)
         Cfg.RoundLog->write(roundStatsJson(S));
       Result.RoundLog.push_back(std::move(S));
     };
     harness::Deadline RoundDL = harness::Deadline::sooner(
         RunDL, harness::Deadline::after(Cfg.RoundWallMs));
-    OBS_COUNT(RoundsC, 1);
     OBS_SPAN(RoundSpan, Trace, "round", "synth", 0);
     RoundSpan.arg("round", static_cast<uint64_t>(Round));
 
@@ -592,23 +656,17 @@ SynthResult synth::synthesize(const ir::Module &M,
     // exactly where a sequential loop breaking on the budget would.
     bool Truncated = Ran < K;
     if (Truncated && RunDL.expired())
-      OutOfTime = true;
-    if (Hit) {
-      Result.ExecCacheHits += Ran;
-      Stats.ExecCacheHits += Ran;
-      OBS_COUNT(CacheExecHitsC, Ran);
-    } else if (ExecC) {
-      Result.ExecCacheMisses += Ran;
-      Stats.ExecCacheMisses += Ran;
-      OBS_COUNT(CacheExecMissesC, Ran);
-    }
+      Result.TimedOut = true;
+    if (Hit)
+      Stats.ExecCacheHits = Ran;
+    else if (ExecC)
+      Stats.ExecCacheMisses = Ran;
 
     // Deterministic aggregation: fold the slot records in execution-index
-    // order. Every SynthResult field — counters, round log, first
-    // violation, captured bundles (lowest-index violations up to
-    // MaxBundles), repair formula — comes out of this loop in the same
-    // order the sequential engine produced it, and it reads the same
-    // records from a fresh round and from a stored one.
+    // order into the round's stats, captured bundles (lowest-index
+    // violations up to MaxBundles) and repair formula, in the same order
+    // the sequential engine produced them. It reads the same records
+    // from a fresh round and from a stored one.
     RoundRepairs.clear();
     // Duplicate-history accounting (the cache_check_* statistics): the
     // first slot carrying each distinct Completed history this round is
@@ -620,8 +678,6 @@ SynthResult synth::synthesize(const ir::Module &M,
       SeenHists.reset(Ran);
     const OrderingPredicate *StoredRepairs =
         Hit ? Hit->Repairs.data() : nullptr;
-    std::string FirstViolation; // Kept for the stored round.
-    bool AnyTimedOut = false;
     auto FoldT0 = std::chrono::steady_clock::now();
     OBS_SPAN(FoldSpan, Trace, "fold", "synth", 0);
     for (size_t I = 0; I != Ran; ++I) {
@@ -633,58 +689,36 @@ SynthResult synth::synthesize(const ir::Module &M,
       } else {
         Repairs = {Fresh[I].SE.Result.Repairs.data(), Rec.NumRepairs};
       }
-      // Capturing runs keep no cache, so their slots are always fresh.
-      if (Sup.capturing())
-        Sup.fold(Cur, Clients[Plan.Slots[I].ClientIdx], Plan.Slots[I].EC,
-                 Fresh[I].SE);
-      else
-        Sup.account(Rec.Attempts, Rec.Discarded, Rec.TimedOut);
-      AnyTimedOut |= Rec.TimedOut;
-      ++Result.TotalExecutions;
       ++Stats.Executions;
-      OBS_COUNT(ExecsC, 1);
-      OBS_COUNT(VmStepsC, Rec.Steps);
-      OBS_COUNT(VmFlushesC, Rec.Stats.Flushes);
-      OBS_COUNT(VmSchedStepsC, Rec.Stats.SchedSteps);
-      OBS_COUNT(VmSchedFlushesC, Rec.Stats.SchedFlushes);
-      OBS_COUNT(VmFwdC, Rec.Stats.StoreForwards);
-      OBS_COUNT(VmBufStoresC, Rec.Stats.BufferedStores);
-      if (BufHighG)
-        BufHighG->max(Rec.Stats.BufHighWater);
+      Stats.Retried += Rec.Attempts - 1;
+      Stats.TimedOut += Rec.TimedOut;
+      Stats.VmSteps += Rec.Steps;
+      Stats.Vm.Flushes += Rec.Stats.Flushes;
+      Stats.Vm.SchedSteps += Rec.Stats.SchedSteps;
+      Stats.Vm.SchedFlushes += Rec.Stats.SchedFlushes;
+      Stats.Vm.StoreForwards += Rec.Stats.StoreForwards;
+      Stats.Vm.BufferedStores += Rec.Stats.BufferedStores;
+      Stats.Vm.BufHighWater =
+          std::max(Stats.Vm.BufHighWater, Rec.Stats.BufHighWater);
       if (CountDups && !Rec.Discarded && Rec.Out == vm::Outcome::Completed) {
         const vm::History &H = Fresh[I].SE.Result.Hist;
         uint32_t First =
             SeenHists.firstOrInsert(H.Hash, static_cast<uint32_t>(I));
-        if (First != I && Fresh[First].SE.Result.Hist == H) {
-          ++Result.CheckCacheHits;
+        if (First != I && Fresh[First].SE.Result.Hist == H)
           ++Stats.CheckCacheHits;
-          OBS_COUNT(CacheCheckHitsC, 1);
-        } else {
-          ++Result.CheckCacheMisses;
+        else
           ++Stats.CheckCacheMisses;
-          OBS_COUNT(CacheCheckMissesC, 1);
-        }
       }
 
       if (Rec.Discarded) {
-        ++Result.DiscardedExecutions;
         ++Stats.Discarded;
-        OBS_COUNT(DiscardedC, 1);
-        if (Rec.Out == vm::Outcome::StepLimit)
-          ++Result.StepLimitHits;
+        Stats.StepLimitHits += Rec.Out == vm::Outcome::StepLimit;
         continue;
       }
-      if (Rec.CheckOutOfBudget) {
-        ++Result.SpecCheckBudgetHits;
-        ++Stats.SpecCheckBudgetHits;
-        OBS_COUNT(SpecBudgetC, 1);
-      }
+      Stats.SpecCheckBudgetHits += Rec.CheckOutOfBudget;
       if (!Rec.Violating)
         continue;
-      ++Result.ViolatingExecutions;
-      ++Stats.Violations;
-      OBS_COUNT(ViolationsC, 1);
-      if (Stats.Violations == 1) {
+      if (++Stats.Violations == 1) {
         if (Trace) {
           Json A = Json::object();
           A.set("round", Json::number(static_cast<uint64_t>(Round)));
@@ -695,32 +729,23 @@ SynthResult synth::synthesize(const ir::Module &M,
         // so it is the one described; a stored round keeps the text
         // (stored slots carry no history to describe from).
         if (Hit)
-          FirstViolation = Hit->FirstViolation;
+          Stats.SampleViolation = Hit->FirstViolation;
         else if (Fresh[I].Violation.empty())
-          FirstViolation = describeViolation(Fresh[I].SE.Result, Cfg);
+          Stats.SampleViolation = describeViolation(Fresh[I].SE.Result, Cfg);
         else
-          FirstViolation = Fresh[I].Violation;
-        assert(!FirstViolation.empty() &&
+          Stats.SampleViolation = Fresh[I].Violation;
+        assert(!Stats.SampleViolation.empty() &&
                "stored round lost its first violation's text");
-        Stats.SampleViolation = FirstViolation;
-        if (Result.FirstViolation.empty())
-          Result.FirstViolation = FirstViolation;
       }
-      // Spec-level violations complete normally in the VM, so the
-      // supervisor cannot capture them on its own (it captures VM-level
-      // violations); do it here, with the attempt that actually ran, and
-      // describe only the violations a bundle will keep.
-      if (Sup.capturing() && Sup.bundles().size() < Cfg.MaxBundles &&
-          Rec.Out == vm::Outcome::Completed) {
-        const exec::RoundSlot &S = Fresh[I];
-        vm::ExecConfig CapEC = Plan.Slots[I].EC;
-        CapEC.Seed = S.SE.UsedSeed;
-        CapEC.MaxSteps = S.SE.UsedMaxSteps;
-        Sup.capture(Cur, Clients[Plan.Slots[I].ClientIdx], CapEC,
-                    S.SE.Result,
-                    S.Violation.empty()
-                        ? describeViolation(S.SE.Result, Cfg)
-                        : S.Violation);
+      // The run's one capture site, for VM-level and spec-level
+      // violations alike: the attempt that actually ran, described only
+      // when a bundle keeps it. Capturing runs keep no cache, so their
+      // slots are always fresh.
+      if (Cfg.CaptureBundles && Result.Bundles.size() < Cfg.MaxBundles) {
+        assert(!Hit && "a capturing run folded a stored round");
+        const exec::ExecPlan &P = Plan.Slots[I];
+        Result.Bundles.push_back(
+            captureBundle(Cur, Clients[P.ClientIdx], P, Fresh[I], Cfg));
       }
       // An empty disjunction means avoid() returned false for this
       // execution: no reordering can explain it. Repairable violations
@@ -736,9 +761,9 @@ SynthResult synth::synthesize(const ir::Module &M,
     // compacted here and inserted once the round's verdict is known, with
     // its repair step when it repaired the program.
     std::optional<cache::StoredRound> ToStore;
-    if (ExecC && !Hit && !Truncated && !AnyTimedOut)
+    if (ExecC && !Hit && !Truncated && Stats.TimedOut == 0)
       ToStore = cache::StoredRound::fromSlots(Fresh.first(Ran),
-                                              std::move(FirstViolation));
+                                              Stats.SampleViolation);
     auto Store = [&](std::optional<cache::RepairStep> Step) {
       if (!ToStore)
         return;
@@ -759,16 +784,10 @@ SynthResult synth::synthesize(const ir::Module &M,
                            static_cast<unsigned long long>(
                                Stats.Violations)));
 
-    if (OutOfTime) {
+    if (Result.TimedOut) {
       Stats.FencesEnforced =
           static_cast<unsigned>(collectSynthesizedFences(Cur).size());
       FinishRound(Stats);
-      Result.TimedOut = true;
-      Degrade(strformat("total wall-clock budget of %u ms exhausted "
-                        "after %llu executions",
-                        Cfg.TotalWallMs,
-                        static_cast<unsigned long long>(
-                            Result.TotalExecutions)));
       break;
     }
 
@@ -829,9 +848,7 @@ SynthResult synth::synthesize(const ir::Module &M,
       SS.Models = Step.SatModels;
       SS.Nodes = Step.SatNodes;
       SS.Truncated = Step.SatTruncated;
-      ++Result.RepairCacheHits;
       Stats.RepairCacheHits = 1;
-      OBS_COUNT(CacheRepairHitsC, 1);
     } else {
       // Clauses keep slot order and variables their first-seen numbering;
       // F's clause vectors are reused.
@@ -856,19 +873,12 @@ SynthResult synth::synthesize(const ir::Module &M,
       for (sat::Var V : Chosen)
         ChosenPreds.push_back(Universe.preds()[V]);
     }
-    Result.DistinctPredicates = Universe.size();
     Stats.NewPredicates = Universe.size() - PredsBefore;
-    OBS_COUNT(SatSolvesC, 1);
-    OBS_COUNT(SatClausesC, SS.Clauses);
-    OBS_COUNT(SatModelsC, SS.Models);
-    OBS_COUNT(SatNodesC, SS.Nodes);
-    OBS_COUNT(SatTruncatedC, SS.Truncated);
     Stats.SatClauses = SS.Clauses;
     Stats.SatModels = SS.Models;
     Stats.SatNodes = SS.Nodes;
     Stats.SatTruncated = SS.Truncated;
     Stats.SatSolveUs = SS.SolveNs / 1000;
-    Result.SatTruncated += SS.Truncated;
     if (Unsat) {
       // A positive CNF with non-empty clauses is always satisfiable, so
       // this is a solver defect — degrade rather than enforce garbage.
@@ -908,7 +918,6 @@ SynthResult synth::synthesize(const ir::Module &M,
         Prof->observePhaseNs(obs::Phase::Enforce, obs::nsSince(EnforceT0));
     }
     ++RepairRounds;
-    OBS_COUNT(RepairRoundsC, 1);
     Stats.FencesEnforced =
         static_cast<unsigned>(collectSynthesizedFences(Cur).size());
     RoundSpan.arg("fences", static_cast<uint64_t>(Stats.FencesEnforced));
@@ -921,9 +930,16 @@ SynthResult synth::synthesize(const ir::Module &M,
     FinishRound(Stats);
   }
 
+  sumRoundLog(Result);
+  if (Result.TimedOut)
+    Degrade(strformat("total wall-clock budget of %u ms exhausted "
+                      "after %llu executions",
+                      Cfg.TotalWallMs,
+                      static_cast<unsigned long long>(
+                          Result.TotalExecutions)));
   // MaxRounds ran out (or a truncated-round stall) without a verdict.
-  if (Result.Status == SynthStatus::Exhausted &&
-      Result.DegradeReason.empty())
+  else if (Result.Status == SynthStatus::Exhausted &&
+           Result.DegradeReason.empty())
     Degrade(strformat("round budget of %u rounds exhausted without "
                       "convergence",
                       Cfg.MaxRounds));
@@ -931,11 +947,8 @@ SynthResult synth::synthesize(const ir::Module &M,
   Result.FencedModule = std::move(Cur);
   Result.Fences = collectSynthesizedFences(Result.FencedModule);
   Result.DistinctPredicates = Universe.size();
-  Result.RetriedExecutions = Sup.stats().Retries;
-  Result.TimedOutExecutions = Sup.stats().TimedOut;
-  Result.Bundles = Sup.takeBundles();
 
-  // End-of-run totals (added exactly once, on the merge thread) and the
+  // End-of-run counters (added exactly once, on the merge thread) and the
   // bundle metrics snapshot. The snapshot is the deterministic counter
   // subset only, so captured bundles stay byte-identical at any Jobs.
   if (Cfg.Obs && Cfg.Obs->Metrics) {
@@ -945,9 +958,6 @@ SynthResult synth::synthesize(const ir::Module &M,
         .add(Result.DistinctPredicates);
     Reg.counter("synth_static_fallback_fences_total")
         .add(Result.StaticFallbackFences);
-    Reg.counter("harness_retries_total").add(Sup.stats().Retries);
-    Reg.counter("harness_discarded_total").add(Sup.stats().Discarded);
-    Reg.counter("harness_timeouts_total").add(Sup.stats().TimedOut);
     if (ExecC) {
       Reg.gauge("cache_exec_entries")
           .set(static_cast<double>(ExecC->size()));

@@ -206,12 +206,14 @@ enum class SynthStatus : uint8_t {
 const char *synthStatusName(SynthStatus S);
 
 /// Per-round synthesis statistics (drives the Fig. 4 reproduction and
-/// the flight recorder's convergence telemetry). Fields up to and
-/// including SatTruncated are deterministic — byte-identical at any
-/// --jobs width and either dispatch mode, and (except the cache hit/miss
-/// split) across cache modes; the canonical result serialization
-/// (serve::resultToJson) carries only that deterministic, cache-invariant
-/// subset. The wall-clock fields at the end are machine-dependent and
+/// the flight recorder's convergence telemetry). The round's fold writes
+/// only these: SynthResult's totals are sums over its RoundLog, and the
+/// deterministic counters are published from each finished round.
+/// Fields up to and including SatTruncated are deterministic —
+/// byte-identical at any --jobs width and either dispatch mode, and
+/// (except the cache hit/miss split) across cache modes; the canonical
+/// result serialization (serve::resultToJson) carries only that
+/// deterministic, cache-invariant subset. The wall-clock fields at the end are machine-dependent and
 /// only ever reach the round log file and the phase histograms.
 struct RoundStats {
   unsigned Round = 0;
@@ -231,6 +233,17 @@ struct RoundStats {
   /// accepted: the caps this round hit.
   uint64_t Discarded = 0;
   uint64_t SpecCheckBudgetHits = 0;
+  /// Discarded executions whose last attempt hit
+  /// SynthConfig::MaxStepsPerExec.
+  uint64_t StepLimitHits = 0;
+  /// Extra attempts the harness ran, and executions where some attempt
+  /// hit the wall-clock watchdog.
+  uint64_t Retried = 0;
+  uint64_t TimedOut = 0;
+  /// Interpreter effort summed over the round's executions
+  /// (BufHighWater is their maximum), and their steps.
+  vm::ExecStats Vm;
+  uint64_t VmSteps = 0;
   /// Per-round duplicate-history and execution-cache statistics
   /// (jobs-invariant; cache-mode variant — the run-level totals'
   /// per-round split).
@@ -257,7 +270,9 @@ struct RoundStats {
 /// Serializes \p S as the round log's line object (stable key order).
 Json roundStatsJson(const RoundStats &S);
 
-/// The outcome of a synthesis run.
+/// The outcome of a synthesis run. Rounds, FirstViolation and every
+/// execution, cap and cache total are derived from RoundLog once the run
+/// ends.
 struct SynthResult {
   /// True when the run's total wall-clock budget (TotalWallMs) expired
   /// before a verdict — the run timed out. The result is then a partial

@@ -277,40 +277,6 @@ TEST(HarnessTest, WatchdogTimesOutRunawayExecution) {
       << "two 50 ms watchdog attempts must not take seconds";
 }
 
-TEST(HarnessTest, SupervisorAccountsAndCapturesBundles) {
-  auto M = frontend::compileOrDie(PublishSrc);
-  vm::Client C = publishClient();
-  Supervisor Sup;
-  Sup.enableBundleCapture(2);
-  Sup.setSpecInfo("memory-safety", "");
-  vm::PreparedProgram P(M, C);
-  vm::ExecContext Ctx;
-
-  unsigned Violations = 0;
-  for (uint64_t Seed = 1; Seed <= 3000 && Violations == 0; ++Seed) {
-    vm::ExecConfig EC;
-    EC.Model = vm::MemModel::PSO;
-    EC.Seed = Seed;
-    EC.FlushProb = 0.4;
-    EC.RecordTrace = true; // Capture replays the recorded trace.
-    SupervisedExec SE = runSupervised(P, 0, Ctx, EC, ExecPolicy());
-    Sup.fold(M, C, EC, SE);
-    if (SE.Result.Out == vm::Outcome::MemSafety)
-      ++Violations;
-  }
-  ASSERT_GT(Violations, 0u);
-  ASSERT_FALSE(Sup.bundles().empty())
-      << "the supervisor must capture VM-level violations on its own";
-  const ReproBundle &B = Sup.bundles().front();
-  EXPECT_EQ(B.SpecName, "memory-safety");
-  std::string Error;
-  auto Replayed = replayBundle(B, Error);
-  ASSERT_TRUE(Replayed) << Error;
-  EXPECT_EQ(vm::outcomeName(Replayed->Out), B.Outcome);
-  EXPECT_EQ(Replayed->Message, B.Message);
-  EXPECT_GT(Sup.stats().Executions, 0u);
-}
-
 //===----------------------------------------------------------------------===//
 // Fault injection
 //===----------------------------------------------------------------------===//

@@ -9,7 +9,9 @@
 //
 // A second daemon listens on a unix socket only and is driven through the
 // tools/dfence_client library: one pipelined connection, answers matched
-// by id, and the socket file removed on SIGTERM.
+// by id, and the socket file removed on SIGTERM. A third listens on
+// localhost TCP with a Prometheus metrics port, and its scrape must
+// count the executions its answer reports.
 //
 // This is the tier-1 gate for the serve subsystem (also run under the
 // tsan preset; see CMakePresets.json / scripts/verify-all.cmake).
@@ -24,11 +26,16 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -303,6 +310,100 @@ TEST(ServeSmoke, UnixSocketClientRoundTrip) {
   EXPECT_EQ(D.terminate(), 0);
   bool Gone = ::stat(Path.c_str(), &St) != 0 && errno == ENOENT;
   EXPECT_TRUE(Gone) << "socket file left behind: " << Path;
+}
+
+/// Two distinct loopback TCP ports that were free a moment ago: each
+/// bound to port 0 and read back, both held until both are read, then
+/// released. -1 for a port that could not be reserved.
+std::pair<int, int> freeLoopbackPorts() {
+  int Ports[2] = {-1, -1}, Fds[2];
+  for (int I = 0; I != 2; ++I) {
+    Fds[I] = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in Addr{};
+    Addr.sin_family = AF_INET;
+    Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t Len = sizeof(Addr);
+    if (Fds[I] >= 0 &&
+        ::bind(Fds[I], reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) ==
+            0 &&
+        ::getsockname(Fds[I], reinterpret_cast<sockaddr *>(&Addr), &Len) == 0)
+      Ports[I] = ntohs(Addr.sin_port);
+  }
+  for (int Fd : Fds)
+    if (Fd >= 0)
+      ::close(Fd);
+  return {Ports[0], Ports[1]};
+}
+
+/// The body of `GET /metrics` on localhost \p Port; empty on failure.
+std::string scrapeMetrics(int Port) {
+  int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (Fd < 0)
+    return "";
+  sockaddr_in Addr{};
+  Addr.sin_family = AF_INET;
+  Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  Addr.sin_port = htons(static_cast<uint16_t>(Port));
+  std::string Resp;
+  if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) ==
+      0) {
+    std::string Req = "GET /metrics HTTP/1.0\r\n\r\n";
+    if (::write(Fd, Req.data(), Req.size()) ==
+        static_cast<ssize_t>(Req.size())) {
+      char Tmp[8192];
+      ssize_t Got;
+      while ((Got = ::read(Fd, Tmp, sizeof(Tmp))) > 0)
+        Resp.append(Tmp, static_cast<size_t>(Got));
+    }
+  }
+  ::close(Fd);
+  size_t Body = Resp.find("\r\n\r\n");
+  return Body == std::string::npos ? "" : Resp.substr(Body + 4);
+}
+
+TEST(ServeSmoke, TcpListenAndMetricsPortRoundTrip) {
+  auto [Port, MetricsPort] = freeLoopbackPorts();
+  ASSERT_GT(Port, 0);
+  ASSERT_GT(MetricsPort, 0);
+  Daemon D;
+  ASSERT_TRUE(D.start({"--no-stdio", "--listen", std::to_string(Port),
+                       "--metrics-port", std::to_string(MetricsPort)}));
+
+  // Readiness: the first connect that succeeds (the daemon binds both
+  // ports before it accepts anything).
+  std::string Error;
+  std::optional<client::ServeClient> C;
+  for (int I = 0; I != 6000 && !C; ++I) {
+    C = client::ServeClient::connectTcp(Port, Error);
+    if (!C)
+      ::usleep(5000);
+  }
+  ASSERT_TRUE(C) << "daemon never listened: " << Error;
+  EXPECT_EQ(C->hello().find("proto")->asString(), "dfence-serve-v1");
+
+  Json Ping = Json::object();
+  Ping.set("op", Json::string("ping"));
+  Ping.set("id", Json::string("p1"));
+  ASSERT_TRUE(C->send(Ping, Error)) << Error;
+  ASSERT_TRUE(C->send(lifoRequest("cheap", false), Error)) << Error;
+  auto Pong = C->waitFor("p1", Error);
+  ASSERT_TRUE(Pong) << Error;
+  EXPECT_TRUE(Pong->find("pong")->asBool(false));
+  auto Cheap = C->waitFor("cheap", Error);
+  ASSERT_TRUE(Cheap) << Error;
+  ASSERT_EQ(Cheap->find("status")->asString(), "ok");
+  uint64_t Executions =
+      Cheap->find("result")->find("totalExecutions")->asU64();
+  EXPECT_GT(Executions, 0u);
+
+  // Counters are published as each round finishes, so once the answer
+  // is out the scrape counts every execution it reports.
+  std::string Metrics = scrapeMetrics(MetricsPort);
+  std::string Want =
+      "\ndfence_synth_executions_total " + std::to_string(Executions) + "\n";
+  EXPECT_NE(Metrics.find(Want), std::string::npos) << Metrics;
+
+  EXPECT_EQ(D.terminate(), 0);
 }
 
 } // namespace

@@ -433,13 +433,17 @@ TEST(SynthTest, RoundLogReportsTheCapsEachRoundHit) {
 
 TEST(SynthTest, StepLimitHitsAreReported) {
   // The 12-step budget with no retries: every discard is an execution
-  // whose only attempt hit the step limit, and the result and the serve
-  // result say how many. A run that never hits it keeps the serve bytes
-  // it had before the field existed.
+  // whose only attempt hit the step limit, and the result, the serve
+  // result, every round-log line and the counter say how many. A run
+  // that never hits it keeps the serve bytes it had before the field
+  // existed, and its counter is registered at 0.
   auto M = frontend::compileOrDie(PublishSrc);
+  obs::Registry Reg, CleanReg;
+  obs::ObsContext Obs{&Reg}, CleanObs{&CleanReg};
   SynthConfig Cfg = baseConfig(MemModel::PSO, SpecKind::MemorySafety);
   Cfg.MaxStepsPerExec = 12;
   Cfg.Exec.MaxRetries = 0;
+  Cfg.Obs = &Obs;
   SynthResult R = synthesize(M, {publishClient()}, Cfg);
   ASSERT_GT(R.StepLimitHits, 0u);
   EXPECT_EQ(R.StepLimitHits, R.DiscardedExecutions);
@@ -447,11 +451,29 @@ TEST(SynthTest, StepLimitHitsAreReported) {
   ASSERT_NE(J.find("stepLimitHits"), nullptr);
   EXPECT_EQ(J.find("stepLimitHits")->asU64(), R.StepLimitHits);
 
-  SynthResult Clean =
-      synthesize(M, {publishClient()},
-                 baseConfig(MemModel::PSO, SpecKind::MemorySafety));
+  SynthConfig CleanCfg = baseConfig(MemModel::PSO, SpecKind::MemorySafety);
+  CleanCfg.Obs = &CleanObs;
+  SynthResult Clean = synthesize(M, {publishClient()}, CleanCfg);
   EXPECT_EQ(Clean.StepLimitHits, 0u);
   EXPECT_EQ(serve::resultToJson(Clean).find("stepLimitHits"), nullptr);
+
+  for (auto [Run, Registry] :
+       {std::pair{&R, &Reg}, std::pair{&Clean, &CleanReg}}) {
+    uint64_t Logged = 0;
+    for (const RoundStats &S : Run->RoundLog) {
+      Json Line = roundStatsJson(S);
+      const Json *Hits = Line.find("stepLimitHits");
+      ASSERT_NE(Hits, nullptr);
+      EXPECT_EQ(Hits->asU64(), S.StepLimitHits);
+      Logged += Hits->asU64();
+    }
+    EXPECT_EQ(Logged, Run->StepLimitHits);
+    Json Counters = Registry->countersJson();
+    const Json *C =
+        Counters.find("counters")->find("synth_step_limit_hits_total");
+    ASSERT_NE(C, nullptr);
+    EXPECT_EQ(C->asU64(), Run->StepLimitHits);
+  }
 }
 
 TEST(SynthTest, RepairBudgetExhaustionDegradesToStaticFences) {
@@ -601,6 +623,9 @@ int take() { return 99; }
 }
 
 TEST(SynthTest, CapturedBundlesReplayTheViolation) {
+  // Under the memory-safety spec every violation is one the VM detects
+  // itself (a null dereference), and the fold captures it without a
+  // history check's help.
   auto M = frontend::compileOrDie(PublishSrc);
   SynthConfig Cfg = baseConfig(MemModel::PSO, SpecKind::MemorySafety);
   Cfg.CaptureBundles = true;
@@ -611,12 +636,147 @@ TEST(SynthTest, CapturedBundlesReplayTheViolation) {
   ASSERT_FALSE(R.Bundles.empty());
   EXPECT_LE(R.Bundles.size(), 2u);
   for (const harness::ReproBundle &B : R.Bundles) {
+    EXPECT_EQ(B.SpecName, "memory-safety");
+    EXPECT_EQ(B.Outcome, vm::outcomeName(vm::Outcome::MemSafety));
     std::string Error;
     auto Replayed = harness::replayBundle(B, Error);
     ASSERT_TRUE(Replayed) << Error;
     EXPECT_EQ(vm::outcomeName(Replayed->Out), B.Outcome);
     EXPECT_EQ(Replayed->Message, B.Message);
   }
+}
+
+TEST(SynthTest, ResultTotalsAndCountersAreRoundLogSums) {
+  // The fold counts each execution once, in its round's RoundStats: every
+  // result total is the sum of the round log, and every deterministic
+  // counter equals its total, whatever the run hit — repairs, a round
+  // cache (cold and warm), duplicate histories, captured bundles, the
+  // step limit, retries and a wall-clock cut.
+  auto M = frontend::compileOrDie(PublishSrc);
+  const programs::Benchmark &Lifo = benchmark("LIFO WSQ");
+  auto LifoM = frontend::compileOrDie(Lifo.Source);
+  cache::ExecCache Cache;
+  struct Case {
+    const char *Name;
+    const ir::Module *M;
+    std::vector<vm::Client> Clients;
+    SynthConfig Cfg;
+  };
+  std::vector<Case> Cases;
+  Cases.push_back({"clean", &M, {publishClient()},
+                   baseConfig(MemModel::TSO, SpecKind::MemorySafety)});
+  SynthConfig Repair = baseConfig(MemModel::PSO, SpecKind::MemorySafety);
+  Repair.ExecResultCache = &Cache;
+  Cases.push_back({"repair cold", &M, {publishClient()}, Repair});
+  Cases.push_back({"repair warm", &M, {publishClient()}, Repair});
+  SynthConfig Lin = linConfig(Lifo, 200);
+  Lin.SeqSpecName = "lifo";
+  Cases.push_back({"lin", &LifoM, Lifo.Clients, Lin});
+  SynthConfig Capture = baseConfig(MemModel::PSO, SpecKind::MemorySafety);
+  Capture.CaptureBundles = true;
+  Cases.push_back({"capture", &M, {publishClient()}, Capture});
+  SynthConfig Steps = baseConfig(MemModel::PSO, SpecKind::MemorySafety);
+  Steps.MaxStepsPerExec = 12;
+  Steps.Exec.MaxRetries = 1;
+  Cases.push_back({"step limit", &M, {publishClient()}, Steps});
+  SynthConfig Stalled = baseConfig(MemModel::PSO, SpecKind::MemorySafety);
+  Stalled.Faults.StallMs = 3;
+  Stalled.TotalWallMs = 60;
+  Cases.push_back({"timeout", &M, {publishClient()}, Stalled});
+
+  std::vector<SynthResult> Runs;
+  for (Case &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    obs::Registry Reg;
+    obs::ObsContext Obs{&Reg};
+    C.Cfg.Obs = &Obs;
+    const SynthResult &R =
+        Runs.emplace_back(synthesize(*C.M, C.Clients, C.Cfg));
+
+    SynthResult Sum;
+    vm::ExecStats Vm;
+    uint64_t VmSteps = 0, SatSolves = 0;
+    for (const RoundStats &S : R.RoundLog) {
+      Sum.TotalExecutions += S.Executions;
+      Sum.ViolatingExecutions += S.Violations;
+      Sum.DiscardedExecutions += S.Discarded;
+      Sum.RetriedExecutions += S.Retried;
+      Sum.TimedOutExecutions += S.TimedOut;
+      Sum.SpecCheckBudgetHits += S.SpecCheckBudgetHits;
+      Sum.StepLimitHits += S.StepLimitHits;
+      Sum.SatTruncated += S.SatTruncated;
+      Sum.CheckCacheHits += S.CheckCacheHits;
+      Sum.CheckCacheMisses += S.CheckCacheMisses;
+      Sum.ExecCacheHits += S.ExecCacheHits;
+      Sum.ExecCacheMisses += S.ExecCacheMisses;
+      Sum.RepairCacheHits += S.RepairCacheHits;
+      Vm.Flushes += S.Vm.Flushes;
+      Vm.SchedSteps += S.Vm.SchedSteps;
+      Vm.SchedFlushes += S.Vm.SchedFlushes;
+      Vm.StoreForwards += S.Vm.StoreForwards;
+      Vm.BufferedStores += S.Vm.BufferedStores;
+      VmSteps += S.VmSteps;
+      SatSolves += S.SatClauses != 0;
+    }
+    EXPECT_EQ(R.Rounds, R.RoundLog.size());
+    EXPECT_EQ(R.TotalExecutions, Sum.TotalExecutions);
+    EXPECT_EQ(R.ViolatingExecutions, Sum.ViolatingExecutions);
+    EXPECT_EQ(R.DiscardedExecutions, Sum.DiscardedExecutions);
+    EXPECT_EQ(R.RetriedExecutions, Sum.RetriedExecutions);
+    EXPECT_EQ(R.TimedOutExecutions, Sum.TimedOutExecutions);
+    EXPECT_EQ(R.SpecCheckBudgetHits, Sum.SpecCheckBudgetHits);
+    EXPECT_EQ(R.StepLimitHits, Sum.StepLimitHits);
+    EXPECT_EQ(R.SatTruncated, Sum.SatTruncated);
+    EXPECT_EQ(R.CheckCacheHits, Sum.CheckCacheHits);
+    EXPECT_EQ(R.CheckCacheMisses, Sum.CheckCacheMisses);
+    EXPECT_EQ(R.ExecCacheHits, Sum.ExecCacheHits);
+    EXPECT_EQ(R.ExecCacheMisses, Sum.ExecCacheMisses);
+    EXPECT_EQ(R.RepairCacheHits, Sum.RepairCacheHits);
+
+    Json Counters = *Reg.countersJson().find("counters");
+    auto Counter = [&](const char *Name) -> uint64_t {
+      const Json *V = Counters.find(Name);
+      EXPECT_NE(V, nullptr) << Name;
+      return V ? V->asU64() : ~uint64_t(0);
+    };
+    EXPECT_EQ(Counter("synth_rounds_total"), R.Rounds);
+    EXPECT_EQ(Counter("synth_executions_total"), R.TotalExecutions);
+    EXPECT_EQ(Counter("synth_violations_total"), R.ViolatingExecutions);
+    EXPECT_EQ(Counter("synth_discarded_total"), R.DiscardedExecutions);
+    EXPECT_EQ(Counter("synth_step_limit_hits_total"), R.StepLimitHits);
+    EXPECT_EQ(Counter("harness_discarded_total"), R.DiscardedExecutions);
+    EXPECT_EQ(Counter("harness_retries_total"), R.RetriedExecutions);
+    EXPECT_EQ(Counter("harness_timeouts_total"), R.TimedOutExecutions);
+    EXPECT_EQ(Counter("spec_check_budget_hits_total"),
+              R.SpecCheckBudgetHits);
+    EXPECT_EQ(Counter("sat_truncated_total"), R.SatTruncated);
+    EXPECT_EQ(Counter("sat_solves_total"), SatSolves);
+    EXPECT_EQ(Counter("cache_check_hits"), R.CheckCacheHits);
+    EXPECT_EQ(Counter("cache_check_misses"), R.CheckCacheMisses);
+    EXPECT_EQ(Counter("cache_exec_hits"), R.ExecCacheHits);
+    EXPECT_EQ(Counter("cache_exec_misses"), R.ExecCacheMisses);
+    if (C.Cfg.ExecResultCache)
+      EXPECT_EQ(Counter("cache_repair_hits"), R.RepairCacheHits);
+    else
+      EXPECT_EQ(Counters.find("cache_repair_hits"), nullptr);
+    EXPECT_EQ(Counter("vm_steps_total"), VmSteps);
+    EXPECT_EQ(Counter("vm_flushes_total"), Vm.Flushes);
+    EXPECT_EQ(Counter("vm_sched_steps_total"), Vm.SchedSteps);
+    EXPECT_EQ(Counter("vm_sched_flushes_total"), Vm.SchedFlushes);
+    EXPECT_EQ(Counter("vm_store_forwards_total"), Vm.StoreForwards);
+    EXPECT_EQ(Counter("vm_buffered_stores_total"), Vm.BufferedStores);
+  }
+  // What each case is there to reach.
+  EXPECT_EQ(Runs[0].ViolatingExecutions, 0u);
+  EXPECT_GT(Runs[1].ViolatingExecutions, 0u);
+  EXPECT_GT(Runs[1].ExecCacheMisses, 0u);
+  EXPECT_GT(Runs[2].ExecCacheHits, 0u);
+  EXPECT_GT(Runs[2].RepairCacheHits, 0u);
+  EXPECT_GT(Runs[3].CheckCacheHits, 0u);
+  EXPECT_FALSE(Runs[4].Bundles.empty());
+  EXPECT_GT(Runs[5].StepLimitHits, 0u);
+  EXPECT_GT(Runs[5].RetriedExecutions, 0u);
+  EXPECT_TRUE(Runs[6].TimedOut);
 }
 
 namespace {
@@ -747,6 +907,7 @@ TEST(ConvergenceTest, RoundRecordJsonShapeIsPinned) {
   R.Truncated = false;
   R.Discarded = 7;
   R.SpecCheckBudgetHits = 1;
+  R.StepLimitHits = 6;
   R.CheckCacheHits = 10;
   R.CheckCacheMisses = 140;
   R.ExecCacheHits = 20;
@@ -763,7 +924,7 @@ TEST(ConvergenceTest, RoundRecordJsonShapeIsPinned) {
       "{\"round\":3,\"executions\":150,\"violations\":4,"
       "\"newPredicates\":2,\"distinctPredicates\":11,\"fences\":5,"
       "\"cleanStreak\":0,\"truncated\":false,"
-      "\"discarded\":7,\"specCheckBudgetHits\":1,"
+      "\"discarded\":7,\"specCheckBudgetHits\":1,\"stepLimitHits\":6,"
       "\"cache\":{\"checkHits\":10,\"checkMisses\":140,"
       "\"execHits\":20,\"execMisses\":130,\"repairHits\":1},"
       "\"sat\":{\"clauses\":4,\"models\":2,\"nodes\":9,"

@@ -195,10 +195,6 @@ void printHelp(FILE *Out) {
       "                      shed with a structured rejected response\n"
       "  --deadline-ms N     default per-request deadline incl. queue "
       "wait\n"
-      "  --request-retries N crash-isolation retries before static "
-      "fallback\n"
-      "  --retry-backoff-ms N  base backoff between request retries "
-      "(default 50)\n"
       "  --cache on|off      shared cross-request execution cache\n"
       "  --cache-capacity N  executions the shared cache stores "
       "(default 32768)\n"
@@ -296,11 +292,9 @@ const std::map<std::string, std::vector<const char *>> &knownFlags() {
       // log would look like a successful-but-empty run.
       {"replay", {"round-log"}},
       {"serve",
-       {"jobs", "slots", "jobs-per-slot", "queue", "deadline-ms",
-        "request-retries",
-        "retry-backoff-ms", "cache", "cache-capacity", "crash-dir",
-        "listen", "socket", "metrics-port", "=no-stdio", "metrics-out",
-        "slow-ms", "log-level", "=log-json"}},
+       {"jobs", "slots", "jobs-per-slot", "queue", "deadline-ms", "cache",
+        "cache-capacity", "crash-dir", "listen", "socket", "metrics-port",
+        "=no-stdio", "metrics-out", "slow-ms", "log-level", "=log-json"}},
       // fuzz owns --fuzz-seed; the strict per-command tables are what
       // reject it on every other command (CliObsSmokeTest pins that).
       {"fuzz",
@@ -787,10 +781,6 @@ int cmdServe(const Options &Opt) {
   SC.QueueCapacity = static_cast<size_t>(Opt.getInt("queue", 16));
   SC.DefaultDeadlineMs =
       static_cast<uint32_t>(Opt.getInt("deadline-ms", 0));
-  SC.RequestRetries =
-      static_cast<unsigned>(Opt.getInt("request-retries", 1));
-  SC.RetryBackoffMs =
-      static_cast<uint32_t>(Opt.getInt("retry-backoff-ms", 50));
   std::string CacheMode = Opt.get("cache", "on");
   if (CacheMode != "on" && CacheMode != "off") {
     std::fprintf(stderr, "error: --cache must be 'on' or 'off'\n");
