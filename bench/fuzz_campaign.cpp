@@ -9,7 +9,7 @@
 //     nightly fuzz sweep runs constantly);
 //   * via-serve, 1 slot vs 4 slots — the same request lines fanned
 //     through an in-process serve daemon, stressing the concurrent
-//     dispatcher and the sharded cache.
+//     dispatcher and its shared cache.
 //
 // Emits BENCH_fuzz.json (schema "dfence-fuzz-campaign-v1"). Pass a
 // number to scale the generated-scenario count (default 150); pass

@@ -16,8 +16,10 @@
 # pipes and over a unix socket through the tools/dfence_client library:
 # submit / dispatcher-slot / transport threads plus SIGTERM drain under
 # TSan. serve_concurrency_test is the concurrent-dispatcher gate on that
-# leg — slots running on their own pool slices, sharded-cache locking and
-# the interleaved byte-identity differential all execute under TSan. The
+# leg — slots running on their own pool slices, concurrent requests
+# sharing the one execution cache (ExecCacheTest.ConcurrentRunsShareOneCache
+# does the same from four threads on their own pools) and the interleaved
+# byte-identity differential all execute under TSan. The
 # flight-recorder suite rides along the same way: the
 # flight_recorder_differential_test read-only gate and bench_obs_smoke
 # (obs_overhead --smoke, which validates BENCH_obs.json; the <=2%
@@ -35,7 +37,9 @@
 #
 # After the three workflows, the repair-selection tests
 # (MinimalModelsTest, MinModelDifferentialTest, MinModelPropertyTest,
-# MinModelTest), the serve-daemon tests (Server*), the daemon smoke
+# MinModelTest), the serve-daemon tests (Server*), the concurrent
+# dispatcher tests (ServeConcurrency*, one of which races a deadline
+# against a stalled request on the other slot), the daemon smoke
 # tests (ServeSmoke*), the bench smoke gates (bench_*_smoke:
 # bench_exec_smoke, bench_obs_smoke, bench_fuzz_smoke) and the suites
 # that reuse state across requests — stored rounds in a shared cache
@@ -58,7 +62,7 @@ foreach(preset IN ITEMS verify-default verify-sanitize verify-tsan)
     message(FATAL_ERROR "workflow ${preset} failed (exit ${rc})")
   endif()
 endforeach()
-set(repeat_re "MinimalModels|MinModel|Server|ServeSmoke|bench_.*_smoke|CacheDifferential|ParallelDeterminism|SliceReuse|ExecCache")
+set(repeat_re "MinimalModels|MinModel|Server|ServeConcurrency|ServeSmoke|bench_.*_smoke|CacheDifferential|ParallelDeterminism|SliceReuse|ExecCache")
 message(STATUS "==== repeat: ${repeat_re} x20 (default build) ====")
 execute_process(
   COMMAND ${CMAKE_CTEST_COMMAND} --preset default

@@ -202,25 +202,43 @@ StoredRound StoredRound::fromSlots(std::span<const exec::RoundSlot> Slots,
 }
 
 const StoredRound *ExecCache::lookup(const RoundKey &K) {
-  Lookups.fetch_add(K.K, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> L(Mu);
+  Counts.Lookups += K.K;
   auto It = Rounds.find(K);
   if (It == Rounds.end())
     return nullptr;
-  Hits.fetch_add(K.K, std::memory_order_relaxed);
+  Counts.Hits += K.K;
   return &It->second;
 }
 
-bool ExecCache::insert(const RoundKey &K, StoredRound R) {
+ExecCache::Insert ExecCache::insert(const RoundKey &K, StoredRound R) {
   size_t N = R.Slots.size();
-  if (size() + N > MaxExecutions) {
-    RejectedFull.fetch_add(N, std::memory_order_relaxed);
-    return false;
-  }
   size_t B = R.bytes();
-  if (!Rounds.try_emplace(K, std::move(R)).second)
-    return false;
-  Stored.fetch_add(N, std::memory_order_relaxed);
-  Bytes.fetch_add(B, std::memory_order_relaxed);
-  Inserts.fetch_add(N, std::memory_order_relaxed);
-  return true;
+  std::lock_guard<std::mutex> L(Mu);
+  if (Rounds.count(K))
+    return Insert::Present;
+  if (Stored + N > MaxExecutions) {
+    Counts.RejectedFull += N;
+    return Insert::Full;
+  }
+  Rounds.emplace(K, std::move(R));
+  Stored += N;
+  Bytes += B;
+  Counts.Inserts += N;
+  return Insert::Stored;
+}
+
+size_t ExecCache::size() const {
+  std::lock_guard<std::mutex> L(Mu);
+  return Stored;
+}
+
+size_t ExecCache::bytes() const {
+  std::lock_guard<std::mutex> L(Mu);
+  return Bytes;
+}
+
+ExecCache::Stats ExecCache::stats() const {
+  std::lock_guard<std::mutex> L(Mu);
+  return Counts;
 }

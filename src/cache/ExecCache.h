@@ -33,9 +33,7 @@
 // A round that fed Φ but ended the run (repair budget, solver defect) is
 // not stored at all, so every hit that needs a step has one. Capacity
 // and the lifetime counters are counted in executions; insertion stops at
-// the capacity (no eviction), so hits depend only on the sequence of
-// lookups and inserts, never on timing. bytes() reports what the stored
-// rounds hold.
+// the capacity (no eviction). bytes() reports what the stored rounds hold.
 //
 // Round keys start from fingerprintModule, a structural hash of exactly
 // what ir::printModule renders: globals (name, size, init values) and, per
@@ -47,9 +45,15 @@
 // name indexes) is hashed. It costs a pass over the instructions, with no
 // text built.
 //
-// Only the merge thread of the one synthesize() call that owns the cache
-// touches its rounds. The serve daemon shares caches across requests
-// through ShardedExecCache, which serializes the requests of one shard.
+// One cache serves any number of concurrent synthesize() calls, each from
+// its merge thread: a mutex guards the round map and the counters. A
+// stored round is immutable and never replaced or evicted, so the pointer
+// lookup() returns stays valid while the cache lives. When two runs store
+// the same key, the first insert wins; the key pins every input of the
+// round, so both held the same round. Canonical results never depend on
+// hits. Which of two identical runs in flight together reports the hits
+// does: both may miss and run, so a run's cache statistics depend on
+// whether identical runs overlap it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -59,10 +63,8 @@
 #include "exec/RoundRunner.h"
 #include "vm/Client.h"
 
-#include <atomic>
 #include <compare>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -172,7 +174,7 @@ public:
       : MaxExecutions(MaxExecutions) {}
 
   /// Lifetime accounting, counted in executions (a round lookup counts
-  /// K). The serve daemon keeps warm caches across requests and reports
+  /// K). The serve daemon keeps its cache across requests and reports
   /// these. Purely observational: the counters never feed back into
   /// lookup/insert decisions.
   struct Stats {
@@ -186,125 +188,36 @@ public:
   /// while the cache lives: stored rounds are never replaced or evicted.
   const StoredRound *lookup(const RoundKey &K);
 
-  /// Stores round \p R under \p K. Returns false, storing nothing, when
-  /// the key is present or the round does not fit in the remaining
-  /// capacity.
-  bool insert(const RoundKey &K, StoredRound R);
+  /// What insert did with a round.
+  enum class Insert : uint8_t {
+    Stored,
+    Present, ///< The key was stored first (by this or a concurrent run).
+    Full,    ///< The round does not fit in the remaining capacity.
+  };
 
-  /// Stored executions; safe to read while the owner inserts.
-  size_t size() const { return Stored.load(std::memory_order_relaxed); }
+  /// Stores round \p R under \p K unless the key is present or the round
+  /// does not fit, checked in that order.
+  Insert insert(const RoundKey &K, StoredRound R);
+
+  /// Stored executions.
+  size_t size() const;
   size_t capacity() const { return MaxExecutions; }
-  /// Bytes the stored rounds hold (StoredRound::bytes summed); safe to
-  /// read while the owner inserts.
-  size_t bytes() const { return Bytes.load(std::memory_order_relaxed); }
+  /// Bytes the stored rounds hold (StoredRound::bytes summed).
+  size_t bytes() const;
 
-  /// Every stored round by key; only for the owner (tests compare what
-  /// two runs stored).
+  /// Every stored round by key. Unsynchronized: only for a cache no run
+  /// is using (tests compare what runs stored).
   const std::map<RoundKey, StoredRound> &rounds() const { return Rounds; }
 
-  /// Snapshot of the lifetime counters; safe to call while the owner
-  /// looks up and inserts (values are individually consistent, not a
-  /// global cut).
-  Stats stats() const {
-    Stats S;
-    S.Lookups = Lookups.load(std::memory_order_relaxed);
-    S.Hits = Hits.load(std::memory_order_relaxed);
-    S.Inserts = Inserts.load(std::memory_order_relaxed);
-    S.RejectedFull = RejectedFull.load(std::memory_order_relaxed);
-    return S;
-  }
+  /// Snapshot of the lifetime counters.
+  Stats stats() const;
 
 private:
-  size_t MaxExecutions;
+  const size_t MaxExecutions;
+  mutable std::mutex Mu;
   std::map<RoundKey, StoredRound> Rounds;
-  std::atomic<size_t> Stored{0}, Bytes{0};
-  std::atomic<uint64_t> Lookups{0}, Hits{0}, Inserts{0}, RejectedFull{0};
-};
-
-/// N independent ExecCaches behind a request-fingerprint router, for the
-/// concurrent serve dispatcher. A request is routed to
-/// shardIndex(requestFp) and must hold that shard's mutex for its whole
-/// run, so two concurrent requests either touch different shards (fully
-/// independent) or serialize on the same one.
-///
-/// Routing is keyed by the request's content fingerprint, not by which
-/// dispatcher slot happens to run it: a repeated request always lands on
-/// the shard holding its warm entries. Canonical result bytes never
-/// depend on hits — a hit replays a recorded round bit-identical to a
-/// fresh one. A request's cache stats do: same-shard requests in flight
-/// together take the shard in whichever order their slots reach it, so
-/// which of two identical concurrent requests reports the hits follows
-/// dispatch order.
-class ShardedExecCache {
-public:
-  /// \p TotalEntries (executions) is split evenly across \p NumShards
-  /// (each shard gets at least 1 execution of capacity).
-  explicit ShardedExecCache(size_t NumShards, size_t TotalEntries)
-      : Mutexes(NumShards ? NumShards : 1) {
-    size_t N = NumShards ? NumShards : 1;
-    size_t Per = TotalEntries / N;
-    if (Per == 0)
-      Per = 1;
-    Shards.reserve(N);
-    for (size_t I = 0; I < N; ++I)
-      Shards.push_back(std::make_unique<ExecCache>(Per));
-  }
-
-  size_t numShards() const { return Shards.size(); }
-
-  /// The shard every request with content fingerprint \p Fp must use.
-  size_t shardIndex(uint64_t Fp) const {
-    // Fingerprints are already well-mixed hashes; fold the halves so a
-    // power-of-two shard count still sees the high bits.
-    return static_cast<size_t>((Fp ^ (Fp >> 32)) % Shards.size());
-  }
-
-  ExecCache &shard(size_t I) { return *Shards[I]; }
-  const ExecCache &shard(size_t I) const { return *Shards[I]; }
-
-  /// Serializes same-shard requests: lock for the whole synthesize()
-  /// call that uses shard(I), so only one merge thread owns a shard at a
-  /// time under a concurrent dispatcher.
-  std::mutex &shardMutex(size_t I) { return Mutexes[I]; }
-
-  size_t size() const {
-    size_t N = 0;
-    for (const auto &S : Shards)
-      N += S->size();
-    return N;
-  }
-  size_t capacity() const {
-    size_t N = 0;
-    for (const auto &S : Shards)
-      N += S->capacity();
-    return N;
-  }
-  size_t bytes() const {
-    size_t N = 0;
-    for (const auto &S : Shards)
-      N += S->bytes();
-    return N;
-  }
-
-  /// Summed lifetime counters across shards (each shard's snapshot is
-  /// individually consistent; the sum is not a global cut).
-  ExecCache::Stats stats() const {
-    ExecCache::Stats T;
-    for (const auto &S : Shards) {
-      ExecCache::Stats P = S->stats();
-      T.Lookups += P.Lookups;
-      T.Hits += P.Hits;
-      T.Inserts += P.Inserts;
-      T.RejectedFull += P.RejectedFull;
-    }
-    return T;
-  }
-
-private:
-  std::vector<std::unique_ptr<ExecCache>> Shards;
-  /// Deque-free stable addresses: mutexes are neither movable nor
-  /// copyable, so the vector is sized once in the ctor.
-  std::vector<std::mutex> Mutexes;
+  size_t Stored = 0, Bytes = 0;
+  Stats Counts;
 };
 
 } // namespace dfence::cache

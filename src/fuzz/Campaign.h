@@ -9,7 +9,7 @@
 //     semantics) and run in-process via synth::synthesize;
 //   * via-serve — the same request lines are fanned through an
 //     in-process serve::Server with N dispatcher slots, stressing the
-//     concurrent dispatcher and the sharded cache; the daemon's
+//     concurrent dispatcher and its shared cache; the daemon's
 //     canonical-result guarantee makes the per-scenario results equal
 //     to the direct path's, so the distinct-fingerprint set cannot
 //     differ (FuzzServeTest is the gate).

@@ -400,6 +400,7 @@ Json serve::cacheStatsToJson(const synth::SynthResult &R) {
   J.set("execHits", Json::number(R.ExecCacheHits));
   J.set("execMisses", Json::number(R.ExecCacheMisses));
   J.set("repairHits", Json::number(R.RepairCacheHits));
+  J.set("rejected", Json::number(R.ExecCacheRejected));
   return J;
 }
 

@@ -3,7 +3,6 @@
 #include "serve/Server.h"
 
 #include "synth/StaticBaseline.h"
-#include "vm/History.h"
 
 #include <chrono>
 #include <fstream>
@@ -52,17 +51,6 @@ unsigned resolveSlotJobs(const ServeConfig &C) {
   return Per ? Per : 1;
 }
 
-/// The content fingerprint that routes a request to its cache shard:
-/// module + clients, which every round key of the request covers — so a
-/// repeated request always lands on the shard holding its warm rounds,
-/// independent of which slot runs it.
-uint64_t requestFingerprint(const SynthJob &Job) {
-  uint64_t Fp = cache::fingerprintModule(Job.M);
-  for (const vm::Client &C : Job.Clients)
-    Fp = vm::hashCombine(Fp, cache::fingerprintClient(C));
-  return Fp;
-}
-
 } // namespace
 
 Server::Server(const ServeConfig &C)
@@ -70,7 +58,7 @@ Server::Server(const ServeConfig &C)
       Obs(C.Obs ? C.Obs : &OwnObs),
       Reg((C.Obs && C.Obs->Metrics) ? *C.Obs->Metrics : OwnReg),
       NumSlots(resolveSlots(C)), SlotJobs(resolveSlotJobs(C)),
-      Pool(NumSlots, SlotJobs), Cache(NumSlots, C.CacheCapacity),
+      Pool(NumSlots, SlotJobs), Cache(C.CacheCapacity),
       Queue(C.QueueCapacity),
       RequestsC(Reg.counter("serve_requests_total")),
       AdmittedC(Reg.counter("serve_admitted_total")),
@@ -82,7 +70,6 @@ Server::Server(const ServeConfig &C)
       ErrorsC(Reg.counter("serve_errors_total")),
       CrashesC(Reg.counter("serve_crashes_total")),
       SlotLeasesC(Reg.counter("serve_slot_leases_total")),
-      ShardWaitsC(Reg.counter("cache_shard_waits_total")),
       AdmittedHighC(Reg.counter("serve_admitted_high_total")),
       QueueDepthG(Reg.gauge("serve_queue_depth")),
       InflightG(Reg.gauge("serve_inflight")),
@@ -326,33 +313,18 @@ Json Server::runJob(Pending &P, unsigned Slot) {
 
   // Stamp the server's execution environment. Semantic knobs came from
   // the request (prepareJob, as for the CLI); only the *where it runs*
-  // part is ours: the slot's own pool slice, the fingerprint-routed
-  // cache shard, observability, and the deadline cap on the total wall
-  // budget. Capping TotalWallMs cannot change a run that finishes in
-  // time (watchdog purity), which is what keeps daemon results
-  // byte-identical to the one-shot CLI.
+  // part is ours: the slot's own pool slice, the shared cache,
+  // observability, and the deadline cap on the total wall budget.
+  // Capping TotalWallMs cannot change a run that finishes in time
+  // (watchdog purity), which is what keeps daemon results byte-identical
+  // to the one-shot CLI.
   SlotLeasesC.add(1);
   Job->Cfg.Slice = &Pool.slice(Slot);
   Job->Cfg.Obs = Obs;
-
-  // Cache shard: routed by content fingerprint and held (its mutex) for
-  // the whole run, so only this request's merge thread touches it.
-  // Same-shard requests serialize here; the wait counter is the
-  // contention signal.
-  std::unique_lock<std::mutex> ShardLock;
-  if (!(Cfg.CacheEnabled && Job->Cfg.CacheEnabled)) {
+  if (Cfg.CacheEnabled && Job->Cfg.CacheEnabled)
+    Job->Cfg.ExecResultCache = &Cache;
+  else
     Job->Cfg.CacheEnabled = false;
-  } else {
-    size_t Shard = Cache.shardIndex(requestFingerprint(*Job));
-    ShardLock = std::unique_lock<std::mutex>(Cache.shardMutex(Shard),
-                                             std::try_to_lock);
-    if (!ShardLock.owns_lock()) {
-      ShardWaitsC.add(1);
-      ShardLock.lock();
-    }
-    Job->Cfg.ExecResultCache = &Cache.shard(Shard);
-    S.arg("cacheShard", static_cast<uint64_t>(Shard));
-  }
   if (P.DL.armed()) {
     uint32_t Rem = P.DL.remainingMs();
     if (Job->Cfg.TotalWallMs == 0 || Job->Cfg.TotalWallMs > Rem)
@@ -524,7 +496,6 @@ Json Server::statsJson() const {
   J.set("errors", Json::number(ErrorsC.value()));
   J.set("crashes", Json::number(CrashesC.value()));
   J.set("slotLeases", Json::number(SlotLeasesC.value()));
-  J.set("shardWaits", Json::number(ShardWaitsC.value()));
   cache::ExecCache::Stats CS = Cache.stats();
   Json C = Json::object();
   C.set("entries", Json::number(static_cast<uint64_t>(Cache.size())));
@@ -535,19 +506,6 @@ Json Server::statsJson() const {
   C.set("hits", Json::number(CS.Hits));
   C.set("inserts", Json::number(CS.Inserts));
   C.set("rejectedFull", Json::number(CS.RejectedFull));
-  // Shard-level occupancy: which shards actually hold warm entries.
-  Json Shards = Json::array();
-  for (size_t I = 0; I < Cache.numShards(); ++I) {
-    const cache::ExecCache &Sh = Cache.shard(I);
-    Json SJ = Json::object();
-    SJ.set("shard", Json::number(static_cast<uint64_t>(I)));
-    SJ.set("entries", Json::number(static_cast<uint64_t>(Sh.size())));
-    SJ.set("capacity",
-           Json::number(static_cast<uint64_t>(Sh.capacity())));
-    SJ.set("bytes", Json::number(static_cast<uint64_t>(Sh.bytes())));
-    Shards.push(std::move(SJ));
-  }
-  C.set("shards", std::move(Shards));
   J.set("cache", std::move(C));
   return J;
 }

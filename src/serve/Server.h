@@ -2,8 +2,8 @@
 //
 // A long-lived Server owns the expensive, warm state one-shot runs throw
 // away — one partitioned exec::ExecPool (persistent workers + per-worker
-// ExecContexts, split into one slice per slot), one sharded
-// cross-request cache::ShardedExecCache, one metrics registry — and N
+// ExecContexts, split into one slice per slot), one cross-request
+// cache::ExecCache, one metrics registry — and N
 // dispatcher *slots*, each a thread that pops admitted requests off a
 // two-level priority queue and runs them on its own pool slice (slot I
 // on slice I). Requests overlap across slots; parallelism *within* a
@@ -13,12 +13,11 @@
 // Concurrency model (see docs/SERVICE.md):
 //   * one slice per slot — concurrent synthesize() calls never share
 //     batch state, per-worker contexts, or observability handles;
-//   * the execution cache is sharded by request content fingerprint; a
-//     request holds its shard's mutex for its whole run, so the cache's
-//     "never used by concurrent synthesize() calls" contract becomes a
-//     per-shard invariant (same-shard requests serialize in the order
-//     their slots reach the shard, so a request's cache stats depend on
-//     that order; repeat requests always find their warm shard);
+//   * every request with the cache on shares the one execution cache,
+//     which takes its own lock per lookup and insert, so requests run
+//     side by side whatever program they ask about; two identical
+//     requests in flight together may both miss and run, so a request's
+//     cache stats depend on whether identical requests overlap it;
 //   * determinism is unchanged: a request's canonical result is
 //     byte-identical to the one-shot CLI run of the same request —
 //     results are jobs-invariant and cache hits replay recorded results,
@@ -89,7 +88,7 @@ struct ServeConfig {
   /// Master switch for the shared cross-request execution cache
   /// (requests can individually opt out with "cache":"off").
   bool CacheEnabled = true;
-  size_t CacheCapacity = 1 << 15; ///< Executions, split across shards.
+  size_t CacheCapacity = 1 << 15; ///< Executions.
   /// Directory for crash reports and captured repro bundles; empty
   /// disables the on-disk reports (responses still carry the status).
   std::string CrashDir;
@@ -135,7 +134,7 @@ public:
   void drain();
 
   /// Daemon statistics snapshot (the "stats" op's payload), including
-  /// per-shard execution-cache occupancy.
+  /// the execution cache's occupancy and lifetime counters.
   Json statsJson() const;
 
   /// Live introspection snapshot (the "status" op's payload): queue
@@ -153,7 +152,6 @@ public:
   unsigned jobs() const { return Pool.jobs(); }
   unsigned slots() const { return NumSlots; }
   unsigned jobsPerSlot() const { return SlotJobs; }
-  cache::ShardedExecCache &execCache() { return Cache; }
 
 private:
   void dispatcherMain(unsigned Slot);
@@ -176,13 +174,13 @@ private:
   unsigned NumSlots;              ///< Resolved dispatcher slot count.
   unsigned SlotJobs;              ///< Resolved slice width per slot.
   exec::ExecPool Pool;            ///< NumSlots slices × SlotJobs workers.
-  cache::ShardedExecCache Cache;  ///< One shard per slot's worth of work.
+  cache::ExecCache Cache;         ///< Shared by every cached request.
   AdmissionQueue Queue;
 
   // Pre-resolved serve metrics (always non-null; Reg outlives them).
   obs::Counter &RequestsC, &AdmittedC, &ShedC, &DrainRejC, &CompletedC,
       &TimeoutsC, &DegradedC, &ErrorsC, &CrashesC,
-      &SlotLeasesC, &ShardWaitsC, &AdmittedHighC;
+      &SlotLeasesC, &AdmittedHighC;
   obs::Gauge &QueueDepthG, &InflightG, &SlotsBusyG;
   obs::Histogram &RequestUsH, &QueueWaitUsH;
   /// Per-outcome latency split: the registry has no label support, so

@@ -305,6 +305,7 @@ Json synth::roundStatsJson(const RoundStats &S) {
   Cache.set("execHits", Json::number(S.ExecCacheHits));
   Cache.set("execMisses", Json::number(S.ExecCacheMisses));
   Cache.set("repairHits", Json::number(S.RepairCacheHits));
+  Cache.set("rejected", Json::number(S.ExecCacheRejected));
   O.set("cache", std::move(Cache));
   Json Sat = Json::object();
   Sat.set("clauses", Json::number(S.SatClauses));
@@ -326,13 +327,11 @@ struct RoundCounter {
 };
 
 /// The deterministic counters published from each finished round (apart
-/// from cache_repair_hits, registered only with a round cache, and the
-/// end-of-run counters). A round solved Φ iff it has clauses, and
-/// enforced a repair iff the solve returned a model.
+/// from cache_repair_hits and cache_exec_rejected, registered only with a
+/// round cache, and the end-of-run counters). A round solved Φ iff it has
+/// clauses; sat_models_total counts the rounds that enforced a repair.
 constexpr RoundCounter RoundCounters[] = {
     {"synth_rounds_total", [](const RoundStats &) -> uint64_t { return 1; }},
-    {"synth_repair_rounds_total",
-     [](const RoundStats &S) { return S.SatModels; }},
     {"synth_executions_total",
      [](const RoundStats &S) { return S.Executions; }},
     {"synth_violations_total",
@@ -366,8 +365,6 @@ constexpr RoundCounter RoundCounters[] = {
     {"cache_exec_misses",
      [](const RoundStats &S) { return S.ExecCacheMisses; }},
     {"harness_retries_total", [](const RoundStats &S) { return S.Retried; }},
-    {"harness_discarded_total",
-     [](const RoundStats &S) { return S.Discarded; }},
     {"harness_timeouts_total", [](const RoundStats &S) { return S.TimedOut; }},
 };
 
@@ -388,6 +385,7 @@ void sumRoundLog(SynthResult &R) {
     R.ExecCacheHits += S.ExecCacheHits;
     R.ExecCacheMisses += S.ExecCacheMisses;
     R.RepairCacheHits += S.RepairCacheHits;
+    R.ExecCacheRejected += S.ExecCacheRejected;
     if (R.FirstViolation.empty())
       R.FirstViolation = S.SampleViolation;
   }
@@ -558,6 +556,8 @@ SynthResult synth::synthesize(const ir::Module &M,
   // counter snapshot.
   obs::Counter *CacheRepairHitsC =
       ExecC ? obs::counterOrNull(Cfg.Obs, "cache_repair_hits") : nullptr;
+  obs::Counter *CacheRejectedC =
+      ExecC ? obs::counterOrNull(Cfg.Obs, "cache_exec_rejected") : nullptr;
 
   // The clients resolved against the working module; every execution of
   // a round runs from these tables. Built before the first round that
@@ -601,6 +601,7 @@ SynthResult synth::synthesize(const ir::Module &M,
       for (size_t C = 0; C != std::size(RoundCounters); ++C)
         OBS_COUNT(RoundCountersC[C], RoundCounters[C].Of(S));
       OBS_COUNT(CacheRepairHitsC, S.RepairCacheHits);
+      OBS_COUNT(CacheRejectedC, S.ExecCacheRejected);
       if (BufHighG)
         BufHighG->max(S.Vm.BufHighWater);
       if (Cfg.RoundLog)
@@ -768,7 +769,9 @@ SynthResult synth::synthesize(const ir::Module &M,
       if (!ToStore)
         return;
       ToStore->Step = std::move(Step);
-      ExecC->insert(Key, std::move(*ToStore));
+      if (ExecC->insert(Key, std::move(*ToStore)) ==
+          cache::ExecCache::Insert::Full)
+        Stats.ExecCacheRejected = Ran;
     };
     Stats.Truncated = Truncated;
     if (Prof)

@@ -160,9 +160,13 @@ struct SynthConfig {
   /// synthesize() calls so an identical request (same module, clients,
   /// seed, knobs and spec) folds whole stored rounds instead of running
   /// them. Not owned; null — the default — caches nothing (a run never
-  /// repeats its own rounds). Only this run's merge thread touches it,
-  /// so one instance must not serve concurrent synthesize() calls. The
-  /// key names the sequential spec by SeqSpecName, not by Factory.
+  /// repeats its own rounds). Any number of concurrent synthesize()
+  /// calls may share one instance; each touches it from its merge
+  /// thread only. Canonical results never depend on hits, but two
+  /// identical runs in flight together may both miss and run, so the
+  /// cache statistics of a run depend on whether identical runs overlap
+  /// it. The key names the sequential spec by SeqSpecName, not by
+  /// Factory.
   cache::ExecCache *ExecResultCache = nullptr;
 
   //===--- Observability (see src/obs/) ---===//
@@ -211,10 +215,11 @@ const char *synthStatusName(SynthStatus S);
 /// deterministic counters are published from each finished round.
 /// Fields up to and including SatTruncated are deterministic —
 /// byte-identical at any --jobs width and either dispatch mode, and
-/// (except the cache hit/miss split) across cache modes; the canonical
+/// (except the cache statistics) across cache modes; the canonical
 /// result serialization (serve::resultToJson) carries only that
-/// deterministic, cache-invariant subset. The wall-clock fields at the end are machine-dependent and
-/// only ever reach the round log file and the phase histograms.
+/// deterministic, cache-invariant subset. The wall-clock fields at the
+/// end are machine-dependent and only ever reach the round log file and
+/// the phase histograms.
 struct RoundStats {
   unsigned Round = 0;
   uint64_t Executions = 0;
@@ -254,6 +259,8 @@ struct RoundStats {
   /// 1 when the round's repair step was replayed from a stored round
   /// instead of solved.
   uint64_t RepairCacheHits = 0;
+  /// Executions of a storable round that the full cache refused.
+  uint64_t ExecCacheRejected = 0;
   /// SAT effort of this round's solve (replayed on a repair hit); all
   /// zero when no solve ran.
   uint64_t SatClauses = 0;
@@ -325,6 +332,8 @@ struct SynthResult {
   /// Repair rounds whose step (new predicates, chosen predicates, SAT
   /// effort) came from a stored round: no clause built, no solve run.
   uint64_t RepairCacheHits = 0;
+  /// Executions of storable rounds that the full ExecResultCache refused.
+  uint64_t ExecCacheRejected = 0;
 
   std::string fenceSummary() const;
 };

@@ -260,6 +260,38 @@ TEST(CliObsSmokeTest, ContradictorySlotFlagsExitTwo) {
   EXPECT_NE(Out.find("unknown flag '--slots'"), std::string::npos) << Out;
 }
 
+TEST(CliObsSmokeTest, UnsignedFlagsRejectNegativeOversizedAndTrailingText) {
+  // A flag that lands in an unsigned field is read strictly: "-1" must
+  // not wrap to the field's maximum. Only flags that stay harmless if the
+  // check ever regresses are exercised here (stdin is empty, so a daemon
+  // that did start would exit at once).
+  struct {
+    const char *Args;
+    const char *Needle;
+  } Cases[] = {
+      {" serve --queue -1", "--queue"},
+      {" serve --queue 4x", "--queue"},
+      {" serve --cache-capacity -1", "--cache-capacity"},
+      {" serve --cache-capacity 18446744073709551616", "--cache-capacity"},
+      {" serve --deadline-ms -1", "--deadline-ms"},
+      {" serve --deadline-ms 4294967296", "--deadline-ms"},
+      {" bench \"LIFO WSQ\" --k 20 --total-ms -1", "--total-ms"},
+      {" bench \"LIFO WSQ\" --k 20 --total-ms=+5", "--total-ms"},
+      {" litmus /dev/null --client \"f()\" --seeds -3", "--seeds"},
+      {" fuzz --count 1 --k 5 --rounds 1 --no-litmus"
+       " --threads 1-4294967297",
+       "--threads"},
+  };
+  for (const auto &Case : Cases) {
+    std::string Out;
+    int Exit = runCommand(std::string(DFENCE_BIN) + Case.Args + " </dev/null",
+                          Out);
+    EXPECT_EQ(Exit, 2) << Case.Args << ": " << Out;
+    EXPECT_NE(Out.find(Case.Needle), std::string::npos)
+        << Case.Args << ": " << Out;
+  }
+}
+
 //===--- Fuzz command: the strict parser covers its flags, bad values ------
 //===--- exit 2 before any campaign state is created, and same-seed -------
 //===--- runs are byte-identical at the CLI level. ------------------------===//

@@ -10,8 +10,10 @@
 // body, as do the results of the reader, enforcement and static fencing,
 // which is why synthesize() does not rebuild them.
 //
-// ExecCacheTest: the bytes a cache reports for its compact rounds, and the
-// universe fingerprint that keys a stored repair step.
+// ExecCacheTest: the bytes a cache reports for its compact rounds, the
+// universe fingerprint that keys a stored repair step, what a full cache
+// reports about the rounds it refused, and one cache shared by concurrent
+// runs.
 //
 // ExecCacheWarmCellTest: over the perfbench cell set (17 subjects under
 // TSO and PSO at their strictest spec, 7 litmus shapes under both models
@@ -23,6 +25,7 @@
 
 #include "cache/ExecCache.h"
 
+#include "exec/ExecPool.h"
 #include "frontend/Compiler.h"
 #include "fuzz/LitmusCorpus.h"
 #include "ir/Printer.h"
@@ -38,10 +41,12 @@
 
 #include <gtest/gtest.h>
 
+#include <barrier>
 #include <cctype>
 #include <functional>
 #include <map>
 #include <set>
+#include <thread>
 
 using namespace dfence;
 using namespace dfence::ir;
@@ -272,26 +277,25 @@ TEST(ExecCacheTest, BytesGrowWithEachInsertAndNotOnRejection) {
   size_t ABytes = A.bytes();
   EXPECT_EQ(ABytes, 4 * sizeof(exec::SlotRecord) +
                         3 * sizeof(vm::OrderingPredicate) + 9);
-  ASSERT_TRUE(C.insert({1, 1, 0, 4}, std::move(A)));
+  using Insert = cache::ExecCache::Insert;
+  ASSERT_EQ(C.insert({1, 1, 0, 4}, std::move(A)), Insert::Stored);
   EXPECT_EQ(C.bytes(), ABytes);
 
   cache::StoredRound B = Round(4, 0, "");
   size_t BBytes = B.bytes();
-  ASSERT_TRUE(C.insert({1, 1, 4, 4}, std::move(B)));
+  ASSERT_EQ(C.insert({1, 1, 4, 4}, std::move(B)), Insert::Stored);
   EXPECT_EQ(C.bytes(), ABytes + BBytes);
 
-  // A present key and a round past the capacity store nothing.
-  EXPECT_FALSE(C.insert({1, 1, 4, 4}, Round(1, 0, "")));
-  EXPECT_FALSE(C.insert({1, 1, 8, 4}, Round(4, 5, "x")));
+  // A present key and a round past the capacity store nothing; only the
+  // refused round counts as rejected, and a present key is reported as
+  // present even when the round would not fit.
+  EXPECT_EQ(C.insert({1, 1, 4, 4}, Round(1, 0, "")), Insert::Present);
+  EXPECT_EQ(C.insert({1, 1, 8, 4}, Round(4, 5, "x")), Insert::Full);
+  EXPECT_EQ(C.insert({1, 1, 0, 4}, Round(4, 0, "")), Insert::Present);
   EXPECT_EQ(C.bytes(), ABytes + BBytes);
   EXPECT_EQ(C.size(), 8u);
   EXPECT_EQ(C.stats().RejectedFull, 4u);
-
-  cache::ShardedExecCache S(2, 20);
-  EXPECT_EQ(S.bytes(), 0u);
-  ASSERT_TRUE(S.shard(1).insert({1, 1, 0, 2}, Round(2, 1, "v")));
-  EXPECT_EQ(S.bytes(), S.shard(1).bytes());
-  EXPECT_GT(S.bytes(), 0u);
+  EXPECT_EQ(C.stats().Inserts, 8u);
 }
 
 TEST(ModuleIndexTest, CopiesAndTransformsKeepIndexesCurrent) {
@@ -338,7 +342,7 @@ TEST(ExecCacheTest, ARoundKeyWithAnotherUniverseMisses) {
   cache::RoundKey Key{1, 1, 0, 4};
   cache::StoredRound R;
   R.Slots.resize(4);
-  ASSERT_TRUE(C.insert(Key, std::move(R)));
+  ASSERT_EQ(C.insert(Key, std::move(R)), cache::ExecCache::Insert::Stored);
   ASSERT_NE(C.lookup(Key), nullptr);
 
   // The same module and round reached with Φ's variables numbered
@@ -417,6 +421,21 @@ std::map<std::string, Json> perfbenchCells() {
   return Cells;
 }
 
+/// The job of perfbench cell \p What.
+serve::SynthJob cellJob(const std::string &What) {
+  std::string Err;
+  std::optional<serve::ServeRequest> SR =
+      serve::parseRequest(perfbenchCells().at(What), Err);
+  EXPECT_TRUE(SR) << What << ": " << Err;
+  std::optional<serve::SynthJob> Job = serve::prepareJob(SR.value(), Err);
+  EXPECT_TRUE(Job) << What << ": " << Err;
+  return std::move(Job).value();
+}
+
+std::string canonical(const synth::SynthResult &R) {
+  return serve::resultToJson(R, /*IncludeModule=*/true).dump();
+}
+
 struct CellRun {
   synth::SynthResult R;
   std::string Canon;
@@ -445,7 +464,7 @@ CellRun runCell(const serve::SynthJob &Job, cache::ExecCache &Cache) {
           Key.rfind("obs_", 0) != 0)
         Kept.set(Key, Val);
   Out.Counters = Kept.dump();
-  Out.RepairRounds = Reg.counter("synth_repair_rounds_total").value();
+  Out.RepairRounds = Reg.counter("sat_models_total").value();
   Out.RepairHitsCounter = Reg.counter("cache_repair_hits").value();
   Out.SatSolvePhases =
       Reg.histogram(std::string("obs_phase_") +
@@ -506,3 +525,88 @@ INSTANTIATE_TEST_SUITE_P(
           Ch = '_';
       return Name;
     });
+
+TEST(ExecCacheTest, AFullCacheReportsTheExecutionsItRefused) {
+  // Every round of the run is storable (it converges), and none fits in
+  // a cache one execution short of a round.
+  serve::SynthJob Job = cellJob("litmus-sb|pso");
+  synth::SynthConfig Cfg = Job.Cfg;
+  Cfg.Jobs = 1;
+  synth::SynthResult Plain = synth::synthesize(Job.M, Job.Clients, Cfg);
+
+  cache::ExecCache Small(Cfg.ExecsPerRound - 1);
+  obs::Registry Reg;
+  obs::ObsContext Obs{&Reg};
+  Cfg.ExecResultCache = &Small;
+  Cfg.Obs = &Obs;
+  synth::SynthResult R = synth::synthesize(Job.M, Job.Clients, Cfg);
+  ASSERT_EQ(R.Status, synth::SynthStatus::Converged);
+  ASSERT_GT(R.Rounds, 1u);
+  EXPECT_EQ(canonical(R), canonical(Plain));
+
+  EXPECT_EQ(Small.size(), 0u);
+  for (const synth::RoundStats &S : R.RoundLog) {
+    EXPECT_EQ(S.ExecCacheRejected, Cfg.ExecsPerRound) << S.Round;
+    EXPECT_EQ(synth::roundStatsJson(S)
+                  .find("cache")
+                  ->find("rejected")
+                  ->asU64(),
+              Cfg.ExecsPerRound)
+        << S.Round;
+  }
+  EXPECT_EQ(R.ExecCacheRejected, R.TotalExecutions);
+  EXPECT_EQ(Small.stats().RejectedFull, R.TotalExecutions);
+  EXPECT_EQ(Reg.counter("cache_exec_rejected").value(), R.TotalExecutions);
+  EXPECT_EQ(serve::cacheStatsToJson(R).find("rejected")->asU64(),
+            R.TotalExecutions);
+
+  // With room for every round, nothing is refused.
+  cache::ExecCache Roomy;
+  Cfg.ExecResultCache = &Roomy;
+  Cfg.Obs = nullptr;
+  synth::SynthResult Stored = synth::synthesize(Job.M, Job.Clients, Cfg);
+  EXPECT_EQ(Stored.ExecCacheRejected, 0u);
+  EXPECT_EQ(Roomy.size(), Stored.TotalExecutions);
+}
+
+TEST(ExecCacheTest, ConcurrentRunsShareOneCache) {
+  // Four runs of one cell on their own width-1 pools share one cache,
+  // all cold at once and then all warm at once. Each canonical result is
+  // the cache-less run's, every warm run is served whole, and the cache
+  // holds exactly what one cold run stores: racing inserts of a key keep
+  // one round.
+  serve::SynthJob Job = cellJob("litmus-sb|pso");
+  synth::SynthConfig Cfg = Job.Cfg;
+  Cfg.Jobs = 1;
+  std::string Want = canonical(synth::synthesize(Job.M, Job.Clients, Cfg));
+  cache::ExecCache Sequential;
+  Cfg.ExecResultCache = &Sequential;
+  synth::synthesize(Job.M, Job.Clients, Cfg);
+
+  constexpr unsigned N = 4;
+  cache::ExecCache Shared;
+  std::vector<synth::SynthResult> Cold(N), Warm(N);
+  std::barrier AllCold(N);
+  std::vector<std::thread> Threads;
+  for (unsigned I = 0; I != N; ++I)
+    Threads.emplace_back([&, I] {
+      exec::ExecPool Pool(1);
+      synth::SynthConfig C = Job.Cfg;
+      C.Pool = &Pool;
+      C.ExecResultCache = &Shared;
+      Cold[I] = synth::synthesize(Job.M, Job.Clients, C);
+      AllCold.arrive_and_wait();
+      Warm[I] = synth::synthesize(Job.M, Job.Clients, C);
+    });
+  for (std::thread &T : Threads)
+    T.join();
+
+  for (unsigned I = 0; I != N; ++I) {
+    EXPECT_EQ(canonical(Cold[I]), Want) << "cold run " << I;
+    EXPECT_EQ(canonical(Warm[I]), Want) << "warm run " << I;
+    EXPECT_EQ(Warm[I].ExecCacheHits, Warm[I].TotalExecutions) << I;
+  }
+  EXPECT_EQ(Shared.rounds(), Sequential.rounds());
+  EXPECT_EQ(Shared.size(), Sequential.size());
+  EXPECT_EQ(Shared.bytes(), Sequential.bytes());
+}

@@ -1,8 +1,8 @@
 //===- FuzzServeTest.cpp - Fuzz campaigns through the serve daemon --------===//
 //
 // The via-serve campaign path fans the same request lines through an
-// in-process multi-slot serve::Server (PR 9's concurrent dispatcher +
-// sharded cache). The daemon's canonical-result guarantee makes every
+// in-process multi-slot serve::Server (the concurrent dispatcher and its
+// shared cache). The daemon's canonical-result guarantee makes every
 // per-scenario result equal to the direct path's, so the campaign's
 // canonical document — outcomes, fingerprints, ranked table — must be
 // byte-identical between the two paths. Rides the tsan preset

@@ -16,7 +16,10 @@
 //   * byte-identity under concurrency: distinct requests interleaved
 //     across 4 slots return canonical results byte-identical to
 //     sequential one-shot runs of the same requests — cold cache and
-//     warm (second identical round through the sharded cache).
+//     warm (second identical round through the shared cache);
+//   * one shared cache, no request-wide lock: a cheap request for the
+//     same program as a long-running one runs beside it on the other
+//     slot instead of waiting for it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -31,6 +34,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace dfence;
@@ -222,7 +226,7 @@ TEST(ServeConcurrency, InterleavedResultsByteIdenticalToSequential) {
   }
 
   // Concurrent: all four interleaved across 4 slots — twice, so round
-  // two runs against the warm sharded cache.
+  // two runs against the warm shared cache.
   ServeConfig C;
   C.Jobs = 4;
   C.Slots = 4;
@@ -250,7 +254,44 @@ TEST(ServeConcurrency, InterleavedResultsByteIdenticalToSequential) {
     SawWarmHit |= RW.find("cache")->find("execHits")->asU64(0) > 0;
   }
   EXPECT_TRUE(SawWarmHit)
-      << "repeat round should hit the fingerprint-routed warm shards";
+      << "repeat round should hit the warm shared cache";
+}
+
+TEST(ServeConcurrency, SameProgramRequestsRunSideBySide) {
+  // Two width-1 slots and two requests for one program and client. A
+  // stalls 5 ms per execution (a fault plan, which also keeps its rounds
+  // out of the cache), so it runs for about 1.5 s. B stalls 1 ms per
+  // execution, a few tens of milliseconds in all, and must answer within
+  // 500 ms of admission: it runs on the other slot while A is still
+  // going. A request-wide cache lock would hold B until A finished, past
+  // its deadline, and B would answer timeout.
+  ServeConfig C;
+  C.Jobs = 2;
+  C.Slots = 2;
+  Server S(C);
+  Collector Col;
+  S.submit(pubRequest("a", ",\"k\":300,\"rounds\":1,"
+                           "\"faults\":{\"stallMs\":5}"),
+           Col.fn());
+  bool Running = false;
+  for (int I = 0; I != 2000 && !Running; ++I) {
+    Json Status = S.statusJson();
+    for (const Json &Slot : Status.find("slots")->items())
+      if (const Json *Id = Slot.find("id"); Id && Id->asString() == "a")
+        Running = true;
+    if (!Running)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(Running) << "request a never started";
+
+  S.submit(pubRequest("b", ",\"k\":30,\"deadlineMs\":500,"
+                           "\"faults\":{\"stallMs\":1}"),
+           Col.fn());
+  ASSERT_TRUE(Col.waitFor(2, 60000));
+  S.drain();
+  EXPECT_EQ(Col.byId("b").find("status")->asString(), "ok")
+      << Col.byId("b").dump();
+  EXPECT_EQ(Col.completionOrder().front(), "b");
 }
 
 } // namespace

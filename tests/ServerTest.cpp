@@ -445,16 +445,14 @@ TEST(Server, StatsAndPrometheusExposeServeMetrics) {
   EXPECT_EQ(St.find("errors")->asU64(0), 1u);
   EXPECT_EQ(St.find("jobs")->asU64(0), 2u);
   ASSERT_NE(St.find("cache"), nullptr);
-  // The stored rounds' bytes, in total and per shard.
+  // One cache with the whole capacity, holding the stored rounds' bytes.
   const Json &Cache = *St.find("cache");
   ASSERT_NE(Cache.find("bytes"), nullptr);
   EXPECT_GT(Cache.find("bytes")->asU64(0), 0u);
-  uint64_t ShardBytes = 0;
-  for (const Json &Sh : Cache.find("shards")->items()) {
-    ASSERT_NE(Sh.find("bytes"), nullptr);
-    ShardBytes += Sh.find("bytes")->asU64(0);
-  }
-  EXPECT_EQ(ShardBytes, Cache.find("bytes")->asU64(0));
+  EXPECT_GT(Cache.find("entries")->asU64(0), 0u);
+  EXPECT_EQ(Cache.find("capacity")->asU64(0), C.CacheCapacity);
+  EXPECT_EQ(Cache.find("rejectedFull")->asU64(1), 0u);
+  EXPECT_EQ(Cache.find("shards"), nullptr);
 
   std::string Prom = S.registry().toPrometheus();
   EXPECT_NE(Prom.find("serve_requests_total"), std::string::npos);

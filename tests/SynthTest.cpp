@@ -710,6 +710,7 @@ TEST(SynthTest, ResultTotalsAndCountersAreRoundLogSums) {
       Sum.ExecCacheHits += S.ExecCacheHits;
       Sum.ExecCacheMisses += S.ExecCacheMisses;
       Sum.RepairCacheHits += S.RepairCacheHits;
+      Sum.ExecCacheRejected += S.ExecCacheRejected;
       Vm.Flushes += S.Vm.Flushes;
       Vm.SchedSteps += S.Vm.SchedSteps;
       Vm.SchedFlushes += S.Vm.SchedFlushes;
@@ -732,6 +733,7 @@ TEST(SynthTest, ResultTotalsAndCountersAreRoundLogSums) {
     EXPECT_EQ(R.ExecCacheHits, Sum.ExecCacheHits);
     EXPECT_EQ(R.ExecCacheMisses, Sum.ExecCacheMisses);
     EXPECT_EQ(R.RepairCacheHits, Sum.RepairCacheHits);
+    EXPECT_EQ(R.ExecCacheRejected, Sum.ExecCacheRejected);
 
     Json Counters = *Reg.countersJson().find("counters");
     auto Counter = [&](const char *Name) -> uint64_t {
@@ -744,7 +746,6 @@ TEST(SynthTest, ResultTotalsAndCountersAreRoundLogSums) {
     EXPECT_EQ(Counter("synth_violations_total"), R.ViolatingExecutions);
     EXPECT_EQ(Counter("synth_discarded_total"), R.DiscardedExecutions);
     EXPECT_EQ(Counter("synth_step_limit_hits_total"), R.StepLimitHits);
-    EXPECT_EQ(Counter("harness_discarded_total"), R.DiscardedExecutions);
     EXPECT_EQ(Counter("harness_retries_total"), R.RetriedExecutions);
     EXPECT_EQ(Counter("harness_timeouts_total"), R.TimedOutExecutions);
     EXPECT_EQ(Counter("spec_check_budget_hits_total"),
@@ -755,10 +756,13 @@ TEST(SynthTest, ResultTotalsAndCountersAreRoundLogSums) {
     EXPECT_EQ(Counter("cache_check_misses"), R.CheckCacheMisses);
     EXPECT_EQ(Counter("cache_exec_hits"), R.ExecCacheHits);
     EXPECT_EQ(Counter("cache_exec_misses"), R.ExecCacheMisses);
-    if (C.Cfg.ExecResultCache)
+    if (C.Cfg.ExecResultCache) {
       EXPECT_EQ(Counter("cache_repair_hits"), R.RepairCacheHits);
-    else
+      EXPECT_EQ(Counter("cache_exec_rejected"), R.ExecCacheRejected);
+    } else {
       EXPECT_EQ(Counters.find("cache_repair_hits"), nullptr);
+      EXPECT_EQ(Counters.find("cache_exec_rejected"), nullptr);
+    }
     EXPECT_EQ(Counter("vm_steps_total"), VmSteps);
     EXPECT_EQ(Counter("vm_flushes_total"), Vm.Flushes);
     EXPECT_EQ(Counter("vm_sched_steps_total"), Vm.SchedSteps);
@@ -913,6 +917,7 @@ TEST(ConvergenceTest, RoundRecordJsonShapeIsPinned) {
   R.ExecCacheHits = 20;
   R.ExecCacheMisses = 130;
   R.RepairCacheHits = 1;
+  R.ExecCacheRejected = 150;
   R.SatClauses = 4;
   R.SatModels = 2;
   R.SatNodes = 9;
@@ -926,7 +931,8 @@ TEST(ConvergenceTest, RoundRecordJsonShapeIsPinned) {
       "\"cleanStreak\":0,\"truncated\":false,"
       "\"discarded\":7,\"specCheckBudgetHits\":1,\"stepLimitHits\":6,"
       "\"cache\":{\"checkHits\":10,\"checkMisses\":140,"
-      "\"execHits\":20,\"execMisses\":130,\"repairHits\":1},"
+      "\"execHits\":20,\"execMisses\":130,\"repairHits\":1,"
+      "\"rejected\":150},"
       "\"sat\":{\"clauses\":4,\"models\":2,\"nodes\":9,"
       "\"truncated\":true,\"solveUs\":120},"
       "\"roundWallUs\":4500}");

@@ -77,15 +77,45 @@
 #include "vm/Interp.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
+#include <type_traits>
 
 using namespace dfence;
 
 namespace {
+
+/// A flag value the command cannot use; main reports it and exits 2.
+struct FlagError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// \p S as an unsigned integer no larger than \p Max, in base \p Base
+/// (0: with a C prefix). stoull accepts a sign and leading blanks, and
+/// wraps "-1": a leading digit is required, and trailing text ("4x")
+/// is refused.
+std::optional<unsigned long long>
+parseUnsigned(const std::string &S, unsigned long long Max, int Base = 10) {
+  if (S.empty() || !std::isdigit(static_cast<unsigned char>(S[0])))
+    return std::nullopt;
+  size_t End = 0;
+  unsigned long long V;
+  try {
+    V = std::stoull(S, &End, Base);
+  } catch (const std::exception &) {
+    return std::nullopt;
+  }
+  if (End != S.size() || V > Max)
+    return std::nullopt;
+  return V;
+}
 
 struct Options {
   std::string Command;
@@ -101,6 +131,23 @@ struct Options {
   long getInt(const std::string &K, long Default) const {
     auto It = Flags.find(K);
     return It == Flags.end() ? Default : std::stol(It->second);
+  }
+  /// The value of flag \p K for a field of unsigned type T, or \p Default
+  /// when the flag is absent. A negative value, one past T's range or
+  /// trailing characters ("4x") throw FlagError instead of wrapping, so
+  /// `--jobs -1` never reaches a pool as 4294967295 workers.
+  template <typename T>
+  T getUnsigned(const std::string &K, T Default, int Base = 10) const {
+    static_assert(std::is_unsigned_v<T>);
+    auto It = Flags.find(K);
+    if (It == Flags.end())
+      return Default;
+    constexpr unsigned long long Max = std::numeric_limits<T>::max();
+    if (auto V = parseUnsigned(It->second, Max, Base))
+      return static_cast<T>(*V);
+    throw FlagError(strformat("--%s must be an integer from 0 to %llu, "
+                              "got '%s'",
+                              K.c_str(), Max, It->second.c_str()));
   }
   double getDouble(const std::string &K, double Default) const {
     auto It = Flags.find(K);
@@ -418,7 +465,7 @@ int cmdLitmus(const Options &Opt) {
     std::fprintf(stderr, "error: unknown --model\n");
     return 1;
   }
-  long Seeds = Opt.getInt("seeds", 1000);
+  uint64_t Seeds = Opt.getUnsigned<uint64_t>("seeds", 1000);
   // The paper's tuned flush-delay probabilities per model (§6.3); an
   // explicit --flush always wins.
   double Flush = Opt.has("flush") ? Opt.getDouble("flush", 0.5)
@@ -426,10 +473,10 @@ int cmdLitmus(const Options &Opt) {
 
   std::map<std::string, int> Hist;
   int Violations = 0;
-  for (long Seed = 1; Seed <= Seeds; ++Seed) {
+  for (uint64_t Seed = 1; Seed <= Seeds; ++Seed) {
     vm::ExecConfig Cfg;
     Cfg.Model = *Model;
-    Cfg.Seed = static_cast<uint64_t>(Seed);
+    Cfg.Seed = Seed;
     Cfg.FlushProb = Flush;
     vm::ExecResult R = vm::runExecution(CR.Module, *Client, Cfg);
     if (R.Out != vm::Outcome::Completed) {
@@ -446,7 +493,8 @@ int cmdLitmus(const Options &Opt) {
   }
   for (const auto &[Key, Count] : Hist)
     std::printf("%6d  %s\n", Count, Key.c_str());
-  std::printf("%ld executions under %s, %d non-completed\n", Seeds,
+  std::printf("%llu executions under %s, %d non-completed\n",
+              static_cast<unsigned long long>(Seeds),
               vm::memModelName(*Model), Violations);
   return 0;
 }
@@ -463,8 +511,8 @@ int runSynthesis(const Options &Opt, serve::ServeRequest Req) {
   Req.Spec = Opt.get("spec");
   Req.SeqSpec = Opt.get("seq-spec");
   Req.Enforce = Opt.get("enforce", Req.Enforce);
-  Req.K = static_cast<unsigned>(Opt.getInt("k", Req.K));
-  Req.Rounds = static_cast<unsigned>(Opt.getInt("rounds", Req.Rounds));
+  Req.K = Opt.getUnsigned("k", Req.K);
+  Req.Rounds = Opt.getUnsigned("rounds", Req.Rounds);
   Req.Flush = Opt.getDouble("flush", Req.Flush);
   Req.NoMerge = Opt.has("no-merge");
   std::string CacheMode = Opt.get("cache", "on");
@@ -473,17 +521,17 @@ int runSynthesis(const Options &Opt, serve::ServeRequest Req) {
     return 1;
   }
   Req.CacheOn = CacheMode == "on";
-  Req.ExecMs = static_cast<uint32_t>(Opt.getInt("exec-ms", Req.ExecMs));
-  Req.Retries = static_cast<unsigned>(Opt.getInt("retries", Req.Retries));
-  Req.RoundMs = static_cast<uint32_t>(Opt.getInt("round-ms", Req.RoundMs));
-  Req.TotalMs = static_cast<uint32_t>(Opt.getInt("total-ms", Req.TotalMs));
+  Req.ExecMs = Opt.getUnsigned("exec-ms", Req.ExecMs);
+  Req.Retries = Opt.getUnsigned("retries", Req.Retries);
+  Req.RoundMs = Opt.getUnsigned("round-ms", Req.RoundMs);
+  Req.TotalMs = Opt.getUnsigned("total-ms", Req.TotalMs);
   // --wall-clock is the hard-deadline spelling of the total budget: it
   // also threads into in-flight rounds (the harness caps each
   // execution's watchdog to the remaining time) and flips the report
   // below to an explicit timeout with a partial-result summary.
-  if (uint32_t WC = static_cast<uint32_t>(Opt.getInt("wall-clock", 0)))
-    if (Req.TotalMs == 0 || WC < Req.TotalMs)
-      Req.TotalMs = WC;
+  uint32_t WallClockMs = Opt.getUnsigned<uint32_t>("wall-clock", 0);
+  if (WallClockMs && (Req.TotalMs == 0 || WallClockMs < Req.TotalMs))
+    Req.TotalMs = WallClockMs;
   std::string ReproPath = Opt.get("repro");
   Req.CaptureBundles = !ReproPath.empty();
 
@@ -496,7 +544,7 @@ int runSynthesis(const Options &Opt, serve::ServeRequest Req) {
   synth::SynthConfig &Cfg = Job->Cfg;
   // Parallel round engine; 0 = hardware concurrency (the CLI default —
   // deterministic merge makes the result identical at any width).
-  Cfg.Jobs = static_cast<unsigned>(Opt.getInt("jobs", 0));
+  Cfg.Jobs = Opt.getUnsigned<unsigned>("jobs", 0);
 
   // Observability (src/obs/): each sink is attached only when requested,
   // so a plain run pays nothing but null checks in the engine.
@@ -588,7 +636,7 @@ int runSynthesis(const Options &Opt, serve::ServeRequest Req) {
                 "expired after %u round(s), %llu execution(s) (%llu "
                 "violating); partial program carries %zu "
                 "enforcement(s), %u from the static fallback\n",
-                static_cast<long long>(Opt.getInt("wall-clock", 0)),
+                static_cast<long long>(WallClockMs),
                 R.Rounds,
                 static_cast<unsigned long long>(R.TotalExecutions),
                 static_cast<unsigned long long>(R.ViolatingExecutions),
@@ -752,10 +800,9 @@ int cmdBench(const Options &Opt) {
 /// stdin EOF or a shutdown request drains it.
 int cmdServe(const Options &Opt) {
   serve::ServeConfig SC;
-  SC.Jobs = static_cast<unsigned>(Opt.getInt("jobs", 0));
-  SC.Slots = static_cast<unsigned>(Opt.getInt("slots", 1));
-  SC.JobsPerSlot =
-      static_cast<unsigned>(Opt.getInt("jobs-per-slot", 0));
+  SC.Jobs = Opt.getUnsigned("jobs", SC.Jobs);
+  SC.Slots = Opt.getUnsigned("slots", SC.Slots);
+  SC.JobsPerSlot = Opt.getUnsigned("jobs-per-slot", SC.JobsPerSlot);
   if (Opt.has("slots") && SC.Slots == 0) {
     std::fprintf(stderr, "error: --slots must be at least 1\n");
     return 2;
@@ -767,8 +814,9 @@ int cmdServe(const Options &Opt) {
   // Contradictory widths are a hard error, not a silent re-partition: an
   // explicit --jobs budget must cover one slice per slot.
   if (Opt.has("jobs") && SC.Jobs) {
-    unsigned Width =
-        SC.Slots * (SC.JobsPerSlot ? SC.JobsPerSlot : 1);
+    // In 64 bits: two 65536s must not multiply to a width of 0.
+    uint64_t Width =
+        uint64_t{SC.Slots} * (SC.JobsPerSlot ? SC.JobsPerSlot : 1);
     if (Width > SC.Jobs) {
       std::fprintf(stderr,
                    "error: --slots %u x --jobs-per-slot %u exceeds the "
@@ -778,19 +826,17 @@ int cmdServe(const Options &Opt) {
       return 2;
     }
   }
-  SC.QueueCapacity = static_cast<size_t>(Opt.getInt("queue", 16));
-  SC.DefaultDeadlineMs =
-      static_cast<uint32_t>(Opt.getInt("deadline-ms", 0));
+  SC.QueueCapacity = Opt.getUnsigned("queue", SC.QueueCapacity);
+  SC.DefaultDeadlineMs = Opt.getUnsigned("deadline-ms", SC.DefaultDeadlineMs);
   std::string CacheMode = Opt.get("cache", "on");
   if (CacheMode != "on" && CacheMode != "off") {
     std::fprintf(stderr, "error: --cache must be 'on' or 'off'\n");
     return 2;
   }
   SC.CacheEnabled = CacheMode == "on";
-  SC.CacheCapacity =
-      static_cast<size_t>(Opt.getInt("cache-capacity", 1 << 15));
+  SC.CacheCapacity = Opt.getUnsigned("cache-capacity", SC.CacheCapacity);
   SC.CrashDir = Opt.get("crash-dir");
-  SC.SlowMs = static_cast<uint32_t>(Opt.getInt("slow-ms", 0));
+  SC.SlowMs = Opt.getUnsigned("slow-ms", SC.SlowMs);
 
   std::string MetricsOut = Opt.get("metrics-out");
   obs::Registry Metrics;
@@ -834,25 +880,16 @@ int cmdServe(const Options &Opt) {
 /// Parses "N" or "A-B" (inclusive, 1-based). False on malformed input,
 /// zero bounds, or an inverted range.
 bool parseRange(const std::string &S, unsigned &Lo, unsigned &Hi) {
-  try {
-    size_t Dash = S.find('-');
-    if (Dash == std::string::npos) {
-      long V = std::stol(S);
-      if (V < 1)
-        return false;
-      Lo = Hi = static_cast<unsigned>(V);
-      return true;
-    }
-    long A = std::stol(S.substr(0, Dash));
-    long B = std::stol(S.substr(Dash + 1));
-    if (A < 1 || B < A)
-      return false;
-    Lo = static_cast<unsigned>(A);
-    Hi = static_cast<unsigned>(B);
-    return true;
-  } catch (const std::exception &) {
+  constexpr unsigned Max = std::numeric_limits<unsigned>::max();
+  size_t Dash = S.find('-');
+  auto A = parseUnsigned(S.substr(0, Dash), Max);
+  auto B = Dash == std::string::npos ? A
+                                     : parseUnsigned(S.substr(Dash + 1), Max);
+  if (!A || !B || *A < 1 || *B < *A)
     return false;
-  }
+  Lo = static_cast<unsigned>(*A);
+  Hi = static_cast<unsigned>(*B);
+  return true;
 }
 
 /// `dfence fuzz`: a seeded scenario campaign (src/fuzz/) — generated
@@ -862,8 +899,8 @@ bool parseRange(const std::string &S, unsigned &Lo, unsigned &Hi) {
 /// fields: same seed, same bytes.
 int cmdFuzz(const Options &Opt) {
   fuzz::GeneratorOptions GO;
-  GO.FuzzSeed = std::stoull(Opt.get("fuzz-seed", "1"), nullptr, 0);
-  GO.Count = static_cast<unsigned>(Opt.getInt("count", 100));
+  GO.FuzzSeed = Opt.getUnsigned("fuzz-seed", GO.FuzzSeed, /*Base=*/0);
+  GO.Count = Opt.getUnsigned("count", GO.Count);
   if (GO.Count == 0) {
     std::fprintf(stderr, "error: --count must be at least 1\n");
     return 2;
@@ -908,14 +945,13 @@ int cmdFuzz(const Options &Opt) {
                  "error: --model must be tso or pso for fuzzing\n");
     return 2;
   }
-  long K = Opt.getInt("k", 60);
-  if (K < 1) {
+  CC.K = Opt.getUnsigned("k", CC.K);
+  if (CC.K == 0) {
     std::fprintf(stderr, "error: --k must be at least 1\n");
     return 2;
   }
-  CC.K = static_cast<unsigned>(K);
-  CC.Rounds = static_cast<unsigned>(Opt.getInt("rounds", 6));
-  CC.Jobs = static_cast<unsigned>(Opt.getInt("jobs", 0));
+  CC.Rounds = Opt.getUnsigned("rounds", CC.Rounds);
+  CC.Jobs = Opt.getUnsigned("jobs", CC.Jobs);
   std::string CacheMode = Opt.get("cache", "on");
   if (CacheMode != "on" && CacheMode != "off") {
     std::fprintf(stderr, "error: --cache must be 'on' or 'off'\n");
@@ -923,12 +959,11 @@ int cmdFuzz(const Options &Opt) {
   }
   CC.CacheOn = CacheMode == "on";
   if (Opt.has("via-serve")) {
-    long Slots = Opt.getInt("via-serve", 0);
-    if (Slots < 1) {
+    CC.ServeSlots = Opt.getUnsigned("via-serve", CC.ServeSlots);
+    if (CC.ServeSlots == 0) {
       std::fprintf(stderr, "error: --via-serve must be at least 1\n");
       return 2;
     }
-    CC.ServeSlots = static_cast<unsigned>(Slots);
     CC.ServeJobs = CC.Jobs;
   }
 
@@ -1113,6 +1148,9 @@ int main(int Argc, char **Argv) {
       return cmdServe(Opt);
     if (Opt.Command == "fuzz")
       return cmdFuzz(Opt);
+  } catch (const FlagError &E) {
+    std::fprintf(stderr, "error: %s\n", E.what());
+    return 2;
   } catch (const std::exception &E) {
     // std::stol / std::stod throw on malformed numeric flag values.
     std::fprintf(stderr,
